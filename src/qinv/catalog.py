@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .gaussian import GaussianRational
 from .linalg import independent_subset
 from .poly import Polynomial, amp, aux
 from .transvection import Covariant, transvect
@@ -26,7 +25,7 @@ def ground_form(k: int) -> Covariant:
         for j in range(1, k + 1):
             bit = (idx >> (k - j)) & 1
             mono.append((aux(j, bit), 1))
-        terms[tuple(sorted(mono))] = GaussianRational(1)
+        terms[tuple(sorted(mono))] = 1
     return Covariant(Polynomial(k, terms), 1, (1,) * k, "f")
 
 
@@ -51,14 +50,13 @@ def b_family(k: int, d: tuple) -> Covariant:
         )
     f = ground_form(k)
     eps = tuple((2 - x) // 2 for x in d)
-    cov = transvect(f, f, eps)
-    return Covariant(cov.poly, cov.amp_degree, cov.multidegree, "B_" + _dstr(d))
+    return transvect(f, f, eps).named("B_" + _dstr(d))
 
 
 def b_family_all(k: int):
     """The spanning family {f^2} + {B_d} of the degree-2 covariant space."""
     f = ground_form(k)
-    out = [Covariant((f * f).poly, 2, (2,) * k, "f^2")]
+    out = [(f * f).named("f^2")]
     for d in b_multidegrees(k):
         out.append(b_family(k, d))
     return out
@@ -107,8 +105,7 @@ def catalog_3(name: str) -> Covariant:
         )
         return Covariant(t, 3, (1, 1, 1), "T")
     if name == "Delta":
-        cov = transvect(catalog_3("T"), f, (1, 1, 1))
-        return Covariant(cov.poly, 4, (0, 0, 0), "Delta")
+        return transvect(catalog_3("T"), f, (1, 1, 1)).named("Delta")
     raise KeyError(f"unknown 3-qubit covariant {name!r}")
 
 
@@ -122,7 +119,7 @@ def cayley_hyperdet() -> Polynomial:
         mono: dict = {}
         for b in bits:
             mono[a[b]] = mono.get(a[b], 0) + 1
-        return Polynomial(3, {tuple(sorted(mono.items())): GaussianRational(coeff)})
+        return Polynomial(3, {tuple(sorted(mono.items())): coeff})
 
     p = Polynomial.zero(3)
     for b1, b2 in [("000", "111"), ("001", "110"), ("010", "101"), ("011", "100")]:
@@ -170,13 +167,19 @@ def catalog_4(name: str) -> Covariant:
     if name == "f":
         return ground_form(k)
     if name.startswith("B_"):
-        d = tuple(int(c) for c in name[2:])
-        return b_family(k, d)
+        return b_family(k, _b_degree(name))
     if name not in _CHAINS_4:
         raise KeyError(f"unknown 4-qubit covariant {name!r}")
     left, right, eps = _CHAINS_4[name]
-    cov = transvect(catalog_4(left), catalog_4(right), eps)
-    return Covariant(cov.poly, cov.amp_degree, cov.multidegree, name)
+    return transvect(catalog_4(left), catalog_4(right), eps).named(name)
+
+
+def _b_degree(name: str) -> tuple:
+    """The multidegree named by "B_<digits>"; KeyError if malformed."""
+    digits = name[2:]
+    if not digits or not set(digits) <= set("0123456789"):
+        raise KeyError(f"malformed covariant name {name!r}")
+    return tuple(int(c) for c in digits)
 
 
 def covariant_by_name(k: int, name: str) -> Covariant:
@@ -185,7 +188,7 @@ def covariant_by_name(k: int, name: str) -> Covariant:
     if k == 3 and name in ("Hx", "Hy", "Hz", "T", "Delta"):
         return catalog_3(name)
     if name.startswith("B_"):
-        d = tuple(int(c) for c in name[2:])
+        d = _b_degree(name)
         if len(d) != k:
             raise KeyError(f"{name} does not match k={k}")
         return b_family(k, d)
@@ -217,10 +220,7 @@ def degree3_multilinear_basis(k: int):
         if cov.poly:
             candidates.append(cov)
     idx = independent_subset([c.poly for c in candidates])
-    basis = [
-        Covariant(candidates[i].poly, 3, (1,) * k, f"C{n + 1}")
-        for n, i in enumerate(idx)
-    ]
+    basis = [candidates[i].named(f"C{n + 1}") for n, i in enumerate(idx)]
     expected = dim_cov(3, k, (1,) * k)
     if len(basis) != expected:
         raise RuntimeError(
@@ -242,10 +242,7 @@ def degree4_invariants(k: int):
         if cov.poly:
             candidates.append(cov)
     idx = independent_subset([c.poly for c in candidates])
-    basis = [
-        Covariant(candidates[i].poly, 4, (0,) * k, f"D{n + 1}")
-        for n, i in enumerate(idx)
-    ]
+    basis = [candidates[i].named(f"D{n + 1}") for n, i in enumerate(idx)]
     expected = dim_cov(4, k, (0,) * k)
     if len(basis) != expected:
         raise RuntimeError(

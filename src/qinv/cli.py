@@ -53,6 +53,7 @@ def invariant_registry(k: int):
         b_pairing,
         degree6_invariants_4,
         lut3_generator,
+        lut3_pairing,
         norm_invariant,
         s2_invariant,
         delta_invariant,
@@ -64,15 +65,8 @@ def invariant_registry(k: int):
     if k == 3:
         for i in range(1, 8):
             reg[f"f{i}"] = lut3_generator(i).evaluate
-        from .catalog import catalog_3, ground_form
-        from .invariants import pairing
-
-        reg["C_111"] = pairing(catalog_3("T"), catalog_3("T")).evaluate
-        reg["D_000"] = pairing(catalog_3("Delta"), catalog_3("Delta")).evaluate
-        reg["F_222"] = pairing(
-            catalog_3("Delta") * (ground_form(3) * ground_form(3)),
-            catalog_3("T") * catalog_3("T"),
-        ).evaluate
+        for name in ("C_111", "D_000", "F_222"):
+            reg[name] = lut3_pairing(name).evaluate
         reg["s2"] = s2_invariant().evaluate
         reg["Delta"] = delta_invariant().evaluate
         reg["Det"] = cayley_hyperdet().evaluate
@@ -113,6 +107,10 @@ def cmd_measure(args) -> dict:
 def cmd_hilbert(args) -> dict:
     k, n = args.k, args.max_degree
     group, method = args.group, args.method
+    if k < 1:
+        raise CliError(f"--k must be at least 1, got {k}")
+    if n < 0 or (args.max_conj_degree is not None and args.max_conj_degree < 0):
+        raise CliError("degrees must be non-negative")
     if group == "slocc":
         if method == "closed-form":
             if k != 4:
@@ -158,8 +156,8 @@ def cmd_hilbert(args) -> dict:
 def cmd_covariant(args) -> dict:
     try:
         cov = covariant_by_name(args.k, args.name)
-    except KeyError as exc:
-        raise CliError(str(exc))
+    except (KeyError, ValueError) as exc:
+        raise CliError(exc.args[0] if exc.args else str(exc))
     out = {
         "name": cov.name,
         "k": args.k,

@@ -1,8 +1,10 @@
 """Exact Gaussian-rational numbers: a + b*i with a, b rational.
 
 All symbolic computations in this package run over this field, so every
-polynomial identity can be checked by exact equality.  Conversion to a
-Python ``complex`` happens only at the numeric-evaluation boundary.
+polynomial identity can be checked by exact equality.  Inside a polynomial
+the coefficients are Gaussian integers over one shared denominator (see
+poly.py); this class is the scalar at the boundary: polynomial coefficients
+as read through ``Polynomial.terms``, exact evaluations and determinants.
 """
 
 from __future__ import annotations

@@ -13,11 +13,12 @@ conjugated, so the result has bidegree (deg phi, deg psi).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import factorial, lcm
 
 from .catalog import (
     b_family,
@@ -28,25 +29,32 @@ from .catalog import (
     degree4_invariants,
     ground_form,
 )
-from .gaussian import GR_ZERO, GaussianRational
-from .poly import Polynomial, amp, amp_conj
-from .transvection import Covariant
+from .gaussian import GaussianRational
+from .linalg import det, independent_rows, matrix_rows
+from .poly import Polynomial, amp, amp_conj, exponents, layout
+from .transvection import Covariant, unchecked
 
 
 @dataclass(frozen=True)
 class InvariantExpr:
-    """A polynomial in amplitudes and conjugate amplitudes with fixed bidegree."""
+    """A polynomial in amplitudes and conjugate amplitudes with fixed bidegree.
+
+    The constructor validates every term; arithmetic results take their
+    bidegree from the operands and skip it.
+    """
 
     poly: Polynomial
     bidegree: tuple
     name: str = ""
 
     def __post_init__(self):
-        for m in self.poly.terms:
-            n1 = sum(e for v, e in m if v[0] == "a")
-            n2 = sum(e for v, e in m if v[0] == "ac")
-            if any(v[0] == "x" for v, _ in m):
+        lay = layout(self.poly.k)
+        n = lay.n
+        for m in self.poly.packed:
+            if m >> lay.aux_shift:
                 raise ValueError("invariants must not contain auxiliary variables")
+            e = lay.fields(m)
+            n1, n2 = sum(e[:n]), sum(e[n:2 * n])
             if (n1, n2) != tuple(self.bidegree):
                 raise ValueError(
                     f"term of bidegree ({n1},{n2}) in invariant of "
@@ -59,33 +67,44 @@ class InvariantExpr:
 
     def __add__(self, other):
         if isinstance(other, InvariantExpr):
-            if self.poly and other.poly and self.bidegree != other.bidegree:
-                raise ValueError("cannot add invariants of different bidegrees")
-            bd = self.bidegree if self.poly else other.bidegree
-            return InvariantExpr(self.poly + other.poly, bd)
+            return unchecked(InvariantExpr, self.poly + other.poly,
+                             self._sum_bidegree(other))
         return NotImplemented
 
     def __sub__(self, other):
-        return self + (-1) * other
+        if isinstance(other, InvariantExpr):
+            return unchecked(InvariantExpr, self.poly - other.poly,
+                             self._sum_bidegree(other))
+        return NotImplemented
+
+    def _sum_bidegree(self, other) -> tuple:
+        if self.poly and other.poly and self.bidegree != other.bidegree:
+            raise ValueError("cannot add invariants of different bidegrees")
+        return self.bidegree if self.poly else other.bidegree
 
     def __mul__(self, other):
         if isinstance(other, InvariantExpr):
-            return InvariantExpr(
+            return unchecked(
+                InvariantExpr,
                 self.poly * other.poly,
                 (self.bidegree[0] + other.bidegree[0],
                  self.bidegree[1] + other.bidegree[1]),
             )
-        return InvariantExpr(self.poly * other, self.bidegree)
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return unchecked(InvariantExpr, self.poly * other, self.bidegree)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        return InvariantExpr(
+        return unchecked(
+            InvariantExpr,
             self.poly ** n, (self.bidegree[0] * n, self.bidegree[1] * n)
         )
 
     def conjugate(self) -> "InvariantExpr":
-        return InvariantExpr(
+        return unchecked(
+            InvariantExpr,
             self.poly.conjugate(), (self.bidegree[1], self.bidegree[0]), self.name
         )
 
@@ -97,22 +116,21 @@ class InvariantExpr:
 
 
 def aux_decompose(poly: Polynomial) -> dict:
-    """Split a covariant polynomial by auxiliary monomial: m(x) -> c_m(a)."""
-    out: dict = {}
-    for m, c in poly.terms.items():
-        aux_part = tuple((v, e) for v, e in m if v[0] == "x")
-        amp_part = tuple((v, e) for v, e in m if v[0] != "x")
-        bucket = out.setdefault(aux_part, {})
-        bucket[amp_part] = bucket.get(amp_part, GR_ZERO) + c
+    """Split a covariant polynomial by auxiliary monomial: m(x) -> c_m(a),
+    both packed."""
+    aux_mask = -1 << layout(poly.k).aux_shift
+    buckets: dict = defaultdict(dict)
+    for m, c in poly.packed.items():
+        buckets[m & aux_mask][m & ~aux_mask] = c
     return {
-        m: Polynomial(poly.k, {mm: cc for mm, cc in bucket.items() if cc})
-        for m, bucket in out.items()
+        m: Polynomial.from_packed(poly.k, bucket, poly.den, poly.degree_bound)
+        for m, bucket in buckets.items()
     }
 
 
-def _weight(aux_mono: tuple) -> int:
+def _weight(aux_key: int) -> int:
     w = 1
-    for _v, e in aux_mono:
+    for _f, e in exponents(aux_key):
         w *= factorial(e)
     return w
 
@@ -124,7 +142,7 @@ def pairing(phi: Covariant, psi: Covariant, name: str = "") -> InvariantExpr:
     """
     bidegree = (phi.amp_degree, psi.amp_degree)
     if phi.multidegree != psi.multidegree:
-        return InvariantExpr(Polynomial.zero(phi.k), bidegree, name)
+        return unchecked(InvariantExpr, Polynomial.zero(phi.k), bidegree, name)
     left = aux_decompose(phi.poly)
     right = aux_decompose(psi.poly)
     total = Polynomial.zero(phi.k)
@@ -133,7 +151,7 @@ def pairing(phi: Covariant, psi: Covariant, name: str = "") -> InvariantExpr:
         if dpoly is None:
             continue
         total = total + cpoly * dpoly.conjugate() * _weight(m)
-    return InvariantExpr(total, bidegree, name)
+    return unchecked(InvariantExpr, total, bidegree, name)
 
 
 # -- degree-4 bases for arbitrary k ---------------------------------------
@@ -156,7 +174,7 @@ def b_pairing(k: int, d: tuple) -> InvariantExpr:
 def lut_degree4_basis(k: int):
     """{<f|f>^2} plus the <B_d|B_d> with d != (2,...,2); 2^(k-1) elements."""
     a = norm_invariant(k)
-    out = [InvariantExpr((a * a).poly, (2, 2), "A^2")]
+    out = [unchecked(InvariantExpr, (a * a).poly, (2, 2), "A^2")]
     for d in b_multidegrees(k):
         if d == (2,) * k:
             continue
@@ -188,7 +206,7 @@ def f_squared_relation_check(k: int):
     f2 = f * f
     lhs = pairing(f2, f2)
     a = norm_invariant(k)
-    rhs = InvariantExpr((a * a).poly * (2 ** k), (2, 2))
+    rhs = (a * a) * (2 ** k)
     for d in b_multidegrees(k):
         if d == (2,) * k:
             continue
@@ -201,41 +219,52 @@ def f_squared_relation_check(k: int):
 
 
 @lru_cache(maxsize=None)
+def lut3_pairing(name: str) -> InvariantExpr:
+    """The 3-qubit pairings the generators are built from: B_200, B_020,
+    B_002 (of the Hessians Hx, Hy, Hz), C_111 = <T|T>, D_000 = <Delta|Delta>
+    and F_222 = <Delta f^2|T^2>."""
+    hessians = {"B_200": "Hx", "B_020": "Hy", "B_002": "Hz"}
+    if name in hessians:
+        h = catalog_3(hessians[name])
+        return pairing(h, h, name)
+    t, d, f = catalog_3("T"), catalog_3("Delta"), ground_form(3)
+    if name == "C_111":
+        return pairing(t, t, name)
+    if name == "D_000":
+        return pairing(d, d, name)
+    if name == "F_222":
+        return pairing(d * (f * f), t * t, name)
+    raise KeyError(f"unknown 3-qubit pairing {name!r}")
+
+
+@lru_cache(maxsize=None)
 def lut3_generator(i: int) -> InvariantExpr:
     """The seven generators of the 3-qubit LUT invariant algebra, expressed
     through covariant pairings."""
     if i not in range(1, 8):
         raise ValueError("generator index must be in 1..7")
     a = norm_invariant(3)
-    b200 = b_hx = pairing(catalog_3("Hx"), catalog_3("Hx"), "B_200")
-    b020 = pairing(catalog_3("Hy"), catalog_3("Hy"), "B_020")
-    b002 = pairing(catalog_3("Hz"), catalog_3("Hz"), "B_002")
     if i == 1:
         return a
+    if i == 6:
+        return lut3_pairing("D_000")
+    b200, b020, b002 = (lut3_pairing(n) for n in ("B_200", "B_020", "B_002"))
     if i == 2:
         return a * a - b200 - b020
     if i == 3:
         return a * a - b200 - b002
     if i == 4:
         return a * a - b020 - b002
+    c111 = lut3_pairing("C_111")
     if i == 5:
-        t = catalog_3("T")
-        c111 = pairing(t, t, "C_111")
         return (
             a ** 3
             + Fraction(3, 2) * c111
             - Fraction(3, 2) * (a * (b200 + b020 + b002))
         )
-    if i == 6:
-        d = catalog_3("Delta")
-        return pairing(d, d, "D_000")
     # i == 7
-    t = catalog_3("T")
-    d = catalog_3("Delta")
-    c111 = pairing(t, t, "C_111")
-    d000 = pairing(d, d, "D_000")
-    f = ground_form(3)
-    f222 = pairing(d * (f * f), t * t, "F_222")
+    d000 = lut3_pairing("D_000")
+    f222 = lut3_pairing("F_222")
     return (
         Fraction(1, 2) * (d000 * (Fraction(3, 2) * (b200 + b020 + b002) - a * a))
         + 2 * (c111 * c111)
@@ -265,7 +294,7 @@ def lut3_generator_sum(sigma: tuple, tau: tuple, rho: tuple) -> InvariantExpr:
                     v = amp_conj(i[sigma[t]] * 4 + j[tau[t]] * 2 + kk[rho[t]])
                     mono[v] = mono.get(v, 0) + 1
                 key = tuple(sorted(mono.items()))
-                terms[key] = terms.get(key, GR_ZERO) + 1
+                terms[key] = terms.get(key, 0) + 1
     poly = Polynomial(3, {m: c for m, c in terms.items() if c})
     return InvariantExpr(poly, (n, n))
 
@@ -360,15 +389,9 @@ def f7_check() -> dict:
     bracket_is_dbar_s2sq = lhs.poly == (delta.conjugate() * (s2 * s2)).poly
 
     a = norm_invariant(3)
-    b200 = pairing(catalog_3("Hx"), catalog_3("Hx"))
-    b020 = pairing(catalog_3("Hy"), catalog_3("Hy"))
-    b002 = pairing(catalog_3("Hz"), catalog_3("Hz"))
-    t = catalog_3("T")
-    d = catalog_3("Delta")
-    f = ground_form(3)
-    c111 = pairing(t, t)
-    d000 = pairing(d, d)
-    f222 = pairing(d * (f * f), t * t)
+    b200, b020, b002, c111, d000, f222 = (
+        lut3_pairing(n)
+        for n in ("B_200", "B_020", "B_002", "C_111", "D_000", "F_222"))
     bsum = b200 + b020 + b002
     decomposition = (
         lhs.poly
@@ -394,13 +417,14 @@ def f7_check() -> dict:
 
 def _proportional(p: Polynomial, q: Polynomial):
     """The scalar r with p == r*q, or None."""
-    if not q.terms:
+    if not q.packed:
         return None
-    m = next(iter(q.terms))
-    c = p.terms.get(m)
-    if c is None:
+    m = next(iter(q.packed))
+    if m not in p.packed:
         return None
-    r = c / q.terms[m]
+    (pr, pi), (qr, qi) = p.packed[m], q.packed[m]
+    r = GaussianRational(Fraction(pr, p.den), Fraction(pi, p.den)) / (
+        GaussianRational(Fraction(qr, q.den), Fraction(qi, q.den)))
     return r if p == q * r else None
 
 
@@ -505,21 +529,46 @@ JACOBIAN_REFERENCE = GaussianRational(-53279560564736, -243669580382208)
 
 def evaluate_exact(poly: Polynomial, values: dict) -> GaussianRational:
     """Evaluate a polynomial at an exact amplitude assignment; conjugate
-    amplitudes take the conjugate values."""
-    total = GR_ZERO
-    for m, c in poly.terms.items():
-        val = c
-        for v, e in m:
-            if v[0] == "a":
-                base = values[v[1]]
-            elif v[0] == "ac":
-                base = values[v[1]].conjugate()
-            else:
+    amplitudes take the conjugate values.
+
+    The values are put over one common denominator D, so every term is a
+    Gaussian-integer product; terms of total degree d share the denominator
+    den * D^d of the result.
+    """
+    n = layout(poly.k).n
+    scale = lcm(*(d for v in values.values()
+                  for d in (v.re.denominator, v.im.denominator)))
+    base = {}
+    for idx, v in values.items():
+        re, im = int(v.re * scale), int(v.im * scale)
+        base[idx], base[n + idx] = (re, im), (re, -im)
+    powers: dict = {}
+    sums: dict = defaultdict(lambda: [0, 0])
+    for m, (r, i) in poly.packed.items():
+        deg = 0
+        for f, e in exponents(m):
+            if f >= 2 * n:
                 raise ValueError("auxiliary variable in exact evaluation")
-            for _ in range(e):
-                val = val * base
-        total = total + val
+            p = powers.get((f, e))
+            if p is None:
+                p = powers[f, e] = _gauss_pow(base[f], e)
+            r, i = r * p[0] - i * p[1], r * p[1] + i * p[0]
+            deg += e
+        acc = sums[deg]
+        acc[0] += r
+        acc[1] += i
+    total = GaussianRational(0)
+    for deg, (r, i) in sums.items():
+        d = poly.den * scale ** deg
+        total = total + GaussianRational(Fraction(r, d), Fraction(i, d))
     return total
+
+
+def _gauss_pow(z: tuple, e: int) -> tuple:
+    r, i = 1, 0
+    for _ in range(e):
+        r, i = r * z[0] - i * z[1], r * z[1] + i * z[0]
+    return r, i
 
 
 def _primary_invariant_polys():
@@ -548,27 +597,7 @@ def jacobian_matrix():
 def jacobian_rank() -> int:
     """Exact rank of the 7x16 Jacobian; 7 proves the seven primary
     invariants algebraically independent."""
-    from .linalg import det as _det
-    j = jacobian_matrix()
-    # Column-reduce by exact Gaussian elimination on the transpose.
-    cols = [[j[r][c] for r in range(7)] for c in range(16)]
-    basis = []
-    pivots = []
-    for col in cols:
-        col = list(col)
-        for b, p in zip(basis, pivots):
-            if col[p]:
-                f = col[p]
-                for i in range(7):
-                    if b[i]:
-                        col[i] = col[i] - f * b[i]
-        p = next((i for i in range(7) if col[i]), None)
-        if p is None:
-            continue
-        inv = col[p]
-        basis.append([c / inv for c in col])
-        pivots.append(p)
-    return len(basis)
+    return len(independent_rows(matrix_rows(jacobian_matrix())))
 
 
 # Complement columns (a_000, conj a_001 .. conj a_110) for the full 16x16
@@ -595,8 +624,6 @@ def jacobian_determinant(literal: bool = False) -> GaussianRational:
     mixing holomorphic and antiholomorphic columns and is nonzero, which is
     what the algebraic-independence argument needs.
     """
-    from .linalg import det as _det
-
     funcs = _primary_invariant_polys()
     if literal:
         coord = [amp(i) for i in range(8)] + [amp_conj(0)]
@@ -609,7 +636,7 @@ def jacobian_determinant(literal: bool = False) -> GaussianRational:
         [evaluate_exact(fn.partial(v), JACOBIAN_POINT) for v in variables]
         for fn in funcs
     ]
-    return _det(matrix)
+    return det(matrix)
 
 
 # -- 4-qubit degree-6 LUT invariants --------------------------------------

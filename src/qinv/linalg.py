@@ -2,57 +2,80 @@
 
 Used for rank / independence checks on families of polynomials (viewed as
 coefficient vectors over their monomials) and for exact determinants.
+
+Independence works on sparse Gaussian-integer rows, dicts column ->
+(re, im): scaling a row by a nonzero rational leaves the independence of a
+family unchanged, so each row is cleared of its denominator and the
+elimination runs fraction-free.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
 from .gaussian import GR_ZERO, GaussianRational
-from .poly import Polynomial
 
 
 def polys_to_rows(polys):
-    """Coefficient matrix of a polynomial family, one row per polynomial.
+    """Sparse coefficient rows of a polynomial family, one per polynomial:
+    packed monomial -> Gaussian-integer numerator (the polynomial times its
+    denominator)."""
+    return [p.packed for p in polys]
 
-    Columns are indexed by the union of monomials, in sorted order for
-    reproducibility.
-    """
-    monomials = sorted({m for p in polys for m in p.terms})
-    index = {m: i for i, m in enumerate(monomials)}
+
+def matrix_rows(matrix):
+    """Sparse Gaussian-integer rows of a matrix of exact scalars, each row
+    scaled by the lcm of its denominators."""
     rows = []
-    for p in polys:
-        row = [GR_ZERO] * len(monomials)
-        for m, c in p.terms.items():
-            row[index[m]] = c
-        rows.append(row)
+    for row in matrix:
+        den = lcm(*(d for x in row
+                    for d in (x.re.denominator, x.im.denominator)))
+        rows.append({
+            j: (int(x.re * den), int(x.im * den))
+            for j, x in enumerate(row) if x
+        })
     return rows
+
+
+def _reduce(row: dict, pivot_row: dict, col) -> dict:
+    """pivot * row - row[col] * pivot_row, with the column `col` cleared and
+    the integer content divided out."""
+    pr, pi = pivot_row[col]
+    cr, ci = row[col]
+    out = {m: (pr * r - pi * i, pr * i + pi * r) for m, (r, i) in row.items()}
+    for m, (r, i) in pivot_row.items():
+        r, i = cr * r - ci * i, cr * i + ci * r
+        o = out.get(m)
+        if o is None:
+            out[m] = (-r, -i)
+        elif o[0] == r and o[1] == i:
+            del out[m]
+        else:
+            out[m] = (o[0] - r, o[1] - i)
+    g = gcd(*(x for c in out.values() for x in c))
+    if g > 1:
+        out = {m: (r // g, i // g) for m, (r, i) in out.items()}
+    return out
+
+
+def independent_rows(rows):
+    """Indices of a maximal linearly independent subset of sparse
+    Gaussian-integer rows, greedy in input order."""
+    basis = []       # (pivot column, reduced row)
+    chosen = []
+    for idx, row in enumerate(rows):
+        for col, brow in basis:
+            if col in row:
+                row = _reduce(row, brow, col)
+        if row:
+            basis.append((min(row), row))
+            chosen.append(idx)
+    return chosen
 
 
 def independent_subset(polys):
     """Indices of a maximal linearly independent subset, greedy in input order."""
-    rows = polys_to_rows(polys)
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    basis = []       # reduced pivot rows
-    pivots = []      # pivot column per basis row
-    chosen = []
-    for i, row in enumerate(rows):
-        row = list(row)
-        for brow, pc in zip(basis, pivots):
-            if row[pc]:
-                f = row[pc]
-                for j in range(ncols):
-                    if brow[j]:
-                        row[j] = row[j] - f * brow[j]
-        pivot = next((j for j in range(ncols) if row[j]), None)
-        if pivot is None:
-            continue
-        inv = row[pivot]
-        row = [c / inv for c in row]
-        basis.append(row)
-        pivots.append(pivot)
-        chosen.append(i)
-    return chosen
+    return independent_rows(polys_to_rows(polys))
 
 
 def rank(polys) -> int:

@@ -10,21 +10,49 @@ total order for free: amplitude < conjugate amplitude < auxiliary):
                         comp in {0,1}, copy 0 = plain, 1 = primed,
                         2 = double-primed (transvection intermediates only)
 
-A monomial is a sorted tuple of (variable, exponent) pairs with positive
-exponents; a polynomial is a dict monomial -> GaussianRational with no zero
-coefficients stored.  Equal polynomials therefore have equal dicts.
+Representation.  Each monomial is packed into one Python int with an 8-bit
+exponent field per variable, so multiplying two monomials is integer
+addition (the packed monomials of Monagan & Pearce, "Parallel sparse
+polynomial multiplication using heaps", ISSAC 2009).  `layout(k)` fixes the
+fields, from the least significant: the 2^k amplitudes, the 2^k conjugate
+amplitudes, then three blocks of 2k auxiliary fields for copies 0, 1 and 2
+(slot-major, component-minor).  A polynomial is a dict packed monomial ->
+(re, im) Gaussian-integer numerator, with no zero entries, over one positive
+integer denominator; every result is reduced so that the numerators and the
+denominator have gcd 1.  Equal polynomials therefore have equal dicts and
+denominators, and == and hash are plain dict and int comparisons.
+
+Each polynomial carries a bound on its total degree.  A monomial's total
+degree bounds every exponent in it, so a product whose bound would exceed
+the field width raises OverflowError instead of carrying into the next
+field.
+
+At the boundary a monomial is a sorted tuple of (variable, exponent) pairs
+with positive exponents and a coefficient is a GaussianRational: the
+constructor takes that form, validated, and `terms` gives it back.
+Numeric evaluation, scalar and batched, reads one compiled form per
+polynomial (complex coefficients and an exponent matrix), built from the
+packed keys on first use.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import lru_cache
+from itertools import chain
+from math import gcd, lcm
 
 import numpy as np
 
-from .gaussian import GR_ONE, GR_ZERO, GaussianRational, _coerce
+from .gaussian import GaussianRational
+
+FIELD_BITS = 8
+FIELD_MAX = (1 << FIELD_BITS) - 1
 
 
 def amp(idx: int) -> tuple:
@@ -74,34 +102,162 @@ class EvaluationError(KeyError):
     """A variable could not be resolved during numeric evaluation."""
 
 
+class Layout:
+    """Exponent fields of the variables over k qubits, and the masks that
+    select the amplitude, conjugate and auxiliary blocks of a packed key."""
+
+    def __init__(self, k: int):
+        n = 2 ** k
+        self.k, self.n = k, n
+        self.var = (
+            [amp(i) for i in range(n)]
+            + [amp_conj(i) for i in range(n)]
+            + [aux(slot, comp, copy) for copy in range(3)
+               for slot in range(1, k + 1) for comp in (0, 1)]
+        )
+        self.field = {v: f for f, v in enumerate(self.var)}
+        # Fields in the order of their variable tuples, with printed names.
+        self.order = sorted(range(len(self.var)), key=self.var.__getitem__)
+        self.names = [_name(self.var[f], k) for f in self.order]
+        block = FIELD_BITS * n
+        self.conj_shift = block
+        self.aux_shift = 2 * block
+        self.copy_shift = FIELD_BITS * 2 * k
+        self.amp_mask = (1 << block) - 1
+        self.conj_mask = self.amp_mask << block
+        self.plain_mask = ((1 << self.copy_shift) - 1) << self.aux_shift
+        self.primed_mask = ((1 << 2 * self.copy_shift) - 1) << (
+            self.aux_shift + self.copy_shift)
+
+    def encode(self, mono) -> tuple:
+        """(packed key, total degree) of a tuple monomial."""
+        key = deg = 0
+        for v, e in mono:
+            f = self.field.get(v)
+            if f is None:
+                raise ValueError(f"unknown variable {v!r} for k={self.k}")
+            if not isinstance(e, int) or e < 1:
+                raise ValueError(f"exponent of {v!r} must be a positive int")
+            key += e << (FIELD_BITS * f)
+            deg += e
+        if deg > FIELD_MAX:
+            raise OverflowError(f"total degree {deg} exceeds {FIELD_MAX}")
+        return key, deg
+
+    def decode(self, key: int) -> tuple:
+        """The sorted tuple monomial of a packed key."""
+        return tuple(sorted((self.var[f], e) for f, e in exponents(key)))
+
+    def fields(self, key: int) -> bytes:
+        """The exponent of every field of a packed key, one byte each."""
+        return key.to_bytes(len(self.var), "little")
+
+    def exponent_matrix(self, keys) -> np.ndarray:
+        """Key-by-field uint8 exponent matrix of a list of packed keys."""
+        return np.frombuffer(
+            b"".join(self.fields(m) for m in keys), dtype=np.uint8
+        ).reshape(len(keys), len(self.var))
+
+
+def _name(v: tuple, k: int) -> str:
+    if v[0] == "x":
+        prime = "'" * v[3]
+        return f"x{v[1]}{prime}_{v[2]}"
+    return f"{v[0]}[{format(v[1], f'0{k}b')}]"
+
+
+@lru_cache(maxsize=None)
+def layout(k: int) -> Layout:
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    return Layout(k)
+
+
+def exponents(key: int):
+    """Yield (field, exponent) for the nonzero fields of a packed key."""
+    while key:
+        shift = ((key & -key).bit_length() - 1) // FIELD_BITS * FIELD_BITS
+        e = (key >> shift) & FIELD_MAX
+        yield shift // FIELD_BITS, e
+        key ^= e << shift
+
+
+def _scalar(c) -> tuple:
+    """(re, im, den) integers of an exact scalar, den > 0."""
+    if isinstance(c, int):
+        return c, 0, 1
+    if isinstance(c, Fraction):
+        return c.numerator, 0, c.denominator
+    if isinstance(c, GaussianRational):
+        den = lcm(c.re.denominator, c.im.denominator)
+        return (c.re.numerator * (den // c.re.denominator),
+                c.im.numerator * (den // c.im.denominator), den)
+    raise TypeError(f"cannot coerce {type(c).__name__} to GaussianRational")
+
+
+_SCALARS = (int, Fraction, GaussianRational)
+
+
 class Polynomial:
-    """Exact sparse polynomial; immutable by convention (never mutate terms)."""
+    """Exact sparse polynomial in packed form; immutable."""
 
-    __slots__ = ("k", "terms")
+    __slots__ = ("k", "packed", "den", "degree_bound", "_terms", "_compiled")
 
-    def __init__(self, k: int, terms: Mapping[tuple, GaussianRational] | None = None):
+    def __init__(self, k: int, terms: Mapping | None = None):
+        """Build from {tuple monomial: coefficient}, validating both."""
+        lay = layout(k)
+        entries = []
+        den = 1
+        for mono, c in (terms or {}).items():
+            key, deg = lay.encode(mono)
+            r, i, d = _scalar(c)
+            if r or i:
+                entries.append((key, deg, r, i, d))
+                den = lcm(den, d)
+        packed: dict = {}
+        for key, _, r, i, d in entries:
+            s = den // d
+            r0, i0 = packed.get(key, (0, 0))
+            packed[key] = (r0 + r * s, i0 + i * s)
+        self._set(k, {m: c for m, c in packed.items() if c != (0, 0)}, den,
+                  max((e[1] for e in entries), default=0))
+
+    def _set(self, k, packed, den, degree_bound):
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(packed.values()))
+            if g != 1:
+                den //= g
+                packed = {m: (r // g, i // g) for m, (r, i) in packed.items()}
         self.k = k
-        self.terms = dict(terms) if terms else {}
+        self.packed = packed
+        self.den = den
+        self.degree_bound = degree_bound if packed else 0
+        self._terms = self._compiled = None
+
+    @classmethod
+    def from_packed(cls, k: int, packed: dict, den: int = 1,
+                    degree_bound: int = 0) -> "Polynomial":
+        """Wrap a packed dict without zero entries; reduces it by the gcd."""
+        p = object.__new__(cls)
+        p._set(k, packed, den, degree_bound)
+        return p
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, k: int) -> "Polynomial":
-        return cls(k)
+        return cls.from_packed(k, {})
 
     @classmethod
     def constant(cls, k: int, c) -> "Polynomial":
-        c = _coerce(c) if not isinstance(c, GaussianRational) else c
-        if not c:
-            return cls(k)
-        return cls(k, {(): c})
+        r, i, d = _scalar(c)
+        return cls.from_packed(k, {0: (r, i)} if r or i else {}, d)
 
     @classmethod
     def variable(cls, k: int, var: tuple, coeff=1) -> "Polynomial":
-        c = _coerce(coeff) if not isinstance(coeff, GaussianRational) else coeff
-        if not c:
-            return cls(k)
-        return cls(k, {((var, 1),): c})
+        r, i, d = _scalar(coeff)
+        key, deg = layout(k).encode(((var, 1),))
+        return cls.from_packed(k, {key: (r, i)} if r or i else {}, d, deg)
 
     # -- ring operations --------------------------------------------------
 
@@ -109,57 +265,82 @@ class Polynomial:
         if self.k != other.k:
             raise DimensionError(f"ambient k mismatch: {self.k} vs {other.k}")
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Polynomial.constant(self.k, other)
-        self._check(other)
-        big, small = (self.terms, other.terms)
-        if len(big) < len(small):
-            big, small = small, big
-        out = dict(big)
-        for m, c in small.items():
-            s = out.get(m, GR_ZERO) + c
-            if s:
-                out[m] = s
+    def _operand(self, other):
+        if isinstance(other, _SCALARS):
+            return Polynomial.constant(self.k, other)
+        if isinstance(other, Polynomial):
+            self._check(other)
+            return other
+        return None
+
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other."""
+        den = lcm(self.den, other.den)
+        p, s = self, den // self.den
+        q, t = other, sign * (den // other.den)
+        if len(p.packed) < len(q.packed):
+            p, s, q, t = q, t, p, s
+        out = dict(p.packed) if s == 1 else {
+            m: (r * s, i * s) for m, (r, i) in p.packed.items()}
+        for m, (r, i) in q.packed.items():
+            old = out.get(m)
+            if old is None:
+                out[m] = (r * t, i * t)
             else:
-                out.pop(m, None)
-        return Polynomial(self.k, out)
+                r, i = old[0] + r * t, old[1] + i * t
+                if r or i:
+                    out[m] = (r, i)
+                else:
+                    del out[m]
+        return Polynomial.from_packed(
+            self.k, out, den, max(self.degree_bound, other.degree_bound))
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.k, {m: -c for m, c in self.terms.items()})
+        return self._scale(-1)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Polynomial.constant(self.k, other)
-        return self + (-other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scale(self, c) -> "Polynomial":
+        cr, ci, d = _scalar(c)
+        if not (cr or ci):
+            return Polynomial.zero(self.k)
+        if ci == 0:
+            out = {m: (r * cr, i * cr) for m, (r, i) in self.packed.items()}
+        else:
+            out = {m: (r * cr - i * ci, r * ci + i * cr)
+                   for m, (r, i) in self.packed.items()}
+        return Polynomial.from_packed(self.k, out, self.den * d,
+                                      self.degree_bound)
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c = _coerce(other) if not isinstance(other, GaussianRational) else other
-            if not c:
-                return Polynomial(self.k)
-            return Polynomial(self.k, {m: v * c for m, v in self.terms.items()})
+        if isinstance(other, _SCALARS):
+            return self._scale(other)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self._check(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = mono_mul(m1, m2)
-                c = c1 * c2
-                s = out.get(m)
-                s = c if s is None else s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return Polynomial(self.k, out)
+        deg = self.degree_bound + other.degree_bound
+        if deg > FIELD_MAX:
+            raise OverflowError(
+                f"product degree {deg} exceeds the exponent field "
+                f"({FIELD_MAX})")
+        return Polynomial.from_packed(
+            self.k, _product(self.packed, other.packed),
+            self.den * other.den, deg)
 
     __rmul__ = __mul__
 
@@ -178,110 +359,121 @@ class Polynomial:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, _SCALARS):
             other = Polynomial.constant(self.k, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.k == other.k and self.terms == other.terms
+        return (self.k == other.k and self.den == other.den
+                and self.packed == other.packed)
 
     def __hash__(self):
-        return hash((self.k, frozenset(self.terms.items())))
+        return hash((self.k, self.den, frozenset(self.packed.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.packed)
 
     # -- calculus / conjugation -------------------------------------------
 
     def partial(self, var: tuple) -> "Polynomial":
         """Formal partial derivative with respect to one variable."""
+        f = layout(self.k).field.get(var)
+        if f is None:
+            raise ValueError(f"unknown variable {var!r} for k={self.k}")
+        shift = FIELD_BITS * f
+        unit = 1 << shift
         out = {}
-        for m, c in self.terms.items():
-            for i, (v, e) in enumerate(m):
-                if v == var:
-                    if e == 1:
-                        nm = m[:i] + m[i + 1:]
-                    else:
-                        nm = m[:i] + ((v, e - 1),) + m[i + 1:]
-                    nc = c * e
-                    s = out.get(nm, GR_ZERO) + nc
-                    if s:
-                        out[nm] = s
-                    else:
-                        out.pop(nm, None)
-                    break
-        return Polynomial(self.k, out)
+        for m, (r, i) in self.packed.items():
+            e = (m >> shift) & FIELD_MAX
+            if e:
+                out[m - unit] = (r * e, i * e)
+        return Polynomial.from_packed(self.k, out, self.den,
+                                      max(self.degree_bound - 1, 0))
 
     def conjugate(self) -> "Polynomial":
         """Swap a <-> conj(a) and conjugate coefficients; aux vars unchanged.
 
         Rejects transvection intermediates (primed copies must never leak).
         """
-        out = {}
-        for m, c in self.terms.items():
-            nm = []
-            for v, e in m:
-                if v[0] == "a":
-                    nm.append((("ac", v[1]), e))
-                elif v[0] == "ac":
-                    nm.append((("a", v[1]), e))
-                else:
-                    if v[3] != 0:
-                        raise ValueError("cannot conjugate transvection intermediate")
-                    nm.append((v, e))
-            nm.sort()
-            out[tuple(nm)] = c.conjugate()
-        return Polynomial(self.k, out)
+        lay = layout(self.k)
+        if any(m & lay.primed_mask for m in self.packed):
+            raise ValueError("cannot conjugate transvection intermediate")
+        amp_mask, shift, keep = lay.amp_mask, lay.conj_shift, lay.plain_mask
+        out = {
+            ((m & amp_mask) << shift) | ((m >> shift) & amp_mask) | (m & keep):
+            (r, -i)
+            for m, (r, i) in self.packed.items()
+        }
+        return Polynomial.from_packed(self.k, out, self.den,
+                                      self.degree_bound)
 
-    # -- inspection -------------------------------------------------------
+    # -- boundary form ----------------------------------------------------
 
-    def amp_degree(self) -> int:
-        """Max total degree in amplitude variables over all monomials."""
-        best = 0
-        for m in self.terms:
-            d = sum(e for v, e in m if v[0] == "a")
-            best = max(best, d)
-        return best
-
-    def aux_multidegree(self) -> tuple:
-        """Max degree per auxiliary slot over all monomials."""
-        deg = [0] * self.k
-        for m in self.terms:
-            cur = [0] * self.k
-            for v, e in m:
-                if v[0] == "x":
-                    cur[v[1] - 1] += e
-            for j in range(self.k):
-                deg[j] = max(deg[j], cur[j])
-        return tuple(deg)
-
-    def variables(self) -> set:
-        return {v for m in self.terms for v, _ in m}
+    @property
+    def terms(self) -> Mapping:
+        """Read-only {tuple monomial: GaussianRational}, decoded on first
+        use and cached."""
+        if self._terms is None:
+            self._terms = _Terms(self.k, self.packed, self.den)
+        return self._terms
 
     # -- numeric evaluation -----------------------------------------------
+
+    def _compile(self):
+        """The compiled form shared by `evaluate` and `batch_evaluator`,
+        built from the packed keys on first use:
+
+          coeffs   complex coefficient per term
+          used     the fields that occur, ascending
+          exps     term-by-used-field exponent matrix
+          index    flat positions into a used-field-by-power table
+          top      the largest exponent
+        """
+        if self._compiled is None:
+            lay = layout(self.k)
+            den = self.den
+            coeffs = np.array([complex(r / den, i / den)
+                               for r, i in self.packed.values()],
+                              dtype=complex)
+            raw = lay.exponent_matrix(list(self.packed))
+            used = np.flatnonzero(raw.any(axis=0))
+            exps = raw[:, used]
+            top = int(exps.max(initial=0))
+            index = exps + np.arange(0, (top + 1) * len(used), top + 1,
+                                     dtype=np.int32)
+            self._compiled = (coeffs, used, exps, index, top)
+        return self._compiled
+
+    def _field_values(self, used, amplitudes, aux_assignment):
+        """Values of the used fields at a state and aux assignment."""
+        lay = layout(self.k)
+        a = np.asarray(amplitudes, dtype=complex)
+        values = np.concatenate([a, a.conj()])
+        n_amp = len(values)
+        if not len(used) or used[-1] < n_amp:
+            return values[used]
+        aux_values = []
+        for f in used[used >= n_amp]:
+            v = lay.var[f]
+            try:
+                aux_values.append(aux_assignment[(v[1], v[2])])
+            except (KeyError, TypeError):
+                raise EvaluationError(
+                    f"unresolved auxiliary variable {v}") from None
+        return np.concatenate([values[used[used < n_amp]], aux_values])
 
     def evaluate(self, state: "State", aux_assignment: Mapping | None = None) -> complex:
         """Evaluate at a numeric state; aux_assignment maps (slot, comp) -> complex."""
         if state.k != self.k:
             raise DimensionError(f"ambient k mismatch: {self.k} vs {state.k}")
-        amps = state.amplitudes
-        total = 0j
-        for m, c in self.terms.items():
-            val = complex(c)
-            for v, e in m:
-                if v[0] == "a":
-                    base = amps[v[1]]
-                elif v[0] == "ac":
-                    base = amps[v[1]].conjugate()
-                else:
-                    if aux_assignment is None:
-                        raise EvaluationError(f"unresolved auxiliary variable {v}")
-                    try:
-                        base = aux_assignment[(v[1], v[2])]
-                    except KeyError:
-                        raise EvaluationError(f"unresolved auxiliary variable {v}") from None
-                val *= base ** e if e > 1 else base
-            total += val
-        return total
+        coeffs, used, _, index, top = self._compile()
+        if not len(coeffs):
+            return 0j
+        x = self._field_values(used, state.amplitudes, aux_assignment)
+        powers = np.empty((len(used), top + 1), dtype=complex)
+        powers[:, 0] = 1
+        powers[:, 1:] = x[:, None]
+        np.cumprod(powers, axis=1, out=powers)
+        return complex(coeffs @ powers.ravel()[index].prod(axis=1))
 
     def batch_evaluator(self):
         """Compile an auxiliary-free polynomial into a vectorized evaluator.
@@ -290,24 +482,15 @@ class Polynomial:
         n-vector of values; much faster than `evaluate` in a loop when the
         same polynomial is evaluated on many states.
         """
+        coeffs, used, exps, _, _ = self._compile()
         dim = 2 ** self.k
-        coeffs = np.empty(len(self.terms), dtype=complex)
-        exp_a = np.zeros((len(self.terms), dim), dtype=np.int64)
-        exp_c = np.zeros((len(self.terms), dim), dtype=np.int64)
-        for t, (m, c) in enumerate(self.terms.items()):
-            coeffs[t] = complex(c)
-            for v, e in m:
-                if v[0] == "a":
-                    exp_a[t, v[1]] = e
-                elif v[0] == "ac":
-                    exp_c[t, v[1]] = e
-                else:
-                    raise EvaluationError(
-                        "batch evaluation requires an auxiliary-free polynomial"
-                    )
-        used_a = np.flatnonzero(exp_a.any(axis=0))
-        used_c = np.flatnonzero(exp_c.any(axis=0))
+        if len(used) and used[-1] >= 2 * dim:
+            raise EvaluationError(
+                "batch evaluation requires an auxiliary-free polynomial"
+            )
         expected_k = self.k
+        columns = [(int(f), exps[:, j], int(exps[:, j].max()))
+                   for j, f in enumerate(used)]
 
         def run(amps: np.ndarray) -> np.ndarray:
             a = np.asarray(amps, dtype=complex)
@@ -318,12 +501,14 @@ class Polynomial:
                 raise DimensionError(
                     f"expected {dim} amplitudes (k={expected_k}), got {a.shape[1]}"
                 )
+            full = np.concatenate([a, a.conj()], axis=1)
             acc = np.broadcast_to(coeffs, (a.shape[0], len(coeffs))).copy()
-            conj = a.conj()
-            for v in used_a:
-                acc *= a[:, v:v + 1] ** exp_a[None, :, v]
-            for v in used_c:
-                acc *= conj[:, v:v + 1] ** exp_c[None, :, v]
+            for f, col, top in columns:
+                powers = np.empty((a.shape[0], top + 1), dtype=complex)
+                powers[:, 0] = 1
+                powers[:, 1:] = full[:, f:f + 1]
+                np.cumprod(powers, axis=1, out=powers)
+                acc *= powers[:, col]
             out = acc.sum(axis=1)
             return out[0] if single else out
 
@@ -332,28 +517,111 @@ class Polynomial:
     # -- printing ---------------------------------------------------------
 
     def __repr__(self):
-        return f"Polynomial(k={self.k}, {len(self.terms)} terms)"
+        return f"Polynomial(k={self.k}, {len(self.packed)} terms)"
 
     def pretty(self) -> str:
         """Deterministic human-readable form: sorted monomials, exact coefficients."""
-        if not self.terms:
+        if not self.packed:
             return "0"
+        lay, den = layout(self.k), self.den
+        exps = lay.exponent_matrix(list(self.packed))[:, lay.order]
+        # Sort the terms as their tuple monomials sort.  Comparing the
+        # sparse (variable, exponent) lists is comparing the dense rows
+        # with each zero read as 256 when a later variable occurs (it loses
+        # to any exponent there) and as -1 when none does (a prefix).
+        present = exps > 0
+        later = np.cumsum(present[:, ::-1], axis=1)[:, ::-1] > present
+        rank = np.where(present, exps, np.where(later, 256, -1))
+        order = np.lexsort(rank.T[::-1])
+        exps = exps[order]
+        rows, cols = np.nonzero(exps)
+        names = lay.names
+        factors = [names[c] if e == 1 else f"{names[c]}^{e}"
+                   for c, e in zip(cols.tolist(), exps[rows, cols].tolist())]
+        ends = np.cumsum(np.count_nonzero(exps, axis=1)).tolist()
+        coeffs = list(self.packed.values())
+        shown: dict = {}
         parts = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
-            factors = []
-            for v, e in m:
-                if v[0] == "a":
-                    name = f"a[{format(v[1], f'0{self.k}b')}]"
-                elif v[0] == "ac":
-                    name = f"ac[{format(v[1], f'0{self.k}b')}]"
-                else:
-                    prime = "" if v[3] == 0 else "'" * v[3]
-                    name = f"x{v[1]}{prime}_{v[2]}"
-                factors.append(name if e == 1 else f"{name}^{e}")
-            mono = "*".join(factors) if factors else "1"
-            parts.append(f"({c!r})*{mono}")
+        start = 0
+        for t, end in zip(order.tolist(), ends):
+            c = coeffs[t]
+            if c not in shown:
+                shown[c] = repr(GaussianRational(Fraction(c[0], den),
+                                                 Fraction(c[1], den)))
+            parts.append(f"({shown[c]})*{'*'.join(factors[start:end]) or '1'}")
+            start = end
         return " + ".join(parts)
+
+
+def _product(a: dict, b: dict) -> dict:
+    """Packed product of two packed dicts, without zero entries: the real
+    kernel `_accumulate` run on each pair of real and imaginary parts, so
+    a product of real polynomials is a single run."""
+    a_re, a_im = _parts(a)
+    b_re, b_im = _parts(b)
+    re: dict = {}
+    im: dict = {}
+    _accumulate(re, a_re, b_re, 1)
+    _accumulate(re, a_im, b_im, -1)
+    _accumulate(im, a_re, b_im, 1)
+    _accumulate(im, a_im, b_re, 1)
+    out = {m: (r, 0) for m, r in re.items() if r}
+    for m, i in im.items():
+        if i:
+            out[m] = (out.get(m, (0, 0))[0], i)
+    return out
+
+
+def _parts(packed: dict) -> tuple:
+    """The nonzero real and imaginary coefficients, as (key, int) lists."""
+    return ([(m, r) for m, (r, _) in packed.items() if r],
+            [(m, i) for m, (_, i) in packed.items() if i])
+
+
+def _accumulate(acc: dict, left: list, right: list, sign: int):
+    """acc += sign * left * right over packed monomials."""
+    if len(left) > len(right):
+        left, right = right, left
+    get = acc.get
+    for m1, c1 in left:
+        c1 *= sign
+        for m2, c2 in right:
+            m = m1 + m2
+            acc[m] = get(m, 0) + c1 * c2
+
+
+class _Terms(Mapping):
+    """A polynomial as {tuple monomial: GaussianRational}: read-only,
+    decoded from the packed form on first access; its length needs no
+    decoding."""
+
+    __slots__ = ("_k", "_packed", "_den", "_dict")
+
+    def __init__(self, k, packed, den):
+        self._k, self._packed, self._den = k, packed, den
+        self._dict = None
+
+    def _decoded(self) -> dict:
+        if self._dict is None:
+            lay, den = layout(self._k), self._den
+            self._dict = {
+                lay.decode(m): GaussianRational(Fraction(r, den),
+                                                Fraction(i, den))
+                for m, (r, i) in self._packed.items()
+            }
+        return self._dict
+
+    def __len__(self):
+        return len(self._packed)
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def __getitem__(self, mono):
+        return self._decoded()[mono]
+
+    def __repr__(self):
+        return repr(self._decoded())
 
 
 @dataclass(frozen=True)
@@ -364,20 +632,19 @@ class State:
     amplitudes: tuple
 
     def __post_init__(self):
-        if len(self.amplitudes) != 2 ** self.k:
+        k = operator.index(self.k)
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
+        if len(self.amplitudes) != 2 ** k:
             raise DimensionError(
-                f"expected {2 ** self.k} amplitudes for k={self.k}, "
+                f"expected {2 ** k} amplitudes for k={k}, "
                 f"got {len(self.amplitudes)}"
             )
-        object.__setattr__(
-            self, "amplitudes", tuple(complex(a) for a in self.amplitudes)
-        )
-
-    @classmethod
-    def from_vector(cls, vec: Iterable[complex]) -> "State":
-        vec = list(vec)
-        k = int(round(np.log2(len(vec))))
-        return cls(k, tuple(vec))
+        amps = tuple(complex(a) for a in self.amplitudes)
+        if not all(cmath.isfinite(a) for a in amps):
+            raise ValueError("amplitudes must be finite")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "amplitudes", amps)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))

@@ -19,16 +19,22 @@ rational scalar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from fractions import Fraction
 
 import numpy as np
 
-from .poly import DimensionError, Polynomial, State, aux
+from .gaussian import GaussianRational
+from .poly import DimensionError, Polynomial, State, aux, layout
 
 
 @dataclass(frozen=True)
 class Covariant:
-    """A polynomial covariant with its degree bookkeeping."""
+    """A polynomial covariant with its degree bookkeeping.
+
+    The constructor validates every term; results of `transvect`, `*`, `**`
+    and `named` carry degrees that follow from their operands and skip it.
+    """
 
     poly: Polynomial
     amp_degree: int
@@ -44,32 +50,29 @@ class Covariant:
     def k(self) -> int:
         return self.poly.k
 
-    @classmethod
-    def from_poly(cls, poly: Polynomial, name: str = "") -> "Covariant":
-        """Infer (d, alpha) from the polynomial, which must be homogeneous."""
-        if not poly.terms:
-            raise ValueError("cannot infer degrees of the zero polynomial")
-        m = next(iter(poly.terms))
-        d = sum(e for v, e in m if v[0] == "a")
-        alpha = [0] * poly.k
-        for v, e in m:
-            if v[0] == "x":
-                alpha[v[1] - 1] += e
-        return cls(poly, d, tuple(alpha), name)
+    def named(self, name: str) -> "Covariant":
+        """The same covariant under another name."""
+        return unchecked(Covariant, self.poly, self.amp_degree,
+                         self.multidegree, name)
 
     def __mul__(self, other):
         if isinstance(other, Covariant):
-            return Covariant(
+            return unchecked(
+                Covariant,
                 self.poly * other.poly,
                 self.amp_degree + other.amp_degree,
                 tuple(a + b for a, b in zip(self.multidegree, other.multidegree)),
             )
-        return Covariant(self.poly * other, self.amp_degree, self.multidegree)
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return unchecked(Covariant, self.poly * other, self.amp_degree,
+                             self.multidegree)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        return Covariant(
+        return unchecked(
+            Covariant,
             self.poly ** n,
             self.amp_degree * n,
             tuple(a * n for a in self.multidegree),
@@ -82,53 +85,63 @@ class Covariant:
         return all(a == 0 for a in self.multidegree)
 
 
+def unchecked(cls, *values):
+    """An instance of a frozen dataclass built from `values` in field order,
+    without running its validating __post_init__."""
+    obj = object.__new__(cls)
+    for i, f in enumerate(fields(cls)):
+        object.__setattr__(obj, f.name, values[i] if i < len(values) else f.default)
+    return obj
+
+
 def _check_homogeneous(poly: Polynomial, d: int, alpha: tuple):
-    for m in poly.terms:
-        amp_deg = 0
-        slot = [0] * poly.k
-        for v, e in m:
-            if v[0] == "a":
-                amp_deg += e
-            elif v[0] == "ac":
-                raise ValueError("covariants must not contain conjugate amplitudes")
-            else:
-                if v[3] != 0:
-                    raise ValueError("covariants must not contain primed variables")
-                slot[v[1] - 1] += e
-        if amp_deg != d or tuple(slot) != alpha:
+    lay = layout(poly.k)
+    n, k = lay.n, poly.k
+    for m in poly.packed:
+        if m & lay.conj_mask:
+            raise ValueError("covariants must not contain conjugate amplitudes")
+        if m & lay.primed_mask:
+            raise ValueError("covariants must not contain primed variables")
+        e = lay.fields(m)
+        amp_deg = sum(e[:n])
+        slot = tuple(e[2 * n + 2 * j] + e[2 * n + 2 * j + 1] for j in range(k))
+        if amp_deg != d or slot != alpha:
             raise ValueError(
                 f"non-homogeneous term: amp degree {amp_deg} (want {d}), "
-                f"slots {tuple(slot)} (want {alpha})"
+                f"slots {slot} (want {alpha})"
             )
 
 
 def _recopy(poly: Polynomial, copy: int) -> Polynomial:
     """Move every plain auxiliary variable to the given copy index."""
-    out = {}
-    for m, c in poly.terms.items():
-        nm = tuple(
-            sorted(((v[0], v[1], v[2], copy) if v[0] == "x" else v, e) for v, e in m)
-        )
-        out[nm] = c
-    return Polynomial(poly.k, out)
+    lay = layout(poly.k)
+    plain, shift = lay.plain_mask, copy * lay.copy_shift
+    out = {(m & ~plain) | ((m & plain) << shift): c
+           for m, c in poly.packed.items()}
+    return Polynomial.from_packed(poly.k, out, poly.den, poly.degree_bound)
 
 
 def _identify_copies(poly: Polynomial) -> Polynomial:
     """Rename primed and double-primed variables back to plain ones."""
-    out = {}
-    for m, c in poly.terms.items():
-        merged: dict = {}
-        for v, e in m:
-            nv = ("x", v[1], v[2], 0) if v[0] == "x" else v
-            merged[nv] = merged.get(nv, 0) + e
-        nm = tuple(sorted(merged.items()))
-        s = out.get(nm)
-        s = c if s is None else s + c
-        if s:
-            out[nm] = s
+    lay = layout(poly.k)
+    shift, width = lay.aux_shift, lay.copy_shift
+    low = (1 << width) - 1
+    amps = (1 << shift) - 1
+    out: dict = {}
+    for m, (r, i) in poly.packed.items():
+        x = m >> shift
+        key = (m & amps) | (
+            ((x & low) + ((x >> width) & low) + (x >> 2 * width)) << shift)
+        old = out.get(key)
+        if old is None:
+            out[key] = (r, i)
         else:
-            del out[nm]
-    return Polynomial(poly.k, out)
+            r, i = old[0] + r, old[1] + i
+            if r or i:
+                out[key] = (r, i)
+            else:
+                del out[key]
+    return Polynomial.from_packed(poly.k, out, poly.den, poly.degree_bound)
 
 
 def transvect(phi: Covariant, psi: Covariant, eps: tuple) -> Covariant:
@@ -156,7 +169,7 @@ def transvect(phi: Covariant, psi: Covariant, eps: tuple) -> Covariant:
     alpha = tuple(
         phi.multidegree[j] + psi.multidegree[j] - 2 * eps[j] for j in range(k)
     )
-    return Covariant(result, d, alpha)
+    return unchecked(Covariant, result, d, alpha)
 
 
 # -- numeric group actions ------------------------------------------------
@@ -180,16 +193,6 @@ def act_on_state(g, s: State) -> State:
         t = np.linalg.inv(m).T
         arr = np.moveaxis(np.tensordot(t, arr, axes=([1], [j])), 0, j)
     return State(s.k, tuple(arr.reshape(-1)))
-
-
-def sl2_action(g, target):
-    """SLOCC action of a k-tuple of invertible matrices on a State."""
-    if isinstance(target, State):
-        return act_on_state(g, target)
-    raise TypeError(
-        "symbolic action on covariants is not supported; "
-        "use numeric equivariance checks via evaluate"
-    )
 
 
 def transformed_aux(g, vectors) -> dict:

@@ -1,4 +1,5 @@
-"""Acceptance suite: eleven numbered criteria, one pass/fail line each.
+"""Acceptance suite: eleven numbered criteria, one pass/fail line each,
+and the exact checks of criteria 5 and 7 carried to k = 5.
 
 Each test prints "PASS criterion N: ..." when its assertions hold; a failing
 assertion leaves the criterion visibly red in the pytest report.  Run with
@@ -86,6 +87,16 @@ def test_criterion_05_lsut_degree4_dimension():
         assert rank([b.poly for b in basis]) == expected
     assert [len(lsut_degree4_basis(k)) for k in (2, 3, 4)] == [6, 8, 20]
     _ok(5, "LSUT degree-4 basis sizes 6, 8, 20 with exact independence")
+
+
+def test_lsut_degree4_dimension_and_squared_form_k5():
+    # Criterion 5 and the squared-form relation of criterion 7, one qubit
+    # further: (7 * 2^4 - 4) / 3 = 36 basis elements with exact rank 36.
+    ok, diff = f_squared_relation_check(5)
+    assert ok, f"k=5 residual {len(diff.terms)} terms"
+    basis = lsut_degree4_basis(5)
+    assert len(basis) == (7 * 2 ** 4 - 4) // 3 == 36
+    assert rank([b.poly for b in basis]) == 36
 
 
 def test_criterion_06_unitary_invariance_suite():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -187,3 +190,40 @@ def test_state_round_trip_through_cli_inputs(tmp_path):
     path = tmp_path / "s.json"
     s.save(path)
     assert State.load(path) == s
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "--group", "lut", "--k", "-1", "--max-degree", "4"],
+    ["hilbert", "--group", "slocc", "--k", "0", "--max-degree", "4"],
+    ["hilbert", "--group", "lut", "--k", "3", "--max-degree", "-2"],
+    ["covariant", "--k", "3", "--name", "B_abc"],
+    ["covariant", "--k", "3", "--name", "B_201"],
+    ["covariant", "--k", "0", "--name", "f"],
+])
+def test_bad_sizes_and_names_give_json_error(capsys, argv):
+    code, doc = _run_json(capsys, argv)
+    assert code == 1
+    assert list(doc) == ["error"]
+
+
+def test_non_finite_state_is_rejected(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(
+        {"k": 3, "amplitudes": [["NaN", 0]] + [[0, 0]] * 7}
+    ).replace('"NaN"', "NaN"))
+    code, doc = _run_json(capsys, ["classify", "--state", str(path)])
+    assert code == 1
+    assert "malformed" in doc["error"]
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-m", "qinv", "hilbert", "--group", "lut", "--k",
+         "3", "--max-degree", "6", "--method", "closed-form"],
+        capture_output=True, text=True, env=env, check=False)
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["coefficients"] == [1, 0, 1, 0, 4, 0, 5]

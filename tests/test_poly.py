@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -90,6 +91,112 @@ def test_batch_evaluator_matches_evaluate(p):
     assert np.allclose(got, want, atol=1e-9)
 
 
+@given(polys)
+@settings(max_examples=60, deadline=None)
+def test_terms_round_trip(p):
+    assert Polynomial(K, p.terms) == p
+
+
+@given(polys, polys)
+@settings(max_examples=60, deadline=None)
+def test_equal_polynomials_hash_equal(p, q):
+    # The same polynomial reached two ways has one canonical form.
+    lhs, rhs = (p + q) * q, p * q + q * q
+    assert lhs == rhs
+    assert hash(lhs) == hash(rhs)
+
+
+@given(polys)
+@settings(max_examples=60, deadline=None)
+def test_rational_scaling_is_reduced(p):
+    assert p * Fraction(1, 3) * 3 == p
+
+
+@given(polys)
+@settings(max_examples=60, deadline=None)
+def test_conjugate_is_an_involution(p):
+    assert p.conjugate().conjugate() == p
+
+
+def _reference_pretty(p):
+    """pretty() spelled out over the decoded terms."""
+    if not p.terms:
+        return "0"
+    parts = []
+    for m in sorted(p.terms):
+        factors = []
+        for v, e in m:
+            if v[0] == "x":
+                name = f"x{v[1]}{chr(39) * v[3]}_{v[2]}"
+            else:
+                name = f"{v[0]}[{format(v[1], f'0{p.k}b')}]"
+            factors.append(name if e == 1 else f"{name}^{e}")
+        parts.append(f"({p.terms[m]!r})*{'*'.join(factors) or '1'}")
+    return " + ".join(parts)
+
+
+ALL_VARS = VARS + [aux(s, c, copy) for s in (1, 2) for c in (0, 1)
+                   for copy in (0, 1, 2)]
+mixed_polys = st.dictionaries(
+    st.lists(st.tuples(st.sampled_from(ALL_VARS), st.integers(1, 3)),
+             max_size=4).map(lambda pairs: tuple(sorted(dict(pairs).items()))),
+    coeffs, max_size=8,
+).map(lambda d: Polynomial(K, d))
+
+
+@given(mixed_polys)
+@settings(max_examples=80, deadline=None)
+def test_pretty_matches_sorted_tuple_monomials(p):
+    assert p.pretty() == _reference_pretty(p)
+
+
+def _reference_evaluate(p, s, aux_values):
+    """evaluate() spelled out as a loop over the decoded terms."""
+    total = 0j
+    for m, c in p.terms.items():
+        val = complex(c)
+        for v, e in m:
+            if v[0] == "a":
+                base = s.amplitudes[v[1]]
+            elif v[0] == "ac":
+                base = s.amplitudes[v[1]].conjugate()
+            else:
+                base = aux_values[(v[1], v[2])]
+            val *= base ** e
+        total += val
+    return total
+
+
+@given(mixed_polys)
+@settings(max_examples=60, deadline=None)
+def test_evaluate_matches_term_loop(p):
+    gen = np.random.default_rng(3)
+    s = random_state(K, gen)
+    aux_values = {(j, b): complex(*gen.normal(size=2))
+                  for j in (1, 2) for b in (0, 1)}
+    want = _reference_evaluate(p, s, aux_values)
+    assert p.evaluate(s, aux_values) == pytest.approx(want, abs=1e-9)
+
+
+def test_product_past_field_width_raises():
+    x = Polynomial.variable(K, amp(0))
+    big = x ** 200
+    assert big.terms == {((amp(0), 200),): GaussianRational(1)}
+    with pytest.raises(OverflowError):
+        big * (x ** 56)
+    with pytest.raises(OverflowError):
+        Polynomial(K, {((amp(0), 200), (amp(1), 100)): GaussianRational(1)})
+
+
+def test_constructor_validates_monomials():
+    with pytest.raises(ValueError):
+        Polynomial(K, {((amp(4), 1),): 1})  # no amplitude 4 at k=2
+    with pytest.raises(ValueError):
+        Polynomial(K, {((amp(0), 0),): 1})
+    with pytest.raises(TypeError):
+        Polynomial(K, {((amp(0), 1),): 0.5})
+
+
 def test_partial_derivative_product_rule():
     x = Polynomial.variable(K, amp(0))
     y = Polynomial.variable(K, amp(1))
@@ -150,6 +257,19 @@ def test_state_json_round_trip(tmp_path):
 def test_state_validation():
     with pytest.raises(ValueError):
         State(2, (1, 0, 0))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                 complex(0, float("-inf"))])
+def test_state_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError):
+        State(3, (bad,) + (0,) * 7)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_state_rejects_k_below_one(k):
+    with pytest.raises(ValueError):
+        State(k, (1,))
 
 
 def test_named_states():
