@@ -13,16 +13,12 @@ import sys
 
 from .catalog import covariant_by_name
 from .hilbert import (
+    CLOSED_FORMS,
+    dim_inv_slocc,
     hilbert_lsut_coeffs,
     hilbert_lsut_ct,
     hilbert_lut_coeffs,
     hilbert_lut_ct,
-    lsut3_closed_form_table,
-    lsut4_closed_form_table,
-    lut3_closed_form_coeffs,
-    lut4_closed_form_coeffs,
-    dim_inv_slocc,
-    slocc4_closed_form_coeffs,
 )
 from .measures import classify3, hyperdet3, meyer_wallach
 from .poly import DimensionError, State
@@ -104,6 +100,17 @@ def cmd_measure(args) -> dict:
     return {"Q": report.q, "d1": list(report.d1)}
 
 
+def _closed_form(group: str, k: int):
+    if (group, k) not in CLOSED_FORMS:
+        ks = ",".join(str(kk) for g, kk in sorted(CLOSED_FORMS) if g == group)
+        # The SLOCC wording differs; both messages are kept byte for byte.
+        verb = "is shipped" if group == "slocc" else "shipped"
+        raise CliError(
+            f"closed-form {group.upper()} series {verb} for k={ks} only"
+        )
+    return CLOSED_FORMS[group, k]
+
+
 def cmd_hilbert(args) -> dict:
     k, n = args.k, args.max_degree
     group, method = args.group, args.method
@@ -111,46 +118,22 @@ def cmd_hilbert(args) -> dict:
         raise CliError(f"--k must be at least 1, got {k}")
     if n < 0 or (args.max_conj_degree is not None and args.max_conj_degree < 0):
         raise CliError("degrees must be non-negative")
-    if group == "slocc":
-        if method == "closed-form":
-            if k != 4:
-                raise CliError("closed-form SLOCC series is shipped for k=4 only")
-            coeffs = slocc4_closed_form_coeffs(n)
-        else:
-            coeffs = [dim_inv_slocc(d, k) for d in range(n + 1)]
-        return {"group": group, "k": k, "coefficients": coeffs}
-    if group == "lut":
-        if method == "character":
-            coeffs = hilbert_lut_coeffs(k, n)
-        elif method == "ct":
-            coeffs = hilbert_lut_ct(k, n)
-        else:
-            if k == 3:
-                coeffs = lut3_closed_form_coeffs(n)
-            elif k == 4:
-                coeffs = lut4_closed_form_coeffs(n)
-            else:
-                raise CliError("closed-form LUT series shipped for k=3,4 only")
-        return {"group": group, "k": k, "coefficients": coeffs}
-    # lsut
     m = args.max_conj_degree if args.max_conj_degree is not None else n
-    if method == "character":
-        table = hilbert_lsut_coeffs(k, n, m)
-    elif method == "ct":
-        table = hilbert_lsut_ct(k, n, m)
+    sizes = (n, m) if group == "lsut" else (n,)
+    if method == "closed-form":
+        series = _closed_form(group, k)(*sizes)
+    elif group == "slocc":
+        series = [dim_inv_slocc(d, k) for d in range(n + 1)]
+    elif group == "lut":
+        route = hilbert_lut_coeffs if method == "character" else hilbert_lut_ct
+        series = route(k, n)
     else:
-        if k == 3:
-            table = lsut3_closed_form_table(n, m)
-        elif k == 4:
-            table = lsut4_closed_form_table(n, m)
-        else:
-            raise CliError("closed-form LSUT series shipped for k=3,4 only")
-    return {
-        "group": group,
-        "k": k,
-        "coefficients": [[i, j, table[i][j]]
-                         for i in range(n + 1) for j in range(m + 1)],
-    }
+        route = hilbert_lsut_coeffs if method == "character" else hilbert_lsut_ct
+        series = route(k, n, m)
+    if group == "lsut":
+        series = [[i, j, series[i][j]]
+                  for i in range(n + 1) for j in range(m + 1)]
+    return {"group": group, "k": k, "coefficients": series}
 
 
 def cmd_covariant(args) -> dict:

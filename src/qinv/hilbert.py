@@ -10,7 +10,13 @@ Two independent routes are provided for the unitary Hilbert series:
 
 Closed forms quoted from the literature (3-qubit LUT/LSUT, 4-qubit tables)
 are expanded for cross-validation; the 4-qubit numerator tables ship as
-JSON data files.
+JSON data files, and `CLOSED_FORMS` lists every shipped (group, k).
+
+One truncated-series engine serves both the constant-term route and the
+closed forms: `_geometric_step` multiplies a series graded by the expansion
+variables, each coefficient a Laurent polynomial in the compact variables,
+by one factor 1/(1 - z^g u^v).  A closed form is the case with no compact
+variables; `_dense` lays either result out as a list or a bidegree table.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from itertools import product
+from math import prod
 
 from .characters import mn_character, partitions, z_lambda
 
@@ -103,7 +110,50 @@ def hilbert_lsut_coeffs(k: int, n1max: int, n2max: int):
     return table
 
 
-# -- truncated constant-term engine ---------------------------------------
+# -- truncated series engine ----------------------------------------------
+
+
+def _geometric_step(series, g, v, bounds):
+    """Multiply a graded series {grading tuple: {compact exponents: coeff}}
+    by 1/(1 - z^g u^v), truncated at the grading bounds."""
+    if all(x == 0 for x in g):
+        raise ValueError("denominator factor with zero grading order")
+    if any(x < 0 for x in g):
+        raise ValueError("denominator factor with negative grading order")
+    new: dict = {}
+    for gvec, coeffs in series.items():
+        # m = 0 term: copy
+        tgt = new.setdefault(gvec, {})
+        for e, c in coeffs.items():
+            tgt[e] = tgt.get(e, 0) + c
+        m = 1
+        while True:
+            ng_vec = tuple(x + m * y for x, y in zip(gvec, g))
+            if any(x > b for x, b in zip(ng_vec, bounds)):
+                break
+            shift = tuple(m * y for y in v)
+            tgt = new.setdefault(ng_vec, {})
+            for e, c in coeffs.items():
+                ne = tuple(a + b for a, b in zip(e, shift))
+                tgt[ne] = tgt.get(ne, 0) + c
+            m += 1
+    return new
+
+
+def _dense(series, bounds):
+    """{grading tuple: coeff} as a coefficient list (one grading variable)
+    or a table t[n1][n2] (two); every coefficient must be an integer."""
+    if len(bounds) == 1:
+        out = [0] * (bounds[0] + 1)
+    else:
+        out = [[0] * (bounds[1] + 1) for _ in range(bounds[0] + 1)]
+    for (i, *j), c in series.items():
+        assert c.denominator == 1, (i, *j, c)
+        if j:
+            out[i][j[0]] = int(c)
+        else:
+            out[i] = int(c)
+    return out
 
 
 def ct_series(factors, grading_bounds, prefactor, allowed_final, divisor=1):
@@ -124,16 +174,8 @@ def ct_series(factors, grading_bounds, prefactor, allowed_final, divisor=1):
 
     Returns a dict mapping grading tuples to Fractions.
     """
-    ng = len(grading_bounds)
-    for g, _v in factors:
-        if all(x == 0 for x in g):
-            raise ValueError("denominator factor with zero grading order")
-        if any(x < 0 for x in g):
-            raise ValueError("denominator factor with negative grading order")
-
-    zero_g = (0,) * ng
     nv = len(allowed_final)
-    series = {zero_g: {(0,) * nv: 1}}
+    series = {(0,) * len(grading_bounds): {(0,) * nv: 1}}
 
     def remaining(gvec):
         return sum(b - x for b, x in zip(grading_bounds, gvec))
@@ -151,26 +193,9 @@ def ct_series(factors, grading_bounds, prefactor, allowed_final, divisor=1):
         return out
 
     for g, v in factors:
-        step = sum(g)
-        new: dict = {}
-        for gvec, coeffs in series.items():
-            # m = 0 term: copy
-            tgt = new.setdefault(gvec, {})
-            for e, c in coeffs.items():
-                tgt[e] = tgt.get(e, 0) + c
-            m = 1
-            while True:
-                ng_vec = tuple(x + m * y for x, y in zip(gvec, g))
-                if any(x > b for x, b in zip(ng_vec, grading_bounds)):
-                    break
-                shift = tuple(m * y for y in v)
-                tgt = new.setdefault(ng_vec, {})
-                for e, c in coeffs.items():
-                    ne = tuple(a + b for a, b in zip(e, shift))
-                    tgt[ne] = tgt.get(ne, 0) + c
-                m += 1
+        series = _geometric_step(series, g, v, grading_bounds)
         series = {
-            gvec: prune(coeffs, remaining(gvec)) for gvec, coeffs in new.items()
+            gvec: prune(coeffs, remaining(gvec)) for gvec, coeffs in series.items()
         }
         series = {g2: c2 for g2, c2 in series.items() if c2}
 
@@ -194,14 +219,10 @@ def _u_prefactor(k: int, extra_vars: int = 0):
     normalization check, while this form reproduces the character route.
     """
     base = {2: -1, 0: 2, -2: -1}
-    pref = {(): 1}
-    for _ in range(k):
-        new = {}
-        for e, c in pref.items():
-            for de, dc in base.items():
-                new[e + (de,)] = new.get(e + (de,), 0) + c * dc
-        pref = new
-    return {(0,) * extra_vars + e: c for e, c in pref.items()}
+    return {
+        (0,) * extra_vars + e: prod(base[x] for x in e)
+        for e in product(base, repeat=k)
+    }
 
 
 def hilbert_lut_ct(k: int, nmax: int):
@@ -218,11 +239,7 @@ def hilbert_lut_ct(k: int, nmax: int):
     prefactor = _u_prefactor(k, extra_vars=1)
     allowed = [(0,)] + [(-2, 0, 2)] * k
     res = ct_series(factors, (nmax,), prefactor, allowed, divisor=2 ** k)
-    out = [0] * (nmax + 1)
-    for (n,), c in res.items():
-        assert c.denominator == 1, (n, c)
-        out[n] = int(c)
-    return out
+    return _dense(res, (nmax,))
 
 
 def hilbert_lsut_ct(k: int, n1max: int, n2max: int):
@@ -234,36 +251,9 @@ def hilbert_lsut_ct(k: int, n1max: int, n2max: int):
         factors.append(((0, 1), alpha))
     prefactor = _u_prefactor(k)
     allowed = [(-2, 0, 2)] * k
-    res = ct_series(factors, (n1max, n2max), prefactor, allowed, divisor=2 ** k)
-    table = [[0] * (n2max + 1) for _ in range(n1max + 1)]
-    for (n1, n2), c in res.items():
-        assert c.denominator == 1, (n1, n2, c)
-        table[n1][n2] = int(c)
-    return table
-
-
-# -- closed-form expansion ------------------------------------------------
-
-
-def _series_mul(a: dict, b: dict, bounds):
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            if any(x > bnd for x, bnd in zip(e, bounds)):
-                continue
-            out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _geom(evec, bounds):
-    """Truncated expansion of 1/(1 - z^evec)."""
-    out = {}
-    cur = tuple(0 for _ in bounds)
-    while all(x <= bnd for x, bnd in zip(cur, bounds)):
-        out[cur] = 1
-        cur = tuple(x + y for x, y in zip(cur, evec))
-    return out
+    bounds = (n1max, n2max)
+    res = ct_series(factors, bounds, prefactor, allowed, divisor=2 ** k)
+    return _dense(res, bounds)
 
 
 def expand_closed_form(numerator: dict, denominator, bounds):
@@ -271,42 +261,31 @@ def expand_closed_form(numerator: dict, denominator, bounds):
 
     numerator: dict exponent-tuple -> int; denominator: list of
     (exponent-tuple, multiplicity) meaning (1 - z^e)^mult; bounds: max
-    order per variable.
+    order per variable.  Returns a coefficient list (one variable) or a
+    table (two), as `_dense` lays them out.
     """
-    series = {e: c for e, c in numerator.items()
+    series = {e: {(): c} for e, c in numerator.items()
               if all(x <= bnd for x, bnd in zip(e, bounds))}
     for evec, mult in denominator:
-        g = _geom(evec, bounds)
         for _ in range(mult):
-            series = _series_mul(series, g, bounds)
-    return series
-
-
-def expand_closed_form_1d(numerator: dict, denominator, nmax: int):
-    """Univariate convenience wrapper returning a coefficient list."""
-    num = {(e,): c for e, c in numerator.items()}
-    den = [((e,), m) for e, m in denominator]
-    res = expand_closed_form(num, den, (nmax,))
-    out = [0] * (nmax + 1)
-    for (e,), c in res.items():
-        out[e] = c
-    return out
+            series = _geometric_step(series, evec, (), bounds)
+    return _dense({e: c[()] for e, c in series.items()}, bounds)
 
 
 # -- shipped closed forms -------------------------------------------------
 
-LUT3_NUMERATOR = {0: 1, 24: -1}
-LUT3_DENOMINATOR = [(2, 1), (4, 3), (6, 1), (8, 1), (12, 1)]
+LUT3_NUMERATOR = {(0,): 1, (24,): -1}
+LUT3_DENOMINATOR = [((2,), 1), ((4,), 3), ((6,), 1), ((8,), 1), ((12,), 1)]
 
-SLOCC4_NUMERATOR = {0: 1}
-SLOCC4_DENOMINATOR = [(2, 1), (4, 2), (6, 1)]
+SLOCC4_NUMERATOR = {(0,): 1}
+SLOCC4_DENOMINATOR = [((2,), 1), ((4,), 2), ((6,), 1)]
 
 LSUT3_NUMERATOR = {(0, 0): 1, (2, 2): 1, (3, 3): 1, (5, 5): 1}
 LSUT3_DENOMINATOR = [
     ((1, 1), 1), ((4, 0), 1), ((2, 2), 2), ((0, 4), 1), ((1, 3), 1), ((3, 1), 1),
 ]
 
-LUT4_DENOMINATOR = [(10, 1), (8, 4), (6, 6), (4, 7), (2, 1)]
+LUT4_DENOMINATOR = [((10,), 1), ((8,), 4), ((6,), 6), ((4,), 7), ((2,), 1)]
 LSUT4_DENOMINATOR = [
     ((1, 1), 1), ((2, 2), 4), ((3, 3), 1),
     ((2, 0), 1), ((4, 0), 2), ((6, 0), 1),
@@ -325,10 +304,10 @@ def _load_data(name: str) -> dict:
 def lut4_numerator() -> dict:
     """P(z) = 1 + sum a_i z^i from the shipped 4-qubit LUT table."""
     raw = _load_data("table_lu4.json")
-    num = {0: 1}
+    num = {(0,): 1}
     for key, val in raw.items():
         if val:
-            num[int(key)] = val
+            num[(int(key),)] = val
     return num
 
 
@@ -345,28 +324,32 @@ def lsut4_numerator() -> dict:
 
 
 def lut4_closed_form_coeffs(nmax: int):
-    return expand_closed_form_1d(lut4_numerator(), LUT4_DENOMINATOR, nmax)
+    return expand_closed_form(lut4_numerator(), LUT4_DENOMINATOR, (nmax,))
 
 
 def lut3_closed_form_coeffs(nmax: int):
-    return expand_closed_form_1d(LUT3_NUMERATOR, LUT3_DENOMINATOR, nmax)
+    return expand_closed_form(LUT3_NUMERATOR, LUT3_DENOMINATOR, (nmax,))
 
 
 def slocc4_closed_form_coeffs(nmax: int):
-    return expand_closed_form_1d(SLOCC4_NUMERATOR, SLOCC4_DENOMINATOR, nmax)
+    return expand_closed_form(SLOCC4_NUMERATOR, SLOCC4_DENOMINATOR, (nmax,))
 
 
 def lsut3_closed_form_table(n1max: int, n2max: int):
-    res = expand_closed_form(LSUT3_NUMERATOR, LSUT3_DENOMINATOR, (n1max, n2max))
-    table = [[0] * (n2max + 1) for _ in range(n1max + 1)]
-    for (i, j), c in res.items():
-        table[i][j] = c
-    return table
+    return expand_closed_form(LSUT3_NUMERATOR, LSUT3_DENOMINATOR, (n1max, n2max))
 
 
 def lsut4_closed_form_table(n1max: int, n2max: int):
-    res = expand_closed_form(lsut4_numerator(), LSUT4_DENOMINATOR, (n1max, n2max))
-    table = [[0] * (n2max + 1) for _ in range(n1max + 1)]
-    for (i, j), c in res.items():
-        table[i][j] = c
-    return table
+    return expand_closed_form(lsut4_numerator(), LSUT4_DENOMINATOR, (n1max, n2max))
+
+
+# The shipped closed forms by (group, k).  The lut and slocc entries take
+# nmax and return a coefficient list; the lsut entries take (n1max, n2max)
+# and return a bidegree table.
+CLOSED_FORMS = {
+    ("lut", 3): lut3_closed_form_coeffs,
+    ("lut", 4): lut4_closed_form_coeffs,
+    ("lsut", 3): lsut3_closed_form_table,
+    ("lsut", 4): lsut4_closed_form_table,
+    ("slocc", 4): slocc4_closed_form_coeffs,
+}

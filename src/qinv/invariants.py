@@ -583,27 +583,27 @@ def _primary_invariant_polys():
     ]
 
 
+def _jacobian_at_point(funcs):
+    """Exact partial derivatives of each function in the variables
+    (a_000..a_111, conj a_000..conj a_111) at JACOBIAN_POINT."""
+    variables = [amp(i) for i in range(8)] + [amp_conj(i) for i in range(8)]
+    return [
+        [evaluate_exact(fn.partial(v), JACOBIAN_POINT) for v in variables]
+        for fn in funcs
+    ]
+
+
 def jacobian_matrix():
     """Exact 7x16 Jacobian of (A, f2, f3, Delta, conj Delta, s2, conj s2)
     in the variables (a_000..a_111, conj a_000..conj a_111) at the reference
     point."""
-    variables = [amp(i) for i in range(8)] + [amp_conj(i) for i in range(8)]
-    return [
-        [evaluate_exact(fn.partial(v), JACOBIAN_POINT) for v in variables]
-        for fn in _primary_invariant_polys()
-    ]
+    return _jacobian_at_point(_primary_invariant_polys())
 
 
 def jacobian_rank() -> int:
     """Exact rank of the 7x16 Jacobian; 7 proves the seven primary
     invariants algebraically independent."""
     return len(independent_rows(matrix_rows(jacobian_matrix())))
-
-
-# Complement columns (a_000, conj a_001 .. conj a_110) for the full 16x16
-# determinant when the nine coordinate functions are
-# a_001..a_111, conj a_000 and conj a_111.
-_CANONICAL_MINOR_COLUMNS = (0, 9, 10, 11, 12, 13, 14)
 
 
 def jacobian_determinant(literal: bool = False) -> GaussianRational:
@@ -631,12 +631,7 @@ def jacobian_determinant(literal: bool = False) -> GaussianRational:
         coord = [amp(i) for i in range(1, 8)] + [amp_conj(0), amp_conj(7)]
     for v in coord:
         funcs.append(Polynomial.variable(3, v))
-    variables = [amp(i) for i in range(8)] + [amp_conj(i) for i in range(8)]
-    matrix = [
-        [evaluate_exact(fn.partial(v), JACOBIAN_POINT) for v in variables]
-        for fn in funcs
-    ]
-    return det(matrix)
+    return det(_jacobian_at_point(funcs))
 
 
 # -- 4-qubit degree-6 LUT invariants --------------------------------------

@@ -9,10 +9,10 @@ in covariant terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
-from itertools import product
 
-from .catalog import b_family, b_multidegrees, catalog_3, cayley_hyperdet
+import numpy as np
+
+from .catalog import b_multidegrees, catalog_3, cayley_hyperdet
 from .invariants import b_pairing
 from .poly import DimensionError, State
 
@@ -27,32 +27,25 @@ def hyperdet3(s: State) -> complex:
 def d1(i: int, s: State) -> float:
     """Single-qubit linear entropy D_1^(i), from the determinant definition.
 
-    The sum runs over ordered pairs of distinct (k-1)-bit contexts for the
-    remaining qubits, with prefactor 2; the source display's pair ordering is
-    ambiguous, and this reading is the one under which the covariant route
-    agrees and GHZ states reach the maximum 1 on normalized input.
+    The definition sums 2 |a_{e,0} a_{e',1} - a_{e,1} a_{e',0}|^2 over
+    ordered pairs of distinct (k-1)-bit contexts e, e' for the remaining
+    qubits; the source display's pair ordering is ambiguous, and this
+    reading is the one under which the covariant route agrees and GHZ
+    states reach the maximum 1 on normalized input.  Those determinants are
+    the 2x2 minors of the 2 x 2^(k-1) matricization M at qubit i, so by
+    Cauchy-Binet the sum is 4 det(M M^+) = 2((tr rho)^2 - tr rho^2) with
+    rho = M M^+ the unnormalized reduced density matrix, which is the purity
+    form 2(1 - tr rho^2) on normalized states (Brennen, QIC 3, 619 (2003)).
+    It reads the amplitudes alone, independently of the covariant route.
     """
     k = s.k
+    # Checked here because np.moveaxis would take i=0 as the last axis.
     if not 1 <= i <= k:
         raise IndexError(f"qubit index {i} out of range 1..{k}")
-    pos = i - 1
-
-    def amp_at(context, delta):
-        bits = list(context[:pos]) + [delta] + list(context[pos:])
-        idx = 0
-        for b in bits:
-            idx = idx * 2 + b
-        return s.amplitudes[idx]
-
-    total = 0.0
-    contexts = list(product((0, 1), repeat=k - 1))
-    for e in contexts:
-        for ep in contexts:
-            if e == ep:
-                continue
-            det = amp_at(e, 0) * amp_at(ep, 1) - amp_at(e, 1) * amp_at(ep, 0)
-            total += abs(det) ** 2
-    return 2.0 * total
+    amps = np.asarray(s.amplitudes, dtype=complex).reshape((2,) * k)
+    m = np.moveaxis(amps, i - 1, 0).reshape(2, -1)
+    rho = m @ m.conj().T
+    return 4.0 * float((rho[0, 0] * rho[1, 1]).real - abs(rho[0, 1]) ** 2)
 
 
 @dataclass(frozen=True)
@@ -135,10 +128,9 @@ def classify3(s: State, tol: float = 1e-9) -> OrbitLabel:
     evaluated on the unit-normalized state."""
     if s.k != 3:
         raise DimensionError(f"classification needs k=3, got k={s.k}")
-    norm = sum(abs(a) ** 2 for a in s.amplitudes) ** 0.5
-    if norm <= tol:
+    if s.norm() <= tol:
         raise ValueError("cannot classify the zero state")
-    normalized = State(3, tuple(a / norm for a in s.amplitudes))
+    normalized = s.normalized()
     values = {
         "B_200": b_pairing(3, (2, 0, 0)).evaluate(normalized).real,
         "B_020": b_pairing(3, (0, 2, 0)).evaluate(normalized).real,

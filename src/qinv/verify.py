@@ -39,15 +39,7 @@ from .invariants import (
 )
 from .measures import classify3, meyer_wallach
 from .poly import State, basis_state, ghz, random_state, w_state
-from .transvection import act_on_state, random_sl2, random_u2
-
-
-def _u_tuple(k, rng):
-    return tuple(random_u2(rng) for _ in range(k))
-
-
-def _sl_tuple(k, rng):
-    return tuple(random_sl2(rng) for _ in range(k))
+from .transvection import act_on_state, random_tuple
 
 
 def _batch_invariance(poly, amps_matrix, tol):
@@ -128,7 +120,8 @@ def suite_invariance(k: int = 3, trials: int = 100, seed: int = 0) -> dict:
     s = random_state(k, rng)
     u_amps = np.array(
         [s.amplitudes]
-        + [act_on_state(_u_tuple(k, rng), s).amplitudes for _ in range(trials)]
+        + [act_on_state(random_tuple(k, rng, "u2"), s).amplitudes
+           for _ in range(trials)]
     )
     lut = lut_invariant_registry(k)
     for name in sorted(lut):
@@ -136,7 +129,8 @@ def suite_invariance(k: int = 3, trials: int = 100, seed: int = 0) -> dict:
         items.append((f"LUT:{name}", ok, worst))
     sl_amps = np.array(
         [s.amplitudes]
-        + [act_on_state(_sl_tuple(k, rng), s).amplitudes for _ in range(trials)]
+        + [act_on_state(random_tuple(k, rng), s).amplitudes
+           for _ in range(trials)]
     )
     slocc = slocc_invariant_registry(k)
     for name in sorted(slocc):
@@ -184,7 +178,7 @@ def suite_classification(k: int = 3, trials: int = 50, seed: int = 0) -> dict:
     for label, s in reps.items():
         ok = classify3(s).label == label
         stable = all(
-            classify3(act_on_state(_sl_tuple(3, rng), s), tol=1e-7).label
+            classify3(act_on_state(random_tuple(3, rng), s), tol=1e-7).label
             == label
             for _ in range(trials)
         )

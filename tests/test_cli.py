@@ -133,13 +133,18 @@ def test_hilbert_lsut_table(capsys):
     assert table[(1, 0)] == 0
 
 
-def test_hilbert_unsupported_closed_form(capsys):
+@pytest.mark.parametrize("group,k,message", [
+    ("lut", 5, "closed-form LUT series shipped for k=3,4 only"),
+    ("lsut", 5, "closed-form LSUT series shipped for k=3,4 only"),
+    ("slocc", 3, "closed-form SLOCC series is shipped for k=4 only"),
+], ids=["lut", "lsut", "slocc"])
+def test_hilbert_unsupported_closed_form(capsys, group, k, message):
     code, doc = _run_json(capsys, [
-        "hilbert", "--group", "lut", "--k", "5", "--max-degree", "4",
+        "hilbert", "--group", group, "--k", str(k), "--max-degree", "4",
         "--method", "closed-form",
     ])
     assert code == 1
-    assert "closed-form" in doc["error"]
+    assert doc == {"error": message}
 
 
 def test_covariant_info_and_print(capsys):

@@ -47,9 +47,11 @@ def test_lut3_closed_form_agrees():
 
 
 def test_lut4_low_degrees_and_table():
-    char = hilbert_lut_coeffs(4, 6)
-    assert char[2] == 1 and char[4] == 8 and char[6] == 20
-    closed = lut4_closed_form_coeffs(6)
+    # The shipped numerator starts at z^6, so n=12 exercises more than one
+    # of its terms.
+    char = hilbert_lut_coeffs(4, 12)
+    assert char == [1, 0, 1, 0, 8, 0, 20, 0, 98, 0, 293, 0, 1128]
+    closed = lut4_closed_form_coeffs(12)
     assert closed == char
 
 

@@ -68,12 +68,14 @@ def test_meyer_wallach_w_state():
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_route_agreement(k, rng):
-    for _ in range(10):
-        s = random_state(k, rng)
-        a = meyer_wallach(s, "direct")
-        b = meyer_wallach(s, "covariant")
-        assert a.q == pytest.approx(b.q, abs=1e-10)
-        assert a.d1 == pytest.approx(b.d1, abs=1e-10)
+    # Unnormalized states too: both routes are homogeneous of degree 4.
+    for normalized in (True, False):
+        for _ in range(10):
+            s = random_state(k, rng, normalized=normalized)
+            a = meyer_wallach(s, "direct")
+            b = meyer_wallach(s, "covariant")
+            assert a.q == pytest.approx(b.q, abs=1e-10)
+            assert a.d1 == pytest.approx(b.d1, abs=1e-10)
 
 
 def test_unknown_route():
