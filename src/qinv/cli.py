@@ -3,6 +3,10 @@
 Subcommands: eval, classify, measure, hilbert, covariant, verify.  All
 output is a single JSON document on stdout.  Exit codes: 0 success, 1 bad
 input, 2 verification-suite failure.
+
+Each subcommand imports the layers it runs inside its handler, after its
+state file (if any) has loaded, so a `hilbert` command or a rejected state
+file never imports numpy or builds an invariant.
 """
 
 from __future__ import annotations
@@ -10,19 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Mapping
+from functools import partial
 
-from .catalog import covariant_by_name
-from .hilbert import (
-    CLOSED_FORMS,
-    dim_inv_slocc,
-    hilbert_lsut_coeffs,
-    hilbert_lsut_ct,
-    hilbert_lut_coeffs,
-    hilbert_lut_ct,
-)
-from .measures import classify3, hyperdet3, meyer_wallach
-from .poly import DimensionError, State
-from .verify import SUITES
+from .state import DimensionError, State
+
+# The keys of `verify.SUITES`, spelled out so that building the parser does
+# not import the verify layer.
+SUITE_NAMES = ("classification", "hilbert", "identities", "invariance")
 
 
 class CliError(Exception):
@@ -42,34 +41,60 @@ def _complex_json(z: complex):
     return [z.real, z.imag]
 
 
-def invariant_registry(k: int):
+class _Registry(Mapping):
+    """Read-only map from invariant name to its bound `evaluate`.  The keys
+    come from a table of builders; an invariant is built on first access
+    and then kept."""
+
+    def __init__(self, builders: dict):
+        self._builders = builders
+        self._built = {}
+
+    def __getitem__(self, name):
+        fn = self._built.get(name)
+        if fn is None:
+            fn = self._built[name] = self._builders[name]().evaluate
+        return fn
+
+    def __contains__(self, name):
+        return name in self._builders
+
+    def __iter__(self):
+        return iter(self._builders)
+
+    def __len__(self):
+        return len(self._builders)
+
+
+def invariant_registry(k: int) -> Mapping:
     """Named invariants evaluable on a k-qubit state."""
     from .catalog import b_multidegrees, cayley_hyperdet
     from .invariants import (
+        DEGREE6_NAMES_4,
         b_pairing,
-        degree6_invariants_4,
+        degree6_invariant_4,
+        delta_invariant,
         lut3_generator,
         lut3_pairing,
         norm_invariant,
         s2_invariant,
-        delta_invariant,
     )
 
-    reg = {"A": norm_invariant(k).evaluate}
+    reg = {"A": partial(norm_invariant, k)}
     for d in b_multidegrees(k):
-        reg["B_" + "".join(map(str, d))] = b_pairing(k, d).evaluate
+        reg["B_" + "".join(map(str, d))] = partial(b_pairing, k, d)
     if k == 3:
         for i in range(1, 8):
-            reg[f"f{i}"] = lut3_generator(i).evaluate
+            reg[f"f{i}"] = partial(lut3_generator, i)
         for name in ("C_111", "D_000", "F_222"):
-            reg[name] = lut3_pairing(name).evaluate
-        reg["s2"] = s2_invariant().evaluate
-        reg["Delta"] = delta_invariant().evaluate
-        reg["Det"] = cayley_hyperdet().evaluate
+            reg[name] = partial(lut3_pairing, name)
+        reg["s2"] = s2_invariant
+        reg["Delta"] = delta_invariant
+        reg["Det"] = cayley_hyperdet
     if k == 4:
-        for name, expr in degree6_invariants_4():
-            reg[name] = expr.evaluate
-    return reg
+        for name in DEGREE6_NAMES_4:
+            reg[name] = partial(degree6_invariant_4, name)
+    return _Registry(reg)
 
 
 def cmd_eval(args) -> dict:
@@ -86,6 +111,8 @@ def cmd_eval(args) -> dict:
 
 def cmd_classify(args) -> dict:
     s = _load_state(args.state)
+    from .measures import classify3
+
     result = classify3(s, tol=args.tol)
     return {
         "label": result.label,
@@ -96,11 +123,15 @@ def cmd_classify(args) -> dict:
 
 def cmd_measure(args) -> dict:
     s = _load_state(args.state)
+    from .measures import meyer_wallach
+
     report = meyer_wallach(s, route=args.route)
     return {"Q": report.q, "d1": list(report.d1)}
 
 
 def _closed_form(group: str, k: int):
+    from .hilbert import CLOSED_FORMS
+
     if (group, k) not in CLOSED_FORMS:
         ks = ",".join(str(kk) for g, kk in sorted(CLOSED_FORMS) if g == group)
         # The SLOCC wording differs; both messages are kept byte for byte.
@@ -112,24 +143,22 @@ def _closed_form(group: str, k: int):
 
 
 def cmd_hilbert(args) -> dict:
+    from .hilbert import ROUTES
+
     k, n = args.k, args.max_degree
     group, method = args.group, args.method
     if k < 1:
         raise CliError(f"--k must be at least 1, got {k}")
     if n < 0 or (args.max_conj_degree is not None and args.max_conj_degree < 0):
         raise CliError("degrees must be non-negative")
+    if args.max_conj_degree is not None and group != "lsut":
+        raise CliError("--max-conj-degree applies to --group lsut only")
     m = args.max_conj_degree if args.max_conj_degree is not None else n
     sizes = (n, m) if group == "lsut" else (n,)
     if method == "closed-form":
         series = _closed_form(group, k)(*sizes)
-    elif group == "slocc":
-        series = [dim_inv_slocc(d, k) for d in range(n + 1)]
-    elif group == "lut":
-        route = hilbert_lut_coeffs if method == "character" else hilbert_lut_ct
-        series = route(k, n)
     else:
-        route = hilbert_lsut_coeffs if method == "character" else hilbert_lsut_ct
-        series = route(k, n, m)
+        series = ROUTES[group, method](k, *sizes)
     if group == "lsut":
         series = [[i, j, series[i][j]]
                   for i in range(n + 1) for j in range(m + 1)]
@@ -137,6 +166,8 @@ def cmd_hilbert(args) -> dict:
 
 
 def cmd_covariant(args) -> dict:
+    from .catalog import covariant_by_name
+
     try:
         cov = covariant_by_name(args.k, args.name)
     except (KeyError, ValueError) as exc:
@@ -154,6 +185,8 @@ def cmd_covariant(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
+    from .verify import SUITES
+
     suite = SUITES[args.suite]
     return suite(k=args.k, trials=args.trials, seed=args.seed)
 
@@ -198,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(fn=cmd_covariant)
 
     pf = sub.add_parser("verify", help="run a verification suite")
-    pf.add_argument("--suite", choices=sorted(SUITES), required=True)
+    pf.add_argument("--suite", choices=SUITE_NAMES, required=True)
     pf.add_argument("--k", type=int, default=3)
     pf.add_argument("--trials", type=int, default=100)
     pf.add_argument("--seed", type=int, default=0)

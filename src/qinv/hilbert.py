@@ -1,6 +1,6 @@
 """Dimension formulas and Hilbert series of the invariant algebras.
 
-Two independent routes are provided for the unitary Hilbert series:
+Two independent routes are provided for the unitary and SLOCC Hilbert series:
 
 * the character route, summing squares/products of covariant-space
   dimensions obtained from symmetric-group characters, and
@@ -27,6 +27,7 @@ from functools import lru_cache
 from importlib import resources
 from itertools import product
 from math import prod
+from operator import add, sub
 
 from .characters import mn_character, partitions, z_lambda
 
@@ -83,6 +84,12 @@ def _multidegrees(n: int, k: int):
     return product(vals, repeat=k)
 
 
+def hilbert_slocc_coeffs(k: int, nmax: int):
+    """Coefficients of z^0..z^nmax of the SLOCC Hilbert series, character
+    route."""
+    return [dim_inv_slocc(d, k) for d in range(nmax + 1)]
+
+
 def hilbert_lut_coeffs(k: int, nmax: int):
     """Coefficients of z^0..z^nmax of the LUT Hilbert series, character route."""
     out = [0] * (nmax + 1)
@@ -113,30 +120,32 @@ def hilbert_lsut_coeffs(k: int, n1max: int, n2max: int):
 # -- truncated series engine ----------------------------------------------
 
 
-def _geometric_step(series, g, v, bounds):
+def _geometric_step(series, g, v, bounds, prune=None):
     """Multiply a graded series {grading tuple: {compact exponents: coeff}}
-    by 1/(1 - z^g u^v), truncated at the grading bounds."""
+    by 1/(1 - z^g u^v), truncated at the grading bounds.
+
+    The product N = P/(1 - z^g u^v) satisfies N = P + z^g u^v N, so
+    N[x] = P[x] + u^v N[x - g], filled in increasing grading order (x - g
+    precedes x lexicographically because g >= 0 and g != 0).  `prune(x,
+    coeffs)`, if given, filters each grading's coefficients as they are
+    made, before later gradings read them.
+    """
     if all(x == 0 for x in g):
         raise ValueError("denominator factor with zero grading order")
     if any(x < 0 for x in g):
         raise ValueError("denominator factor with negative grading order")
     new: dict = {}
-    for gvec, coeffs in series.items():
-        # m = 0 term: copy
-        tgt = new.setdefault(gvec, {})
-        for e, c in coeffs.items():
-            tgt[e] = tgt.get(e, 0) + c
-        m = 1
-        while True:
-            ng_vec = tuple(x + m * y for x, y in zip(gvec, g))
-            if any(x > b for x, b in zip(ng_vec, bounds)):
-                break
-            shift = tuple(m * y for y in v)
-            tgt = new.setdefault(ng_vec, {})
-            for e, c in coeffs.items():
-                ne = tuple(a + b for a, b in zip(e, shift))
+    for x in product(*(range(b + 1) for b in bounds)):
+        tgt = dict(series.get(x, ()))
+        below = new.get(tuple(map(sub, x, g)))
+        if below:
+            for e, c in below.items():
+                ne = tuple(map(add, e, v))
                 tgt[ne] = tgt.get(ne, 0) + c
-            m += 1
+        if prune is not None:
+            tgt = prune(x, tgt)
+        if tgt:
+            new[x] = tgt
     return new
 
 
@@ -174,30 +183,25 @@ def ct_series(factors, grading_bounds, prefactor, allowed_final, divisor=1):
 
     Returns a dict mapping grading tuples to Fractions.
     """
-    nv = len(allowed_final)
-    series = {(0,) * len(grading_bounds): {(0,) * nv: 1}}
+    if any(abs(y) > sum(g) for g, v in factors for y in v):
+        # Pruning is exact only if no step moves a compact exponent further
+        # than it raises the total grading.
+        raise ValueError("compact exponent step larger than its grading step")
+    budget = sum(grading_bounds)
 
-    def remaining(gvec):
-        return sum(b - x for b, x in zip(grading_bounds, gvec))
+    @lru_cache(maxsize=None)
+    def reach(e):
+        # The grading needed before every exponent is cancellable.
+        return max(min(abs(x - fin) for fin in fins)
+                   for x, fins in zip(e, allowed_final))
 
-    def prune(coeffs, rem):
-        out = {}
-        for e, c in coeffs.items():
-            ok = True
-            for i in range(nv):
-                if min(abs(e[i] - fin) for fin in allowed_final[i]) > rem:
-                    ok = False
-                    break
-            if ok:
-                out[e] = c
-        return out
+    def prune(gvec, coeffs):
+        rem = budget - sum(gvec)
+        return {e: c for e, c in coeffs.items() if c and reach(e) <= rem}
 
+    series = {(0,) * len(grading_bounds): {(0,) * len(allowed_final): 1}}
     for g, v in factors:
-        series = _geometric_step(series, g, v, grading_bounds)
-        series = {
-            gvec: prune(coeffs, remaining(gvec)) for gvec, coeffs in series.items()
-        }
-        series = {g2: c2 for g2, c2 in series.items() if c2}
+        series = _geometric_step(series, g, v, grading_bounds, prune)
 
     result = {}
     for gvec, coeffs in series.items():
@@ -239,6 +243,17 @@ def hilbert_lut_ct(k: int, nmax: int):
     prefactor = _u_prefactor(k, extra_vars=1)
     allowed = [(0,)] + [(-2, 0, 2)] * k
     res = ct_series(factors, (nmax,), prefactor, allowed, divisor=2 ** k)
+    return _dense(res, (nmax,))
+
+
+def hilbert_slocc_ct(k: int, nmax: int):
+    """SLOCC Hilbert series coefficients z^0..z^nmax by constant-term
+    extraction: denominator product over alpha in {+-1}^k of
+    (1 - z u^alpha); constant term in u, divided by 2^k."""
+    factors = [((1,), alpha) for alpha in product((1, -1), repeat=k)]
+    allowed = [(-2, 0, 2)] * k
+    res = ct_series(factors, (nmax,), _u_prefactor(k), allowed,
+                    divisor=2 ** k)
     return _dense(res, (nmax,))
 
 
@@ -352,4 +367,15 @@ CLOSED_FORMS = {
     ("lsut", 3): lsut3_closed_form_table,
     ("lsut", 4): lsut4_closed_form_table,
     ("slocc", 4): slocc4_closed_form_coeffs,
+}
+
+# The series routes by (group, method), each taking k and the sizes of the
+# matching closed form.
+ROUTES = {
+    ("slocc", "character"): hilbert_slocc_coeffs,
+    ("slocc", "ct"): hilbert_slocc_ct,
+    ("lut", "character"): hilbert_lut_coeffs,
+    ("lut", "ct"): hilbert_lut_ct,
+    ("lsut", "character"): hilbert_lsut_coeffs,
+    ("lsut", "ct"): hilbert_lsut_ct,
 }

@@ -637,31 +637,48 @@ def jacobian_determinant(literal: bool = False) -> GaussianRational:
 # -- 4-qubit degree-6 LUT invariants --------------------------------------
 
 
-def degree6_invariants_4():
-    """The twenty degree-6 LUT generators for 4 qubits, as named invariants."""
-    k = 4
-    a = norm_invariant(k)
-    f = ground_form(k)
-    b0000 = catalog_4("B_0000")
-    bb = InvariantExpr(
-        b0000.poly * b0000.poly.conjugate(), (2, 2), "B"
-    )
-    out = [("A^3", a ** 3), ("A*B", a * bb)]
-    for d in b_multidegrees(k):
-        if d == (2,) * k or d == (0,) * k:
-            continue
-        name = "B_" + "".join(map(str, d))
-        out.append((f"A*{name}", a * b_pairing(k, d)))
-    c1 = catalog_4("C1_1111")
-    c2 = catalog_4("C2_1111")
-    fb = f * b0000
-    trip = [("C1", c1), ("C2", c2), ("fB", fb)]
-    for ln, left in trip:
-        for rn, right in trip:
-            if (ln, rn) in (("fB", "fB"),):
-                continue
-            out.append((f"<{ln}|{rn}>", pairing(left, right)))
-    for name in ("C_3111", "C_1311", "C_1131", "C_1113"):
-        c = catalog_4(name)
-        out.append((f"<{name}|{name}>", pairing(c, c)))
-    return out
+# The twenty degree-6 generators by name: A^3, A*B with B = |B_0000|^2, A
+# times each mixed <B_d|B_d>, every pairing among C1, C2 and fB = f*B_0000
+# except <fB|fB>, and the four <C|C> of the cubic covariants.
+_DEGREE6_FACTORS = ("C1", "C2", "fB")
+DEGREE6_NAMES_4 = (
+    "A^3",
+    "A*B",
+    *("A*B_" + "".join(map(str, d)) for d in b_multidegrees(4)
+      if d not in ((2,) * 4, (0,) * 4)),
+    *(f"<{left}|{right}>" for left in _DEGREE6_FACTORS
+      for right in _DEGREE6_FACTORS if (left, right) != ("fB", "fB")),
+    *(f"<{c}|{c}>" for c in ("C_3111", "C_1311", "C_1131", "C_1113")),
+)
+
+
+@lru_cache(maxsize=None)
+def _degree6_factor(name: str) -> Covariant:
+    if name == "fB":
+        return ground_form(4) * catalog_4("B_0000")
+    return catalog_4(name + "_1111" if name in ("C1", "C2") else name)
+
+
+@lru_cache(maxsize=None)
+def degree6_invariant_4(name: str) -> InvariantExpr:
+    """One degree-6 LUT generator for 4 qubits, named as in
+    `DEGREE6_NAMES_4`; only the covariants it needs are built."""
+    if name not in DEGREE6_NAMES_4:
+        raise KeyError(f"unknown degree-6 4-qubit invariant {name!r}")
+    a = norm_invariant(4)
+    if name == "A^3":
+        return a ** 3
+    if name == "A*B":
+        b = catalog_4("B_0000").poly
+        return a * InvariantExpr(b * b.conjugate(), (2, 2), "B")
+    if name.startswith("A*"):
+        return a * b_pairing(4, tuple(map(int, name[4:])))
+    left, right = name[1:-1].split("|")
+    return pairing(_degree6_factor(left), _degree6_factor(right))
+
+
+@lru_cache(maxsize=None)
+def degree6_invariants_4() -> tuple:
+    """The twenty degree-6 LUT generators for 4 qubits, as (name,
+    invariant) pairs."""
+    return tuple((name, degree6_invariant_4(name)) for name in DEGREE6_NAMES_4)

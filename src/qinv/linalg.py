@@ -11,6 +11,7 @@ elimination runs fraction-free.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
 
 from .gaussian import GR_ZERO, GaussianRational
@@ -23,18 +24,18 @@ def polys_to_rows(polys):
     return [p.packed for p in polys]
 
 
+def _scaled_row(row) -> tuple:
+    """(den, sparse Gaussian-integer row): a row of exact scalars times den,
+    the lcm of its denominators."""
+    den = lcm(*(d for x in row for d in (x.re.denominator, x.im.denominator)))
+    return den, {j: (int(x.re * den), int(x.im * den))
+                 for j, x in enumerate(row) if x}
+
+
 def matrix_rows(matrix):
     """Sparse Gaussian-integer rows of a matrix of exact scalars, each row
     scaled by the lcm of its denominators."""
-    rows = []
-    for row in matrix:
-        den = lcm(*(d for x in row
-                    for d in (x.re.denominator, x.im.denominator)))
-        rows.append({
-            j: (int(x.re * den), int(x.im * den))
-            for j, x in enumerate(row) if x
-        })
-    return rows
+    return [_scaled_row(row)[1] for row in matrix]
 
 
 def _reduce(row: dict, pivot_row: dict, col) -> dict:
@@ -83,24 +84,38 @@ def rank(polys) -> int:
 
 
 def det(matrix) -> GaussianRational:
-    """Exact determinant by fraction-full Gaussian elimination with pivoting."""
+    """Exact determinant by fraction-free (Bareiss) elimination on the
+    Gaussian-integer rows of `matrix_rows`, divided by the row scales at
+    the end."""
     n = len(matrix)
-    a = [list(row) for row in matrix]
+    scale = 1
+    a = []
+    for row in matrix:
+        den, sparse = _scaled_row(row)
+        scale *= den
+        a.append([sparse.get(j, (0, 0)) for j in range(n)])
     sign = 1
-    result = GaussianRational(1)
+    prev = (1, 0)    # the previous pivot, which divides every update exactly
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col]), None)
+        pivot_row = next((r for r in range(col, n) if a[r][col] != (0, 0)),
+                         None)
         if pivot_row is None:
             return GR_ZERO
         if pivot_row != col:
             a[col], a[pivot_row] = a[pivot_row], a[col]
             sign = -sign
-        p = a[col][col]
-        result = result * p
+        (pr, pi), top = a[col][col], a[col]
+        qr, qi = prev
+        q2 = qr * qr + qi * qi
         for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] / p
-                for c in range(col, n):
-                    if a[col][c]:
-                        a[r][c] = a[r][c] - f * a[col][c]
-    return result * sign
+            row = a[r]
+            cr, ci = row[col]
+            for c in range(col + 1, n):
+                (xr, xi), (yr, yi) = row[c], top[c]
+                # (pivot * x - lead * y) / prev
+                tr = pr * xr - pi * xi - cr * yr + ci * yi
+                ti = pr * xi + pi * xr - cr * yi - ci * yr
+                row[c] = ((tr * qr + ti * qi) // q2, (ti * qr - tr * qi) // q2)
+        prev = (pr, pi)
+    return GaussianRational(Fraction(sign * prev[0], scale),
+                            Fraction(sign * prev[1], scale))

@@ -37,11 +37,7 @@ packed keys on first use.
 
 from __future__ import annotations
 
-import cmath
-import json
-import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -50,6 +46,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .gaussian import GaussianRational
+from .state import DimensionError, State
 
 FIELD_BITS = 8
 FIELD_MAX = (1 << FIELD_BITS) - 1
@@ -92,10 +89,6 @@ def mono_mul(m1: tuple, m2: tuple) -> tuple:
     out.extend(m1[i:])
     out.extend(m2[j:])
     return tuple(out)
-
-
-class DimensionError(ValueError):
-    """Operands live over different ambient qubit counts."""
 
 
 class EvaluationError(KeyError):
@@ -622,59 +615,6 @@ class _Terms(Mapping):
 
     def __repr__(self):
         return repr(self._decoded())
-
-
-@dataclass(frozen=True)
-class State:
-    """Numeric pure k-qubit state: 2^k amplitudes in bitstring order (i1 MSB)."""
-
-    k: int
-    amplitudes: tuple
-
-    def __post_init__(self):
-        k = operator.index(self.k)
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        if len(self.amplitudes) != 2 ** k:
-            raise DimensionError(
-                f"expected {2 ** k} amplitudes for k={k}, "
-                f"got {len(self.amplitudes)}"
-            )
-        amps = tuple(complex(a) for a in self.amplitudes)
-        if not all(cmath.isfinite(a) for a in amps):
-            raise ValueError("amplitudes must be finite")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "State":
-        n = self.norm()
-        if n == 0:
-            raise ValueError("cannot normalize the zero state")
-        return State(self.k, tuple(a / n for a in self.amplitudes))
-
-    def to_json_obj(self) -> dict:
-        return {
-            "k": self.k,
-            "amplitudes": [[a.real, a.imag] for a in self.amplitudes],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "State":
-        k = int(obj["k"])
-        amps = [complex(re, im) for re, im in obj["amplitudes"]]
-        return cls(k, tuple(amps))
-
-    @classmethod
-    def load(cls, path: str) -> "State":
-        with open(path) as fh:
-            return cls.from_json_obj(json.load(fh))
-
-    def save(self, path: str):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_obj(), fh)
 
 
 def ghz(k: int, normalized: bool = True) -> State:

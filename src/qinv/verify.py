@@ -18,9 +18,9 @@ from .catalog import (
 )
 from .hilbert import (
     dim_cov_total,
-    dim_inv_slocc,
     hilbert_lut_coeffs,
     hilbert_lut_ct,
+    hilbert_slocc_coeffs,
     lut3_closed_form_coeffs,
     slocc4_closed_form_coeffs,
 )
@@ -151,7 +151,7 @@ def suite_hilbert(k: int = 3, trials: int = 0, seed: int = 0) -> dict:
     )
     lut4 = hilbert_lut_coeffs(4, 6)
     items.append(("lut4_degree_2_4_6", lut4[2:7:2] == [1, 8, 20], None))
-    slocc4 = [dim_inv_slocc(d, 4) for d in range(0, 9)]
+    slocc4 = hilbert_slocc_coeffs(4, 8)
     closed = slocc4_closed_form_coeffs(8)
     items.append(("slocc4_vs_corrected_closed_form",
                   slocc4 == closed[: len(slocc4)], None))

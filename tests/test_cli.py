@@ -232,3 +232,116 @@ def test_python_dash_m_runs_the_cli():
         capture_output=True, text=True, env=env, check=False)
     assert out.returncode == 0
     assert json.loads(out.stdout)["coefficients"] == [1, 0, 1, 0, 4, 0, 5]
+
+
+@pytest.mark.parametrize("group", ["lut", "slocc"])
+def test_max_conj_degree_is_lsut_only(capsys, group):
+    code, doc = _run_json(capsys, [
+        "hilbert", "--group", group, "--k", "3", "--max-degree", "4",
+        "--max-conj-degree", "2",
+    ])
+    assert code == 1
+    assert doc == {"error": "--max-conj-degree applies to --group lsut only"}
+
+
+REGISTRY_KEYS = {
+    3: ["A", "B_222", "B_200", "B_020", "B_002", "f1", "f2", "f3", "f4",
+        "f5", "f6", "f7", "C_111", "D_000", "F_222", "s2", "Delta", "Det"],
+    4: ["A", "B_2222", "B_2200", "B_2020", "B_2002", "B_0220", "B_0202",
+        "B_0022", "B_0000", "A^3", "A*B", "A*B_2200", "A*B_2020",
+        "A*B_2002", "A*B_0220", "A*B_0202", "A*B_0022", "<C1|C1>",
+        "<C1|C2>", "<C1|fB>", "<C2|C1>", "<C2|C2>", "<C2|fB>", "<fB|C1>",
+        "<fB|C2>", "<C_3111|C_3111>", "<C_1311|C_1311>", "<C_1131|C_1131>",
+        "<C_1113|C_1113>"],
+}
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_invariant_registry_keys_and_bound_evaluates(k):
+    from qinv.cli import invariant_registry
+
+    reg = invariant_registry(k)
+    assert list(reg) == REGISTRY_KEYS[k]
+    assert len(reg) == len(REGISTRY_KEYS[k])
+    assert "nope" not in reg
+    with pytest.raises(KeyError):
+        reg["nope"]
+    with pytest.raises(TypeError):
+        reg["A"] = None
+    for name, fn in reg.items():
+        assert fn.__name__ == "evaluate"
+        assert fn.__self__ is not None
+        assert reg[name] is fn
+
+
+def test_eval_at_k4_builds_only_the_named_invariant(capsys, tmp_path):
+    from qinv.invariants import degree6_invariant_4, degree6_invariants_4
+
+    path = tmp_path / "ghz4.json"
+    ghz(4).save(path)
+
+    def calls():
+        return [f.cache_info().hits + f.cache_info().misses
+                for f in (degree6_invariants_4, degree6_invariant_4)]
+
+    before = calls()
+    code, doc = _run_json(capsys, ["eval", "--state", str(path),
+                                   "--invariant", "A"])
+    assert code == 0
+    assert doc["value"][0] == pytest.approx(1.0)
+    assert calls() == before
+
+
+def test_suite_names_are_the_verify_suites():
+    from qinv.cli import SUITE_NAMES
+    from qinv.verify import SUITES
+
+    assert SUITE_NAMES == tuple(sorted(SUITES))
+
+
+# Runs in a fresh interpreter: every listed command must finish without
+# numpy ever being imported.
+_NUMPY_FREE = r"""
+import contextlib, io, json, sys
+
+import qinv.cli
+
+loaded = ["import qinv.cli"] if "numpy" in sys.modules else []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = qinv.cli.run(argv)
+    if "numpy" in sys.modules and not loaded:
+        loaded.append(" ".join(argv))
+    if code not in (0, 1):
+        loaded.append(f"exit {code}: {' '.join(argv)}")
+print(json.dumps(loaded))
+"""
+
+
+def test_hilbert_and_state_file_errors_do_not_import_numpy(tmp_path):
+    missing = tmp_path / "missing.json"
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("{amplitudes: oops")
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"k": 3, "amplitudes": [[1, 0]] * 7}))
+    argvs = []
+    for group in ("slocc", "lut", "lsut"):
+        for method in ("character", "ct"):
+            argvs.append(["hilbert", "--group", group, "--k", "3",
+                          "--max-degree", "4", "--method", method])
+    for group, k in (("slocc", 4), ("lut", 3), ("lut", 4), ("lsut", 3),
+                     ("lsut", 4), ("lut", 5)):
+        argvs.append(["hilbert", "--group", group, "--k", str(k),
+                      "--max-degree", "4", "--method", "closed-form"])
+    for path in (missing, not_json, short):
+        argvs.append(["eval", "--state", str(path), "--invariant", "A"])
+        argvs.append(["classify", "--state", str(path)])
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, check=False)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == []

@@ -1,6 +1,7 @@
 import pytest
 
 from qinv.hilbert import (
+    ct_series,
     dim_cov,
     dim_cov_total,
     dim_inv_slocc,
@@ -8,6 +9,8 @@ from qinv.hilbert import (
     hilbert_lsut_ct,
     hilbert_lut_coeffs,
     hilbert_lut_ct,
+    hilbert_slocc_coeffs,
+    hilbert_slocc_ct,
     lsut3_closed_form_table,
     lsut4_closed_form_table,
     lut3_closed_form_coeffs,
@@ -37,6 +40,23 @@ def test_odd_degrees_vanish():
 @pytest.mark.parametrize("k", [2, 3])
 def test_lut_character_equals_constant_term(k):
     assert hilbert_lut_coeffs(k, 10) == hilbert_lut_ct(k, 10)
+
+
+@pytest.mark.parametrize("k,n", [(2, 8), (3, 8), (4, 8)])
+def test_slocc_character_equals_constant_term(k, n):
+    assert hilbert_slocc_ct(k, n) == hilbert_slocc_coeffs(k, n)
+
+
+def test_lut4_and_lsut3_constant_term_agree_at_larger_sizes():
+    assert hilbert_lut_ct(4, 8) == hilbert_lut_coeffs(4, 8)
+    assert hilbert_lsut_ct(3, 7, 7) == hilbert_lsut_coeffs(3, 7, 7)
+
+
+def test_ct_rejects_steps_that_defeat_pruning():
+    # A compact exponent that moves by 2 per unit of grading could come
+    # back from further than the pruning bound allows.
+    with pytest.raises(ValueError):
+        ct_series([((1,), (2,))], (4,), {(0,): 1}, [(0,)])
 
 
 def test_lut3_closed_form_agrees():
