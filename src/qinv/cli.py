@@ -111,6 +111,9 @@ def cmd_eval(args) -> dict:
 
 def cmd_classify(args) -> dict:
     s = _load_state(args.state)
+    # Checked before the import, so a rejected k costs no numpy import.
+    if s.k != 3:
+        raise DimensionError(f"classification needs k=3, got k={s.k}")
     from .measures import classify3
 
     result = classify3(s, tol=args.tol)

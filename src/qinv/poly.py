@@ -30,9 +30,15 @@ field.
 At the boundary a monomial is a sorted tuple of (variable, exponent) pairs
 with positive exponents and a coefficient is a GaussianRational: the
 constructor takes that form, validated, and `terms` gives it back.
-Numeric evaluation, scalar and batched, reads one compiled form per
-polynomial (complex coefficients and an exponent matrix), built from the
-packed keys on first use.
+Numeric evaluation, scalar and batched, runs one kernel on one compiled
+form per polynomial, built from the packed keys on first use.  The form
+is split (sesquilinear): each key is cut into its amplitude part and the
+rest (conjugates and auxiliaries), the distinct parts are numbered, and
+each term keeps (coefficient, left part, right part).  A pairing <Phi|Psi>
+has far fewer distinct parts than terms (f7: 8,412 terms over 504 + 504
+parts), so the kernel takes the value of every part once, from a table of
+powers, and then sums c * left * right over the terms, in blocks of a
+fixed number of elements so that its temporaries stay small.
 """
 
 from __future__ import annotations
@@ -50,6 +56,12 @@ from .state import DimensionError, State
 
 FIELD_BITS = 8
 FIELD_MAX = (1 << FIELD_BITS) - 1
+# Elements in one temporary array of the numeric kernel (128 KiB of
+# complex).  Larger blocks come back from the allocator as fresh pages: on
+# a 2-vCPU Linux host (glibc malloc), f7 on 33 rows took 4.5 page faults
+# and 1.3 ms per call at 2^13 elements, 226 and 2.2 ms at 2^14, and 2,008
+# and 5.2 ms at 2^15.
+_BLOCK = 1 << 13
 
 
 def amp(idx: int) -> tuple:
@@ -412,78 +424,128 @@ class Polynomial:
     # -- numeric evaluation -----------------------------------------------
 
     def _compile(self):
-        """The compiled form shared by `evaluate` and `batch_evaluator`,
-        built from the packed keys on first use:
+        """The split form shared by `evaluate` and `batch_evaluator`, built
+        from the packed keys on first use.
+
+        Each key is cut into its amplitude part (the low 2^k fields) and
+        the rest (conjugate and auxiliary fields), and the distinct parts of
+        both sides are numbered together, amplitude parts first.  With v
+        the values of the parts the polynomial is
+        sum_t coeffs[t] * v[left[t]] * v[right[t]]:
 
           coeffs   complex coefficient per term
-          used     the fields that occur, ascending
-          exps     term-by-used-field exponent matrix
-          index    flat positions into a used-field-by-power table
+          left     per term, the number of its amplitude part
+          right    per term, the number of its other part
+          index    width-by-part rows of the power table whose product is
+                   each part's value; row 0 pads the shorter parts
+          sources  the amplitude of each used amplitude or conjugate field
+          conj     how many of those are amplitudes, not conjugates
+          aux      the variable of each used auxiliary field
           top      the largest exponent
+
+        The power table has a row of ones, then row 1 + (e - 1) * fields + u
+        holds the e-th power of the u-th used field.
+
+        A pairing's thousands of terms carry a few dozen distinct
+        coefficients (the 47 k=3 and k=4 registry invariants: 66,764 terms,
+        51 distinct), so equal coefficient pairs of the packed dict are
+        made one shared tuple here, which changes no value, and each is
+        converted to complex once.
         """
         if self._compiled is None:
             lay = layout(self.k)
-            den = self.den
-            coeffs = np.array([complex(r / den, i / den)
-                               for r, i in self.packed.values()],
-                              dtype=complex)
-            raw = lay.exponent_matrix(list(self.packed))
-            used = np.flatnonzero(raw.any(axis=0))
-            exps = raw[:, used]
-            top = int(exps.max(initial=0))
-            index = exps + np.arange(0, (top + 1) * len(used), top + 1,
-                                     dtype=np.int32)
-            self._compiled = (coeffs, used, exps, index, top)
+            packed, den = self.packed, self.den
+            shared: dict = {}
+            lows: dict = {}
+            highs: dict = {}
+            left, right = [], []
+            for key, c in packed.items():
+                packed[key] = shared.setdefault(c, c)
+                low = key & lay.amp_mask
+                left.append(lows.setdefault(low, len(lows)))
+                right.append(highs.setdefault(key - low, len(highs)))
+            exps = lay.exponent_matrix(list(lows) + list(highs))
+            used = np.flatnonzero(exps.any(axis=0))
+            exps = exps[:, used]
+            rows, cols = np.nonzero(exps)
+            counts = np.count_nonzero(exps, axis=1)
+            index = np.zeros((int(counts.max(initial=1)), len(exps)),
+                             dtype=np.intp)
+            # np.nonzero walks the parts in order, so a factor's rank within
+            # its part is its position minus the part's first position.
+            index[np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows],
+                  rows] = 1 + (exps[rows, cols] - 1) * len(used) + cols
+            as_complex = {c: complex(c[0] / den, c[1] / den) for c in shared}
+            n = lay.n
+            self._compiled = (
+                np.array([as_complex[c] for c in packed.values()],
+                         dtype=complex),
+                np.array(left, dtype=np.intp),
+                np.array(right, dtype=np.intp) + len(lows),
+                index,
+                used[used < 2 * n] % n,
+                int(np.count_nonzero(used < n)),
+                tuple(lay.var[f] for f in used[used >= 2 * n]),
+                int(exps.max(initial=0)),
+            )
         return self._compiled
 
-    def _field_values(self, used, amplitudes, aux_assignment):
-        """Values of the used fields at a state and aux assignment."""
-        lay = layout(self.k)
-        a = np.asarray(amplitudes, dtype=complex)
-        values = np.concatenate([a, a.conj()])
-        n_amp = len(values)
-        if not len(used) or used[-1] < n_amp:
-            return values[used]
-        aux_values = []
-        for f in used[used >= n_amp]:
-            v = lay.var[f]
+    def _kernel(self, amplitudes: np.ndarray, aux_assignment=None) -> np.ndarray:
+        """Values at the rows of an (n, 2^k) complex amplitude array, with
+        one aux assignment for every row.  Parts and terms are walked in
+        blocks of at most _BLOCK elements per temporary array."""
+        coeffs, left, right, index, sources, conj, aux_vars, top = (
+            self._compile())
+        n = len(amplitudes)
+        amps = len(sources)
+        fields = amps + len(aux_vars)
+        table = np.empty((1 + top * fields, n), dtype=complex)
+        table[0] = 1
+        x = table[1:1 + fields]
+        x[:amps] = amplitudes.T[sources]
+        np.conjugate(x[conj:amps], out=x[conj:amps])
+        for row, v in enumerate(aux_vars, amps):
             try:
-                aux_values.append(aux_assignment[(v[1], v[2])])
+                x[row] = aux_assignment[v[1:3]]
             except (KeyError, TypeError):
                 raise EvaluationError(
                     f"unresolved auxiliary variable {v}") from None
-        return np.concatenate([values[used[used < n_amp]], aux_values])
+        for e in range(1, top):
+            np.multiply(table[1 + (e - 1) * fields:1 + e * fields], x,
+                        out=table[1 + e * fields:1 + (e + 1) * fields])
+        width, parts = index.shape
+        values = np.empty((parts, n), dtype=complex)
+        step = max(_BLOCK // (n * width), 1)
+        for s in range(0, parts, step):
+            np.multiply.reduce(table[index[:, s:s + step]], axis=0,
+                               out=values[s:s + step])
+        out = np.zeros(n, dtype=complex)
+        step = max(_BLOCK // n, 1)
+        for s in range(0, len(coeffs), step):
+            out += coeffs[s:s + step] @ (values[left[s:s + step]]
+                                         * values[right[s:s + step]])
+        return out
 
     def evaluate(self, state: "State", aux_assignment: Mapping | None = None) -> complex:
         """Evaluate at a numeric state; aux_assignment maps (slot, comp) -> complex."""
         if state.k != self.k:
             raise DimensionError(f"ambient k mismatch: {self.k} vs {state.k}")
-        coeffs, used, _, index, top = self._compile()
-        if not len(coeffs):
-            return 0j
-        x = self._field_values(used, state.amplitudes, aux_assignment)
-        powers = np.empty((len(used), top + 1), dtype=complex)
-        powers[:, 0] = 1
-        powers[:, 1:] = x[:, None]
-        np.cumprod(powers, axis=1, out=powers)
-        return complex(coeffs @ powers.ravel()[index].prod(axis=1))
+        a = np.asarray(state.amplitudes, dtype=complex)[None, :]
+        return complex(self._kernel(a, aux_assignment)[0])
 
     def batch_evaluator(self):
         """Compile an auxiliary-free polynomial into a vectorized evaluator.
 
         Returns a callable mapping an (n, 2^k) complex amplitude array to an
-        n-vector of values; much faster than `evaluate` in a loop when the
-        same polynomial is evaluated on many states.
+        n-vector of values (a (2^k,) array to one value); the same kernel
+        as `evaluate`, run on all rows at once.
         """
-        coeffs, used, exps, _, _ = self._compile()
         dim = 2 ** self.k
-        if len(used) and used[-1] >= 2 * dim:
+        if self._compile()[6]:  # the auxiliary variables that occur
             raise EvaluationError(
                 "batch evaluation requires an auxiliary-free polynomial"
             )
         expected_k = self.k
-        columns = [(int(f), exps[:, j], int(exps[:, j].max()))
-                   for j, f in enumerate(used)]
 
         def run(amps: np.ndarray) -> np.ndarray:
             a = np.asarray(amps, dtype=complex)
@@ -494,15 +556,7 @@ class Polynomial:
                 raise DimensionError(
                     f"expected {dim} amplitudes (k={expected_k}), got {a.shape[1]}"
                 )
-            full = np.concatenate([a, a.conj()], axis=1)
-            acc = np.broadcast_to(coeffs, (a.shape[0], len(coeffs))).copy()
-            for f, col, top in columns:
-                powers = np.empty((a.shape[0], top + 1), dtype=complex)
-                powers[:, 0] = 1
-                powers[:, 1:] = full[:, f:f + 1]
-                np.cumprod(powers, axis=1, out=powers)
-                acc *= powers[:, col]
-            out = acc.sum(axis=1)
+            out = self._kernel(a)
             return out[0] if single else out
 
         return run

@@ -177,10 +177,12 @@ def suite_classification(k: int = 3, trials: int = 50, seed: int = 0) -> dict:
     items = []
     for label, s in reps.items():
         ok = classify3(s).label == label
+        # All of a representative's moves are drawn before any is tested,
+        # so the draws do not depend on where an earlier one failed.
+        moves = [random_tuple(3, rng) for _ in range(trials)]
         stable = all(
-            classify3(act_on_state(random_tuple(3, rng), s), tol=1e-7).label
-            == label
-            for _ in range(trials)
+            classify3(act_on_state(g, s), tol=1e-7).label == label
+            for g in moves
         )
         items.append((f"classify:{label}", ok and stable, None))
     qerr = 0.0

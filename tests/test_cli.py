@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from qinv.cli import run
@@ -83,7 +85,8 @@ def test_classify_wrong_k(capsys, tmp_path):
     State(2, (1, 0, 0, 0)).save(path)
     code, doc = _run_json(capsys, ["classify", "--state", str(path)])
     assert code == 1
-    assert "k=2" in doc["error"]
+    # The message classify3 itself raises, now checked before its import.
+    assert doc == {"error": "classification needs k=3, got k=2"}
 
 
 def test_measure_routes_agree(capsys, w_file):
@@ -183,6 +186,47 @@ def test_verify_hilbert_suite(capsys):
     assert code == 0
     assert doc["passed"]
     assert all(item["passed"] for item in doc["items"])
+
+
+def _classification_draws(monkeypatch, fail_ghz_first_trial):
+    """The suite's report and every SL(2) tuple it drew, with classify3
+    optionally made to mislabel GHZ on its first trial."""
+    from qinv import verify
+    from qinv.measures import classify3 as classify
+    from qinv.transvection import random_tuple as draw
+
+    draws = []
+    trials = []
+
+    def recording_draw(*args, **kwargs):
+        g = draw(*args, **kwargs)
+        draws.append(np.array(g))
+        return g
+
+    def flaky_classify(s, tol=1e-9):
+        result = classify(s, tol=tol)
+        if tol == 1e-7:  # the moved states; GHZ's come first
+            trials.append(s)
+            if fail_ghz_first_trial and len(trials) == 1:
+                return dataclasses.replace(result, label="W")
+        return result
+
+    monkeypatch.setattr(verify, "random_tuple", recording_draw)
+    monkeypatch.setattr(verify, "classify3", flaky_classify)
+    return verify.suite_classification(trials=5, seed=0), draws
+
+
+def test_classification_draws_do_not_depend_on_earlier_failures(
+        monkeypatch):
+    clean, clean_draws = _classification_draws(monkeypatch, False)
+    failed, failed_draws = _classification_draws(monkeypatch, True)
+    verdicts = {i["name"]: i["passed"] for i in failed["items"]}
+    assert verdicts == {i["name"]: i["passed"] for i in clean["items"]
+                        } | {"classify:GHZ": False}
+    assert len(failed_draws) == len(clean_draws) == 6 * 5
+    assert all(np.array_equal(a, b)
+               for a, b in zip(failed_draws, clean_draws))
+    assert failed["items"][-1] == clean["items"][-1]  # meyer_wallach_routes
 
 
 def test_bad_arguments_exit_code(capsys):
@@ -324,7 +368,9 @@ def test_hilbert_and_state_file_errors_do_not_import_numpy(tmp_path):
     not_json.write_text("{amplitudes: oops")
     short = tmp_path / "short.json"
     short.write_text(json.dumps({"k": 3, "amplitudes": [[1, 0]] * 7}))
-    argvs = []
+    k4 = tmp_path / "k4.json"
+    State(4, (1,) + (0,) * 15).save(k4)
+    argvs = [["classify", "--state", str(k4)]]
     for group in ("slocc", "lut", "lsut"):
         for method in ("character", "ct"):
             argvs.append(["hilbert", "--group", group, "--k", "3",

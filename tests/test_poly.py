@@ -280,3 +280,80 @@ def test_named_states():
     assert sum(abs(a) ** 2 for a in w.amplitudes) == pytest.approx(1.0)
     assert w.amplitudes[1] == pytest.approx(3 ** -0.5)
     assert basis_state(2, 3).amplitudes == (0, 0, 0, 1)
+
+
+# -- the numeric kernel ---------------------------------------------------
+
+
+def _registry_polys(k):
+    from qinv.cli import invariant_registry
+
+    for name, fn in invariant_registry(k).items():
+        owner = fn.__self__
+        yield name, getattr(owner, "poly", owner)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_registry_scalar_batch_and_exact_agree(k):
+    from qinv.invariants import evaluate_exact
+
+    gen = np.random.default_rng(k)
+    point = gen.integers(-3, 4, size=(2, 2 ** k))
+    exact_point = {i: GaussianRational(int(r), int(m))
+                   for i, (r, m) in enumerate(point.T)}
+    rows = np.array([point[0] + 1j * point[1]]
+                    + [random_state(k, gen).amplitudes for _ in range(4)])
+    for name, p in _registry_polys(k):
+        batch = p.batch_evaluator()(rows)
+        for row, want in zip(rows, batch):
+            got = p.evaluate(State(k, tuple(row)))
+            assert abs(got - want) <= 1e-12 * abs(want), name
+        exact = complex(evaluate_exact(p, exact_point))
+        assert abs(batch[0] - exact) <= 1e-12 * abs(exact), name
+
+
+@pytest.mark.parametrize("p", [Polynomial.zero(3),
+                               Polynomial.constant(3, GaussianRational(2, -1))],
+                         ids=["zero", "constant"])
+def test_zero_and_constant_evaluate_on_both_paths(p):
+    gen = np.random.default_rng(4)
+    rows = np.array([random_state(3, gen).amplitudes for _ in range(3)])
+    want = complex(p.terms.get((), 0))
+    assert p.evaluate(State(3, tuple(rows[0]))) == want
+    assert p.batch_evaluator()(rows).tolist() == [want] * 3
+    assert p.batch_evaluator()(rows[0]) == want
+
+
+def test_aux_covariant_evaluates_with_an_assignment():
+    from qinv.catalog import catalog_3
+
+    cov = catalog_3("T")
+    gen = np.random.default_rng(5)
+    s = random_state(3, gen)
+    aux_values = {(j, b): complex(*gen.normal(size=2))
+                  for j in (1, 2, 3) for b in (0, 1)}
+    want = _reference_evaluate(cov.poly, s, aux_values)
+    assert abs(cov.poly.evaluate(s, aux_values) - want) <= 1e-12 * abs(want)
+    with pytest.raises(EvaluationError):
+        cov.poly.evaluate(s, {(1, 0): 1})
+    with pytest.raises(EvaluationError):
+        cov.poly.batch_evaluator()
+
+
+def test_batch_evaluation_memory_is_bounded():
+    # f7 has 8,412 terms; evaluated on 101 rows, three full rows-by-terms
+    # temporaries would be about 13.6 MB each.
+    import tracemalloc
+
+    from qinv.invariants import lut3_generator
+
+    gen = np.random.default_rng(6)
+    rows = np.array([random_state(3, gen).amplitudes for _ in range(101)])
+    run = lut3_generator(7).poly.batch_evaluator()
+    tracemalloc.start()
+    try:
+        run(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
