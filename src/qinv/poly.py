@@ -48,6 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,6 +106,21 @@ def mono_mul(m1: tuple, m2: tuple) -> tuple:
 
 class EvaluationError(KeyError):
     """A variable could not be resolved during numeric evaluation."""
+
+
+class _Compiled(NamedTuple):
+    """The split form of a polynomial (see `Polynomial._compile`)."""
+
+    coeffs: np.ndarray    # complex coefficient per term
+    left: np.ndarray      # per term, the number of its amplitude part
+    right: np.ndarray     # per term, the number of its other part
+    index: np.ndarray     # width-by-part rows of the power table whose
+                          # product is each part's value; row 0 pads
+    sources: np.ndarray   # the amplitude of each used amplitude or
+                          # conjugate field
+    conj: int             # how many of those are amplitudes, not conjugates
+    aux_vars: tuple       # the variable of each used auxiliary field
+    top: int              # the largest exponent
 
 
 class Layout:
@@ -204,7 +220,8 @@ _SCALARS = (int, Fraction, GaussianRational)
 
 
 class Polynomial:
-    """Exact sparse polynomial in packed form; immutable."""
+    """Exact sparse polynomial in packed form; immutable (its value never
+    changes, see `_share_coefficients`)."""
 
     __slots__ = ("k", "packed", "den", "degree_bound", "_terms", "_compiled")
 
@@ -423,7 +440,25 @@ class Polynomial:
 
     # -- numeric evaluation -----------------------------------------------
 
-    def _compile(self):
+    def _share_coefficients(self):
+        """Make equal coefficients of the packed dict one tuple object.
+
+        No value changes, so `==`, `hash`, `terms` and `pretty()` do not
+        either.  A pairing's thousands of terms carry a few dozen distinct
+        coefficients (the 47 k=3 and k=4 registry invariants: 66,764 terms,
+        51 distinct), and sharing them frees about 4 MB once those are
+        compiled.  It runs when a polynomial is first evaluated, not where
+        packed dicts are built: doing it in `_set`, for every intermediate,
+        made a pass of exact checks about 45% slower.  Returns the distinct
+        coefficients.
+        """
+        packed = self.packed
+        shared: dict = {}
+        for key, c in list(packed.items()):
+            packed[key] = shared.setdefault(c, c)
+        return shared
+
+    def _compile(self) -> "_Compiled":
         """The split form shared by `evaluate` and `batch_evaluator`, built
         from the packed keys on first use.
 
@@ -431,36 +466,20 @@ class Polynomial:
         the rest (conjugate and auxiliary fields), and the distinct parts of
         both sides are numbered together, amplitude parts first.  With v
         the values of the parts the polynomial is
-        sum_t coeffs[t] * v[left[t]] * v[right[t]]:
+        sum_t coeffs[t] * v[left[t]] * v[right[t]]; the fields of
+        `_Compiled` say what each array holds.  The power table has a row
+        of ones, then row 1 + (e - 1) * fields + u holds the e-th power of
+        the u-th used field.
 
-          coeffs   complex coefficient per term
-          left     per term, the number of its amplitude part
-          right    per term, the number of its other part
-          index    width-by-part rows of the power table whose product is
-                   each part's value; row 0 pads the shorter parts
-          sources  the amplitude of each used amplitude or conjugate field
-          conj     how many of those are amplitudes, not conjugates
-          aux      the variable of each used auxiliary field
-          top      the largest exponent
-
-        The power table has a row of ones, then row 1 + (e - 1) * fields + u
-        holds the e-th power of the u-th used field.
-
-        A pairing's thousands of terms carry a few dozen distinct
-        coefficients (the 47 k=3 and k=4 registry invariants: 66,764 terms,
-        51 distinct), so equal coefficient pairs of the packed dict are
-        made one shared tuple here, which changes no value, and each is
-        converted to complex once.
+        Each distinct coefficient is converted to complex once.
         """
         if self._compiled is None:
+            distinct = self._share_coefficients()
             lay = layout(self.k)
-            packed, den = self.packed, self.den
-            shared: dict = {}
             lows: dict = {}
             highs: dict = {}
             left, right = [], []
-            for key, c in packed.items():
-                packed[key] = shared.setdefault(c, c)
+            for key in self.packed:
                 low = key & lay.amp_mask
                 left.append(lows.setdefault(low, len(lows)))
                 right.append(highs.setdefault(key - low, len(highs)))
@@ -472,21 +491,25 @@ class Polynomial:
             index = np.zeros((int(counts.max(initial=1)), len(exps)),
                              dtype=np.intp)
             # np.nonzero walks the parts in order, so a factor's rank within
-            # its part is its position minus the part's first position.
+            # its part is its position minus the part's first position.  The
+            # exponents are uint8: widen them before the row arithmetic.
             index[np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows],
-                  rows] = 1 + (exps[rows, cols] - 1) * len(used) + cols
-            as_complex = {c: complex(c[0] / den, c[1] / den) for c in shared}
+                  rows] = (1 + (exps[rows, cols].astype(np.intp) - 1)
+                           * len(used) + cols)
+            den = self.den
+            as_complex = {c: complex(c[0] / den, c[1] / den)
+                          for c in distinct}
             n = lay.n
-            self._compiled = (
-                np.array([as_complex[c] for c in packed.values()],
-                         dtype=complex),
-                np.array(left, dtype=np.intp),
-                np.array(right, dtype=np.intp) + len(lows),
-                index,
-                used[used < 2 * n] % n,
-                int(np.count_nonzero(used < n)),
-                tuple(lay.var[f] for f in used[used >= 2 * n]),
-                int(exps.max(initial=0)),
+            self._compiled = _Compiled(
+                coeffs=np.array([as_complex[c] for c in self.packed.values()],
+                                dtype=complex),
+                left=np.array(left, dtype=np.intp),
+                right=np.array(right, dtype=np.intp) + len(lows),
+                index=index,
+                sources=used[used < 2 * n] % n,
+                conj=int(np.count_nonzero(used < n)),
+                aux_vars=tuple(lay.var[f] for f in used[used >= 2 * n]),
+                top=int(exps.max(initial=0)),
             )
         return self._compiled
 
@@ -494,17 +517,17 @@ class Polynomial:
         """Values at the rows of an (n, 2^k) complex amplitude array, with
         one aux assignment for every row.  Parts and terms are walked in
         blocks of at most _BLOCK elements per temporary array."""
-        coeffs, left, right, index, sources, conj, aux_vars, top = (
-            self._compile())
+        form = self._compile()
         n = len(amplitudes)
-        amps = len(sources)
-        fields = amps + len(aux_vars)
+        amps = len(form.sources)
+        fields = amps + len(form.aux_vars)
+        top = form.top
         table = np.empty((1 + top * fields, n), dtype=complex)
         table[0] = 1
         x = table[1:1 + fields]
-        x[:amps] = amplitudes.T[sources]
-        np.conjugate(x[conj:amps], out=x[conj:amps])
-        for row, v in enumerate(aux_vars, amps):
+        x[:amps] = amplitudes.T[form.sources]
+        np.conjugate(x[form.conj:amps], out=x[form.conj:amps])
+        for row, v in enumerate(form.aux_vars, amps):
             try:
                 x[row] = aux_assignment[v[1:3]]
             except (KeyError, TypeError):
@@ -513,12 +536,13 @@ class Polynomial:
         for e in range(1, top):
             np.multiply(table[1 + (e - 1) * fields:1 + e * fields], x,
                         out=table[1 + e * fields:1 + (e + 1) * fields])
-        width, parts = index.shape
+        width, parts = form.index.shape
         values = np.empty((parts, n), dtype=complex)
         step = max(_BLOCK // (n * width), 1)
         for s in range(0, parts, step):
-            np.multiply.reduce(table[index[:, s:s + step]], axis=0,
+            np.multiply.reduce(table[form.index[:, s:s + step]], axis=0,
                                out=values[s:s + step])
+        coeffs, left, right = form.coeffs, form.left, form.right
         out = np.zeros(n, dtype=complex)
         step = max(_BLOCK // n, 1)
         for s in range(0, len(coeffs), step):
@@ -541,7 +565,7 @@ class Polynomial:
         as `evaluate`, run on all rows at once.
         """
         dim = 2 ** self.k
-        if self._compile()[6]:  # the auxiliary variables that occur
+        if self._compile().aux_vars:
             raise EvaluationError(
                 "batch evaluation requires an auxiliary-free polynomial"
             )

@@ -340,6 +340,24 @@ def test_aux_covariant_evaluates_with_an_assignment():
         cov.poly.batch_evaluator()
 
 
+@pytest.mark.parametrize("k, power", [(3, 17), (7, 1)])
+def test_power_table_rows_past_a_byte(k, power):
+    # Each used field's power e sits at table row 1 + (e - 1) * fields +
+    # field; here that passes 255 (k=3: 16 fields, a_0^18) or the field
+    # count itself is 256 (k=7).
+    fields = [Polynomial.variable(k, v)
+              for i in range(2 ** k) for v in (amp(i), amp_conj(i))]
+    p = sum(fields, Polynomial.zero(k)) * Polynomial.variable(k, amp(0)) ** power
+    gen = np.random.default_rng(7)
+    rows = np.array([random_state(k, gen).amplitudes for _ in range(2)])
+    batch = p.batch_evaluator()(rows)
+    for row, got in zip(rows, batch):
+        s = State(k, tuple(row))
+        want = _reference_evaluate(p, s, {})
+        assert abs(got - want) <= 1e-12 * abs(want)
+        assert abs(p.evaluate(s) - want) <= 1e-12 * abs(want)
+
+
 def test_batch_evaluation_memory_is_bounded():
     # f7 has 8,412 terms; evaluated on 101 rows, three full rows-by-terms
     # temporaries would be about 13.6 MB each.
