@@ -70,7 +70,9 @@ def _dstr(d: tuple) -> str:
 
 
 def _det2(rows) -> Polynomial:
-    return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    return Polynomial.sum_of_products(
+        rows[0][0].k,
+        [(1, (rows[0][0], rows[1][1])), (-1, (rows[0][1], rows[1][0]))])
 
 
 @lru_cache(maxsize=None)

@@ -190,6 +190,10 @@ def cmd_covariant(args) -> dict:
 def cmd_verify(args) -> dict:
     from .verify import SUITES
 
+    if args.k < 1:
+        raise CliError(f"--k must be at least 1, got {args.k}")
+    if args.trials < 1:
+        raise CliError(f"--trials must be at least 1, got {args.trials}")
     suite = SUITES[args.suite]
     return suite(k=args.k, trials=args.trials, seed=args.seed)
 

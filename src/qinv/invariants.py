@@ -102,6 +102,20 @@ class InvariantExpr:
             self.poly ** n, (self.bidegree[0] * n, self.bidegree[1] * n)
         )
 
+    @classmethod
+    def sum_of_products(cls, summands) -> "InvariantExpr":
+        """sum c * X_1 * ... * X_m over the (c, (X_1, ..., X_m)) summands,
+        as one `Polynomial.sum_of_products`; the bidegree is that of the
+        first summand's product."""
+        first = summands[0][1]
+        return unchecked(
+            cls,
+            Polynomial.sum_of_products(
+                first[0].k,
+                [(c, tuple(x.poly for x in xs)) for c, xs in summands]),
+            tuple(map(sum, zip(*(x.bidegree for x in first)))),
+        )
+
     def conjugate(self) -> "InvariantExpr":
         return unchecked(
             InvariantExpr,
@@ -145,12 +159,10 @@ def pairing(phi: Covariant, psi: Covariant, name: str = "") -> InvariantExpr:
         return unchecked(InvariantExpr, Polynomial.zero(phi.k), bidegree, name)
     left = aux_decompose(phi.poly)
     right = aux_decompose(psi.poly)
-    total = Polynomial.zero(phi.k)
-    for m, cpoly in left.items():
-        dpoly = right.get(m)
-        if dpoly is None:
-            continue
-        total = total + cpoly * dpoly.conjugate() * _weight(m)
+    total = Polynomial.sum_of_products(phi.k, [
+        (_weight(m), (cpoly, right[m].conjugate()))
+        for m, cpoly in left.items() if m in right
+    ])
     return unchecked(InvariantExpr, total, bidegree, name)
 
 
@@ -204,14 +216,11 @@ def f_squared_relation_check(k: int):
     """
     f = ground_form(k)
     f2 = f * f
-    lhs = pairing(f2, f2)
     a = norm_invariant(k)
-    rhs = (a * a) * (2 ** k)
-    for d in b_multidegrees(k):
-        if d == (2,) * k:
-            continue
-        rhs = rhs - b_pairing(k, d)
-    diff = lhs.poly - rhs.poly
+    diff = InvariantExpr.sum_of_products(
+        [(1, (pairing(f2, f2),)), (-(2 ** k), (a, a))]
+        + [(1, (b_pairing(k, d),)) for d in b_multidegrees(k)
+           if d != (2,) * k]).poly
     return (not diff, diff)
 
 
@@ -262,15 +271,15 @@ def lut3_generator(i: int) -> InvariantExpr:
             + Fraction(3, 2) * c111
             - Fraction(3, 2) * (a * (b200 + b020 + b002))
         )
-    # i == 7
-    d000 = lut3_pairing("D_000")
-    f222 = lut3_pairing("F_222")
-    return (
-        Fraction(1, 2) * (d000 * (Fraction(3, 2) * (b200 + b020 + b002) - a * a))
-        + 2 * (c111 * c111)
-        - 4 * (b200 * b020 * b002)
-        + Fraction(1, 8) * f222
-    )
+    # i == 7.  The inner sum stays one factor: spread over its four
+    # products, d000 would be multiplied four times.
+    inner = Fraction(3, 2) * (b200 + b020 + b002) - a * a
+    return InvariantExpr.sum_of_products([
+        (Fraction(1, 2), (lut3_pairing("D_000"), inner)),
+        (2, (c111, c111)),
+        (-4, (b200, b020, b002)),
+        (Fraction(1, 8), (lut3_pairing("F_222"),)),
+    ])
 
 
 def lut3_generator_sum(sigma: tuple, tau: tuple, rho: tuple) -> InvariantExpr:
@@ -392,18 +401,21 @@ def f7_check() -> dict:
     b200, b020, b002, c111, d000, f222 = (
         lut3_pairing(n)
         for n in ("B_200", "B_020", "B_002", "C_111", "D_000", "F_222"))
-    bsum = b200 + b020 + b002
-    decomposition = (
-        lhs.poly
-        + (Fraction(1, 2) * (d000 * (Fraction(3, 2) * bsum - a * a))).poly
-        - 2 * (c111 * c111).poly
-        + 4 * (b200 * b020 * b002).poly
-        + Fraction(1, 8) * f222.poly
-    )
-    printed_gap = lut3_generator(7).poly - (
-        (-1) * lhs.poly + 4 * (c111 * c111).poly - 8 * (b200 * b020 * b002).poly
-    )
-    literal_residual = f7_bracket_form(corrected=False).poly - lut3_generator(7).poly
+    f7 = lut3_generator(7)
+    inner = Fraction(3, 2) * (b200 + b020 + b002) - a * a
+    decomposition = InvariantExpr.sum_of_products([
+        (1, (lhs,)),
+        (Fraction(1, 2), (d000, inner)),
+        (-2, (c111, c111)),
+        (4, (b200, b020, b002)),
+        (Fraction(1, 8), (f222,)),
+    ]).poly
+    printed_gap = InvariantExpr.sum_of_products([
+        (1, (f7,)), (1, (lhs,)), (-4, (c111, c111)), (8, (b200, b020, b002)),
+    ]).poly
+    literal_residual = Polynomial.sum_of_products(3, [
+        (1, (s_literal, s_literal, delta.conjugate().poly)), (-1, (f7.poly,)),
+    ])
     return {
         "literal_equal": not literal_residual,
         "literal_sum_is_s2": literal_sum_is_s2,
@@ -466,42 +478,22 @@ def syzygy_residuals():
     s2bar = s2.conjugate()
     mod_s2 = s2 * s2bar               # |s2|^2
 
-    r1 = (
-        8 * (f1 * f5)
-        - 6 * (f4 * f2)
-        + 3 * (f4 * f4)
-        - 3 * mod_delta
-        + 3 * (f2 * f2)
-        - 6 * (f4 * f3)
-        + f1 ** 4
-        + 3 * (f3 * f3)
-        - 6 * (f3 * f2)
-        - 12 * mod_s2
-    )
-
     f1sq = f1 * f1
     f1q = f1sq * f1sq
-    r2 = (
-        -18 * (f4 * f1q)
-        - 18 * (f3 * f1q)
-        - 18 * (f2 * f1q)
-        + 11 * (f1q * f1sq)
-        - 18 * (dbar * (s2 * s2))
-        - 36 * (mod_s2 * f3)
-        - 18 * (delta * (s2bar * s2bar))
-        - 72 * (f4 * f3 * f2)
-        + 30 * (f4 * f2 * f1sq)
-        + 30 * (f4 * f3 * f1sq)
-        - 36 * (mod_s2 * f2)
-        + 60 * (mod_s2 * f1sq)
-        + 3 * (f4 * f4 * f1sq)
-        + 3 * (f3 * f3 * f1sq)
-        + 30 * (f3 * f2 * f1sq)
-        - 36 * (mod_s2 * f4)
-        + 3 * (f2 * f2 * f1sq)
-        - 3 * (mod_delta * f1sq)
-        + 16 * (f5 * f5)
-    )
+    r1 = InvariantExpr.sum_of_products([
+        (8, (f1, f5)), (-6, (f4, f2)), (3, (f4, f4)), (-3, (mod_delta,)),
+        (3, (f2, f2)), (-6, (f4, f3)), (1, (f1q,)), (3, (f3, f3)),
+        (-6, (f3, f2)), (-12, (mod_s2,)),
+    ])
+    r2 = InvariantExpr.sum_of_products([
+        (-18, (f4, f1q)), (-18, (f3, f1q)), (-18, (f2, f1q)),
+        (11, (f1q, f1sq)), (-18, (s2, s2, dbar)), (-36, (mod_s2, f3)),
+        (-18, (s2bar, s2bar, delta)), (-72, (f4, f3, f2)),
+        (30, (f4, f2, f1sq)), (30, (f4, f3, f1sq)), (-36, (mod_s2, f2)),
+        (60, (mod_s2, f1sq)), (3, (f4, f4, f1sq)), (3, (f3, f3, f1sq)),
+        (30, (f3, f2, f1sq)), (-36, (mod_s2, f4)), (3, (f2, f2, f1sq)),
+        (-3, (mod_delta, f1sq)), (16, (f5, f5)),
+    ])
     return r1.poly, r2.poly
 
 
@@ -571,8 +563,17 @@ def _gauss_pow(z: tuple, e: int) -> tuple:
     return r, i
 
 
-def _primary_invariant_polys():
-    return [
+_JACOBIAN_VARIABLES = tuple([amp(i) for i in range(8)]
+                            + [amp_conj(i) for i in range(8)])
+
+
+@lru_cache(maxsize=None)
+def jacobian_matrix() -> tuple:
+    """Exact 7x16 Jacobian of (A, f2, f3, Delta, conj Delta, s2, conj s2)
+    in the variables (a_000..a_111, conj a_000..conj a_111) at the reference
+    point, as a tuple of row tuples; built once and shared by the rank and
+    both determinants."""
+    funcs = [
         norm_invariant(3).poly,
         lut3_generator(2).poly,
         lut3_generator(3).poly,
@@ -581,23 +582,11 @@ def _primary_invariant_polys():
         s2_invariant().poly,
         s2_invariant().conjugate().poly,
     ]
-
-
-def _jacobian_at_point(funcs):
-    """Exact partial derivatives of each function in the variables
-    (a_000..a_111, conj a_000..conj a_111) at JACOBIAN_POINT."""
-    variables = [amp(i) for i in range(8)] + [amp_conj(i) for i in range(8)]
-    return [
-        [evaluate_exact(fn.partial(v), JACOBIAN_POINT) for v in variables]
+    return tuple(
+        tuple(evaluate_exact(fn.partial(v), JACOBIAN_POINT)
+              for v in _JACOBIAN_VARIABLES)
         for fn in funcs
-    ]
-
-
-def jacobian_matrix():
-    """Exact 7x16 Jacobian of (A, f2, f3, Delta, conj Delta, s2, conj s2)
-    in the variables (a_000..a_111, conj a_000..conj a_111) at the reference
-    point."""
-    return _jacobian_at_point(_primary_invariant_polys())
+    )
 
 
 def jacobian_rank() -> int:
@@ -624,14 +613,14 @@ def jacobian_determinant(literal: bool = False) -> GaussianRational:
     mixing holomorphic and antiholomorphic columns and is nonzero, which is
     what the algebraic-independence argument needs.
     """
-    funcs = _primary_invariant_polys()
     if literal:
         coord = [amp(i) for i in range(8)] + [amp_conj(0)]
     else:
         coord = [amp(i) for i in range(1, 8)] + [amp_conj(0), amp_conj(7)]
-    for v in coord:
-        funcs.append(Polynomial.variable(3, v))
-    return det(_jacobian_at_point(funcs))
+    # The gradient of a coordinate function is a unit row.
+    return det(list(jacobian_matrix()) + [
+        [GaussianRational(int(u == v)) for u in _JACOBIAN_VARIABLES]
+        for v in coord])
 
 
 # -- 4-qubit degree-6 LUT invariants --------------------------------------

@@ -8,7 +8,8 @@ total order for free: amplitude < conjugate amplitude < auxiliary):
   ('ac', idx)           conjugate amplitude
   ('x', slot, comp, copy)  auxiliary variable x^{(slot)}_comp; slot in 1..k,
                         comp in {0,1}, copy 0 = plain, 1 = primed,
-                        2 = double-primed (transvection intermediates only)
+                        2 = double-primed (the library builds only plain
+                        ones; `conjugate` rejects the others)
 
 Representation.  Each monomial is packed into one Python int with an 8-bit
 exponent field per variable, so multiplying two monomials is integer
@@ -21,6 +22,14 @@ amplitudes, then three blocks of 2k auxiliary fields for copies 0, 1 and 2
 integer denominator; every result is reduced so that the numerators and the
 denominator have gcd 1.  Equal polynomials therefore have equal dicts and
 denominators, and == and hash are plain dict and int comparisons.
+
+All exact arithmetic runs through one multiply-accumulate,
+`Polynomial.sum_of_products`: sum c * P_1 * ... * P_m over a list of
+summands.  Each summand's last product is accumulated, term pair by term
+pair, into one real and one imaginary dict over the common denominator of
+all summands, and the result is reduced once.  `+`, `-`, `*` by a scalar
+and `*` are its one- and two-summand cases; transvection, the pairing and
+the identity residuals pass it their whole sum at once.
 
 Each polynomial carries a bound on its total degree.  A monomial's total
 degree bounds every exponent in it, so a product whose bound would exceed
@@ -45,9 +54,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -283,86 +293,39 @@ class Polynomial:
 
     # -- ring operations --------------------------------------------------
 
-    def _check(self, other: "Polynomial"):
-        if self.k != other.k:
-            raise DimensionError(f"ambient k mismatch: {self.k} vs {other.k}")
-
     def _operand(self, other):
         if isinstance(other, _SCALARS):
             return Polynomial.constant(self.k, other)
-        if isinstance(other, Polynomial):
-            self._check(other)
-            return other
-        return None
-
-    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
-        """self + sign * other."""
-        den = lcm(self.den, other.den)
-        p, s = self, den // self.den
-        q, t = other, sign * (den // other.den)
-        if len(p.packed) < len(q.packed):
-            p, s, q, t = q, t, p, s
-        out = dict(p.packed) if s == 1 else {
-            m: (r * s, i * s) for m, (r, i) in p.packed.items()}
-        for m, (r, i) in q.packed.items():
-            old = out.get(m)
-            if old is None:
-                out[m] = (r * t, i * t)
-            else:
-                r, i = old[0] + r * t, old[1] + i * t
-                if r or i:
-                    out[m] = (r, i)
-                else:
-                    del out[m]
-        return Polynomial.from_packed(
-            self.k, out, den, max(self.degree_bound, other.degree_bound))
+        return other if isinstance(other, Polynomial) else None
 
     def __add__(self, other):
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        return self._combine(other, 1)
+        return Polynomial.sum_of_products(self.k,
+                                          [(1, (self,)), (1, (other,))])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._scale(-1)
+        return self * -1
 
     def __sub__(self, other):
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        return self._combine(other, -1)
+        return Polynomial.sum_of_products(self.k,
+                                          [(1, (self,)), (-1, (other,))])
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def _scale(self, c) -> "Polynomial":
-        cr, ci, d = _scalar(c)
-        if not (cr or ci):
-            return Polynomial.zero(self.k)
-        if ci == 0:
-            out = {m: (r * cr, i * cr) for m, (r, i) in self.packed.items()}
-        else:
-            out = {m: (r * cr - i * ci, r * ci + i * cr)
-                   for m, (r, i) in self.packed.items()}
-        return Polynomial.from_packed(self.k, out, self.den * d,
-                                      self.degree_bound)
-
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            return self._scale(other)
+            return Polynomial.sum_of_products(self.k, [(other, (self,))])
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check(other)
-        deg = self.degree_bound + other.degree_bound
-        if deg > FIELD_MAX:
-            raise OverflowError(
-                f"product degree {deg} exceeds the exponent field "
-                f"({FIELD_MAX})")
-        return Polynomial.from_packed(
-            self.k, _product(self.packed, other.packed),
-            self.den * other.den, deg)
+        return Polynomial.sum_of_products(self.k, [(1, (self, other))])
 
     __rmul__ = __mul__
 
@@ -393,6 +356,58 @@ class Polynomial:
 
     def __bool__(self):
         return bool(self.packed)
+
+    @classmethod
+    def sum_of_products(cls, k: int, summands) -> "Polynomial":
+        """sum c * P_1 * ... * P_m over the (c, (P_1, ..., P_m)) summands,
+        with c an exact scalar and m >= 0 (no factors: the constant c).
+
+        The leading factors of each summand are multiplied by `*`.  The last
+        product of every summand then runs through `_accumulate` into one
+        real and one imaginary dict over the common denominator D of all
+        summands, with c * D / (the summand's denominator) folded into the
+        smaller operand's coefficients.  The result is zero-filtered and
+        reduced once, so an identity residual of many products costs one
+        dict build, not one per `+`.
+        """
+        one = cls.constant(k, 1)
+        products, den, bound = [], 1, 0
+        for c, factors in summands:
+            for f in factors:
+                if f.k != k:
+                    raise DimensionError(f"ambient k mismatch: {k} vs {f.k}")
+            deg = sum(f.degree_bound for f in factors)
+            if deg > FIELD_MAX:
+                raise OverflowError(
+                    f"product degree {deg} exceeds the exponent field "
+                    f"({FIELD_MAX})")
+            cr, ci, d = _scalar(c)
+            if (cr or ci) and all(factors):
+                left = reduce(mul, factors[:-1]) if len(factors) > 1 else one
+                last = factors[-1] if factors else one
+                d *= left.den * last.den
+                products.append((cr, ci, d, left.packed, last.packed))
+                den, bound = lcm(den, d), max(bound, deg)
+        re: dict = {}
+        im: dict = {}
+        for cr, ci, d, a, b in products:
+            if len(a) > len(b):
+                a, b = b, a
+            cr, ci = cr * den // d, ci * den // d
+            if (cr, ci) != (1, 0):
+                a = {m: (r * cr - i * ci, r * ci + i * cr)
+                     for m, (r, i) in a.items()}
+            a_re, a_im = _parts(a)
+            b_re, b_im = _parts(b)
+            _accumulate(re, a_re, b_re, 1)
+            _accumulate(re, a_im, b_im, -1)
+            _accumulate(im, a_re, b_im, 1)
+            _accumulate(im, a_im, b_re, 1)
+        out = {m: (r, 0) for m, r in re.items() if r}
+        for m, i in im.items():
+            if i:
+                out[m] = (out.get(m, (0, 0))[0], i)
+        return cls.from_packed(k, out, den, bound)
 
     # -- calculus / conjugation -------------------------------------------
 
@@ -622,25 +637,6 @@ class Polynomial:
             parts.append(f"({shown[c]})*{'*'.join(factors[start:end]) or '1'}")
             start = end
         return " + ".join(parts)
-
-
-def _product(a: dict, b: dict) -> dict:
-    """Packed product of two packed dicts, without zero entries: the real
-    kernel `_accumulate` run on each pair of real and imaginary parts, so
-    a product of real polynomials is a single run."""
-    a_re, a_im = _parts(a)
-    b_re, b_im = _parts(b)
-    re: dict = {}
-    im: dict = {}
-    _accumulate(re, a_re, b_re, 1)
-    _accumulate(re, a_im, b_im, -1)
-    _accumulate(im, a_re, b_im, 1)
-    _accumulate(im, a_im, b_re, 1)
-    out = {m: (r, 0) for m, r in re.items() if r}
-    for m, i in im.items():
-        if i:
-            out[m] = (out.get(m, (0, 0))[0], i)
-    return out
 
 
 def _parts(packed: dict) -> tuple:

@@ -6,21 +6,30 @@ degree alpha_j in each auxiliary slot.  Transvection
 
     (phi, psi)^(e1...ek)
 
-copies phi onto primed and psi onto double-primed auxiliary variables,
 applies the determinant operator
 
     Omega_j = d/dx'_{j,0} d/dx''_{j,1} - d/dx'_{j,1} d/dx''_{j,0}
 
-e_j times per slot, then identifies primed and double-primed variables with
-the plain ones.  No normalization factor is applied beyond the literal
-operator, so catalog identities against the literature hold up to a single
-rational scalar.
+e_j times per slot to phi(x') psi(x'') and then sets x' = x'' = x.  By the
+Leibniz rule (Olver, Classical Invariant Theory, 1999, sec. 5) that is
+
+    sum over i in prod_j [0..e_j] of
+        prod_j (-1)^(i_j) C(e_j, i_j)
+        * (prod_j d^(e_j - i_j)/dx_{j,0} d^(i_j)/dx_{j,1} phi)
+        * (prod_j d^(i_j)/dx_{j,0} d^(e_j - i_j)/dx_{j,1} psi),
+
+all in the plain variables, so `transvect` differentiates each operand
+and passes the products to one `Polynomial.sum_of_products`; the full
+product phi * psi is never formed.  No normalization factor is applied
+beyond the literal operator, so catalog identities against the literature
+hold up to a single rational scalar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from math import comb, prod
 
 import numpy as np
 
@@ -112,38 +121,6 @@ def _check_homogeneous(poly: Polynomial, d: int, alpha: tuple):
             )
 
 
-def _recopy(poly: Polynomial, copy: int) -> Polynomial:
-    """Move every plain auxiliary variable to the given copy index."""
-    lay = layout(poly.k)
-    plain, shift = lay.plain_mask, copy * lay.copy_shift
-    out = {(m & ~plain) | ((m & plain) << shift): c
-           for m, c in poly.packed.items()}
-    return Polynomial.from_packed(poly.k, out, poly.den, poly.degree_bound)
-
-
-def _identify_copies(poly: Polynomial) -> Polynomial:
-    """Rename primed and double-primed variables back to plain ones."""
-    lay = layout(poly.k)
-    shift, width = lay.aux_shift, lay.copy_shift
-    low = (1 << width) - 1
-    amps = (1 << shift) - 1
-    out: dict = {}
-    for m, (r, i) in poly.packed.items():
-        x = m >> shift
-        key = (m & amps) | (
-            ((x & low) + ((x >> width) & low) + (x >> 2 * width)) << shift)
-        old = out.get(key)
-        if old is None:
-            out[key] = (r, i)
-        else:
-            r, i = old[0] + r, old[1] + i
-            if r or i:
-                out[key] = (r, i)
-            else:
-                del out[key]
-    return Polynomial.from_packed(poly.k, out, poly.den, poly.degree_bound)
-
-
 def transvect(phi: Covariant, psi: Covariant, eps: tuple) -> Covariant:
     """Multi-slot transvection (phi, psi)^eps; literal operator, no rescaling."""
     if phi.k != psi.k:
@@ -157,19 +134,39 @@ def transvect(phi: Covariant, psi: Covariant, eps: tuple) -> Covariant:
                 f"inadmissible epsilon: slot {j + 1} order {e} exceeds "
                 f"min({phi.multidegree[j]}, {psi.multidegree[j]})"
             )
-    work = _recopy(phi.poly, 1) * _recopy(psi.poly, 2)
-    for j in range(k):
-        for _ in range(eps[j]):
-            work = (
-                work.partial(aux(j + 1, 0, 1)).partial(aux(j + 1, 1, 2))
-                - work.partial(aux(j + 1, 1, 1)).partial(aux(j + 1, 0, 2))
-            )
-    result = _identify_copies(work)
+    left = _derivatives(phi.poly, eps, 0)
+    right = _derivatives(psi.poly, eps, 1)
+    result = Polynomial.sum_of_products(k, [
+        (prod((-1) ** ij * comb(e, ij) for e, ij in zip(eps, i)),
+         (p, right[i]))
+        for i, p in left.items() if i in right
+    ])
     d = phi.amp_degree + psi.amp_degree
     alpha = tuple(
         phi.multidegree[j] + psi.multidegree[j] - 2 * eps[j] for j in range(k)
     )
     return unchecked(Covariant, result, d, alpha)
+
+
+def _derivatives(poly: Polynomial, eps: tuple, side: int) -> dict:
+    """{i: the nonzero derivative prod_j d^(e_j - i_j)/dx_{j,side}
+    d^(i_j)/dx_{j,1-side} of poly} over i in prod_j [0..e_j].  The
+    derivatives are taken slot by slot, so each prefix i_1..i_j is built
+    once and shared by every i that extends it."""
+    out = {(): poly}
+    for j, e in enumerate(eps, start=1):
+        step = {}
+        for prefix, p in out.items():
+            for i in range(e + 1):
+                q = p
+                for _ in range(e - i):
+                    q = q.partial(aux(j, side))
+                if q:
+                    step[prefix + (i,)] = q
+                if i < e:
+                    p = p.partial(aux(j, 1 - side))
+        out = step
+    return out
 
 
 # -- numeric group actions ------------------------------------------------

@@ -255,6 +255,19 @@ def test_bad_sizes_and_names_give_json_error(capsys, argv):
     assert list(doc) == ["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "invariance", "--k", "0"],
+    ["verify", "--suite", "invariance", "--k", "-2"],
+    ["verify", "--suite", "invariance", "--trials", "0"],
+    ["verify", "--suite", "invariance", "--trials", "-1"],
+    ["verify", "--suite", "classification", "--trials", "0"],
+])
+def test_verify_rejects_sizes_below_one(capsys, argv):
+    code, doc = _run_json(capsys, argv)
+    assert code == 1
+    assert list(doc) == ["error"]
+
+
 def test_non_finite_state_is_rejected(capsys, tmp_path):
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(

@@ -188,6 +188,82 @@ def test_product_past_field_width_raises():
         Polynomial(K, {((amp(0), 200), (amp(1), 100)): GaussianRational(1)})
 
 
+def _reference_sum_of_products(summands):
+    """sum c * P_1 * ... * P_m spelled out over the decoded terms."""
+    total = {}
+    for c, factors in summands:
+        prod = {(): GaussianRational(1)}
+        for f in factors:
+            step = {}
+            for m1, c1 in prod.items():
+                for m2, c2 in f.terms.items():
+                    m = mono_mul(m1, m2)
+                    step[m] = step.get(m, GaussianRational(0)) + c1 * c2
+            prod = step
+        for m, v in prod.items():
+            total[m] = total.get(m, GaussianRational(0)) + v * c
+    return Polynomial(K, total)
+
+
+scalars = st.one_of(
+    coeffs,
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    st.integers(-3, 3),
+    st.just(0),
+)
+summand_lists = st.lists(
+    st.tuples(scalars, st.lists(polys, max_size=3).map(tuple)), max_size=4)
+
+
+@given(summand_lists)
+@settings(max_examples=30, deadline=None)
+def test_sum_of_products_matches_term_loop(summands):
+    got = Polynomial.sum_of_products(K, summands)
+    want = _reference_sum_of_products(summands)
+    assert got == want
+    assert got.den == want.den
+    assert hash(got) == hash(want)
+    by_mul = Polynomial.zero(K)
+    for c, factors in summands:
+        prod = Polynomial.constant(K, 1)
+        for f in factors:
+            prod = prod * f
+        by_mul = by_mul + prod * c
+    assert got == by_mul
+
+
+@given(polys, polys, polys, coeffs)
+@settings(max_examples=30, deadline=None)
+def test_sum_of_products_cancels_to_zero(p, q, r, c):
+    z = Polynomial.sum_of_products(K, [
+        (c, (p, q, r)), (Fraction(1, 3), (r, p)), (-c, (r, q, p)),
+        (Fraction(-1, 3), (p, r))])
+    assert z == Polynomial.zero(K)
+    assert z.den == 1 and not z.packed
+
+
+def test_sum_of_products_edge_cases():
+    x = Polynomial.variable(K, amp(0), Fraction(1, 2))
+    y = Polynomial.variable(K, amp_conj(1), GaussianRational(0, Fraction(1, 3)))
+    zero = Polynomial.zero(K)
+    # Unequal denominators meet over their lcm.
+    s = Polynomial.sum_of_products(K, [(1, (x,)), (1, (y,))])
+    assert s == x + y and s.den == 6
+    # A zero scalar or a zero factor drops the summand; no factors is c.
+    assert Polynomial.sum_of_products(K, [(0, (x, y)), (2, (y, zero))]) == zero
+    assert Polynomial.sum_of_products(K, [(Fraction(5, 4), ())]) == Fraction(5, 4)
+    assert Polynomial.sum_of_products(K, []) == zero
+    assert Polynomial.sum_of_products(K, [(3, (x, y, x))]) == 3 * (x * y * x)
+
+
+def test_sum_of_products_checks_degree_and_dimension():
+    x = Polynomial.variable(K, amp(0))
+    with pytest.raises(OverflowError):
+        Polynomial.sum_of_products(K, [(1, (x,)), (1, (x ** 100, x ** 100, x ** 56))])
+    with pytest.raises(DimensionError):
+        Polynomial.sum_of_products(K, [(1, (x, Polynomial.variable(3, amp(0))))])
+
+
 def test_constructor_validates_monomials():
     with pytest.raises(ValueError):
         Polynomial(K, {((amp(4), 1),): 1})  # no amplitude 4 at k=2

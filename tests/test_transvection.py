@@ -117,6 +117,21 @@ def test_oracle_second_order():
     assert got.poly == oracle_transvect(f, b, (1, 1))
 
 
+@pytest.mark.parametrize("eps", [(2, 1), (2, 2)])
+def test_oracle_order_two_k2(eps):
+    # Order 2 in a slot exercises the signs and binomials of Omega^2.
+    b = b_family(2, (2, 2))
+    got = transvect(b, b, eps)
+    assert got.poly == oracle_transvect(b, b, eps)
+
+
+def test_oracle_order_two_k3():
+    b = b_family(3, (2, 0, 0))
+    got = transvect(b, b, (2, 0, 0))
+    assert got.poly
+    assert got.poly == oracle_transvect(b, b, (2, 0, 0))
+
+
 def test_sign_symmetry():
     f = ground_form(3)
     cases = [
