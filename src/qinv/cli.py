@@ -2,17 +2,24 @@
 
 Subcommands: eval, classify, measure, hilbert, covariant, verify.  All
 output is a single JSON document on stdout.  Exit codes: 0 success, 1 bad
-input, 2 verification-suite failure.
+input, 2 verification-suite failure.  Bad input, including bad arguments, a
+state whose squared norm overflows and a result that is not finite, prints
+{"error": message}.
+
+The commands that build covariants for a given k accept k up to `MAX_K`:
+7 for `eval`, 6 for `measure --route covariant` and 8 for `covariant`.
 
 Each subcommand imports the layers it runs inside its handler, after its
-state file (if any) has loaded, so a `hilbert` command or a rejected state
-file never imports numpy or builds an invariant.
+state file (if any) has loaded, so `hilbert`, `measure --route direct`,
+`verify --suite hilbert` and a rejected state file never import numpy or
+build an invariant.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Mapping
 from functools import partial
@@ -24,8 +31,31 @@ from .state import DimensionError, State
 SUITE_NAMES = ("classification", "hilbert", "identities", "invariance")
 
 
+# The largest k for which each command builds covariants, so that no
+# command runs for minutes or exhausts memory.  Cold CPU time of the costliest
+# case on a 2-vCPU host: `measure --route covariant` took 0.85 s at k=6 and
+# 6.0 s (480 MB) at k=7; `eval --invariant B_2...2` took 0.82 s at k=7 and
+# 5.3 s (440 MB) at k=8; `covariant --name B_2...2 --print` took 1.7 s at
+# k=8 and 12 s (2.8 GB) at k=9.
+MAX_K = {"eval": 7, "measure --route covariant": 6, "covariant": 8}
+
+
 class CliError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a CliError, which ends in the JSON error
+    document like every other bad input."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
+def _check_k(command: str, k: int):
+    if k > MAX_K[command]:
+        raise CliError(
+            f"{command} supports k <= {MAX_K[command]}, got k={k}")
 
 
 def _load_state(path: str) -> State:
@@ -33,7 +63,8 @@ def _load_state(path: str) -> State:
         return State.load(path)
     except FileNotFoundError:
         raise CliError(f"state file not found: {path}")
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, ValueError, TypeError,
+            OverflowError) as exc:
         raise CliError(f"malformed state file {path}: {exc}")
 
 
@@ -99,6 +130,7 @@ def invariant_registry(k: int) -> Mapping:
 
 def cmd_eval(args) -> dict:
     s = _load_state(args.state)
+    _check_k("eval", s.k)
     reg = invariant_registry(s.k)
     if args.invariant not in reg:
         raise CliError(
@@ -110,13 +142,18 @@ def cmd_eval(args) -> dict:
 
 
 def cmd_classify(args) -> dict:
+    if not 0 < args.tol < math.inf:
+        raise CliError(f"--tol must be positive and finite, got {args.tol}")
     s = _load_state(args.state)
     # Checked before the import, so a rejected k costs no numpy import.
     if s.k != 3:
         raise DimensionError(f"classification needs k=3, got k={s.k}")
     from .measures import classify3
 
-    result = classify3(s, tol=args.tol)
+    try:
+        result = classify3(s, tol=args.tol)
+    except ValueError as exc:  # a state of norm at most tol
+        raise CliError(str(exc))
     return {
         "label": result.label,
         "flags": list(result.flags),
@@ -126,6 +163,8 @@ def cmd_classify(args) -> dict:
 
 def cmd_measure(args) -> dict:
     s = _load_state(args.state)
+    if args.route == "covariant":
+        _check_k("measure --route covariant", s.k)
     from .measures import meyer_wallach
 
     report = meyer_wallach(s, route=args.route)
@@ -169,6 +208,7 @@ def cmd_hilbert(args) -> dict:
 
 
 def cmd_covariant(args) -> dict:
+    _check_k("covariant", args.k)
     from .catalog import covariant_by_name
 
     try:
@@ -199,7 +239,7 @@ def cmd_verify(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="qinv",
         description="Local unitary / SLOCC invariants of pure qubit states",
     )
@@ -247,20 +287,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         result = args.fn(args)
-    except CliError as exc:
+        try:
+            text = json.dumps(result, indent=2, allow_nan=False)
+        except ValueError:
+            raise CliError(f"{args.command}: the result is not finite")
+    except SystemExit as exc:  # --help
+        return 1 if exc.code not in (0, None) else 0
+    except (CliError, DimensionError) as exc:
         print(json.dumps({"error": str(exc)}))
         return 1
-    except DimensionError as exc:
-        print(json.dumps({"error": str(exc)}))
-        return 1
-    print(json.dumps(result, indent=2))
+    print(text)
     if args.command == "verify" and not result.get("passed", False):
         return 2
     return 0

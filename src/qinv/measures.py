@@ -4,21 +4,25 @@ The Meyer-Wallach measure is computed two ways: directly from its
 determinant definition and through the degree-2 covariant pairings B_d;
 their agreement is the identity expressing each single-qubit linear entropy
 in covariant terms.
+
+The direct route runs on the amplitude tuple in plain Python.  numpy and
+the exact layers are imported inside the covariant route, the classifier
+and `hyperdet3`, so `qinv measure --route direct` loads neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter, mul
 
-import numpy as np
-
-from .catalog import b_multidegrees, catalog_3, cayley_hyperdet
-from .invariants import b_pairing
-from .poly import DimensionError, State
+from .state import DimensionError, State
 
 
 def hyperdet3(s: State) -> complex:
     """The 2x2x2 Cayley hyperdeterminant of the amplitude tensor."""
+    from .catalog import cayley_hyperdet
+
     if s.k != 3:
         raise DimensionError(f"hyperdet3 needs a 3-qubit state, got k={s.k}")
     return cayley_hyperdet().evaluate(s)
@@ -38,14 +42,41 @@ def d1(i: int, s: State) -> float:
     form 2(1 - tr rho^2) on normalized states (Brennen, QIC 3, 619 (2003)).
     It reads the amplitudes alone, independently of the covariant route.
     """
-    k = s.k
-    # Checked here because np.moveaxis would take i=0 as the last axis.
-    if not 1 <= i <= k:
-        raise IndexError(f"qubit index {i} out of range 1..{k}")
-    amps = np.asarray(s.amplitudes, dtype=complex).reshape((2,) * k)
-    m = np.moveaxis(amps, i - 1, 0).reshape(2, -1)
-    rho = m @ m.conj().T
-    return 4.0 * float((rho[0, 0] * rho[1, 1]).real - abs(rho[0, 1]) ** 2)
+    if not 1 <= i <= s.k:
+        raise IndexError(f"qubit index {i} out of range 1..{s.k}")
+    return _linear_entropies(s, (i,))[0]
+
+
+def _linear_entropies(s: State, qubits) -> tuple:
+    """D_1^(i) for each qubit i of `qubits`: 4 (r00 r11 - |r01|^2) from the
+    entries r_bc = sum_e a_{b,e} conj(a_{c,e}) of rho at qubit i, summed in
+    plain Python over the two halves of the amplitude tuple."""
+    amps = s.amplitudes
+    conj = tuple(map(complex.conjugate, amps))
+    squares = [a.real * a.real + a.imag * a.imag for a in amps]
+    out = []
+    for i in qubits:
+        zeros, ones = _halves(s.k, i)
+        r00 = sum(zeros(squares))
+        r11 = sum(ones(squares))
+        r01 = sum(map(mul, zeros(amps), ones(conj)))
+        # Products, not ** or abs: on huge amplitudes they give inf, not
+        # OverflowError.
+        out.append(4.0 * (r00 * r11 - (r01.real * r01.real
+                                       + r01.imag * r01.imag)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _halves(k: int, i: int) -> tuple:
+    """Getters of the entries whose qubit-i bit is 0, and of their partners
+    with that bit 1, both in context order."""
+    bit = 1 << (k - i)
+    zeros = [j for j in range(2 ** k) if not j & bit]
+    if k == 1:
+        # itemgetter of one index returns the entry itself, not a 1-tuple.
+        return itemgetter(slice(0, 1)), itemgetter(slice(1, 2))
+    return itemgetter(*zeros), itemgetter(*[j | bit for j in zeros])
 
 
 @dataclass(frozen=True)
@@ -68,10 +99,13 @@ def meyer_wallach(s: State, route: str = "direct") -> MeasureReport:
     """
     k = s.k
     if route == "direct":
-        values = tuple(d1(i, s) for i in range(1, k + 1))
+        values = _linear_entropies(s, range(1, k + 1))
         return MeasureReport(sum(values) / k, values)
     if route != "covariant":
         raise ValueError(f"unknown route {route!r}")
+    from .catalog import b_multidegrees
+    from .invariants import b_pairing
+
     bvals = {}
     for d in b_multidegrees(k):
         bvals[d] = b_pairing(k, d).evaluate(s).real
@@ -125,20 +159,49 @@ def onion_leq(a: str, b: str) -> bool:
 
 def classify3(s: State, tol: float = 1e-9) -> OrbitLabel:
     """Table lookup on the vanishing pattern of the four invariants,
-    evaluated on the unit-normalized state."""
+    evaluated on the unit-normalized state: the one-row case of
+    `classify3_batch`."""
     if s.k != 3:
         raise DimensionError(f"classification needs k=3, got k={s.k}")
-    if s.norm() <= tol:
+    return classify3_batch([s.amplitudes], tol)[0]
+
+
+def classify3_batch(amplitudes, tol: float = 1e-9) -> list:
+    """The `OrbitLabel` of each row of an (n, 8) amplitude array.  Each row
+    is scaled to unit norm, and B_200, B_020, B_002 and |Delta|^2 are taken
+    on all rows at once by their batch evaluators."""
+    import numpy as np
+
+    a = np.asarray(amplitudes, dtype=complex)
+    if a.ndim != 2 or a.shape[1] != 8:
+        raise DimensionError(
+            f"classification needs rows of 8 amplitudes, got shape {a.shape}")
+    norms = np.linalg.norm(a, axis=1)
+    if not np.all(norms > tol):
         raise ValueError("cannot classify the zero state")
-    normalized = s.normalized()
-    values = {
-        "B_200": b_pairing(3, (2, 0, 0)).evaluate(normalized).real,
-        "B_020": b_pairing(3, (0, 2, 0)).evaluate(normalized).real,
-        "B_002": b_pairing(3, (0, 0, 2)).evaluate(normalized).real,
-        "D_000": abs(
-            catalog_3("Delta").evaluate(normalized, {})
-        ) ** 2,
-    }
-    flags = tuple(abs(v) > tol for v in values.values())
-    label = _ORBIT_TABLE.get(flags, "UNCLASSIFIED")
-    return OrbitLabel(label, flags, values)
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("cannot classify a state whose norm overflows")
+    a = a / norms[:, None]
+    b200, b020, b002, delta = _classifier_evaluators()
+    columns = (b200(a).real, b020(a).real, b002(a).real,
+               np.abs(delta(a)) ** 2)
+    out = []
+    for values in zip(*(c.tolist() for c in columns)):
+        flags = tuple(abs(v) > tol for v in values)
+        out.append(OrbitLabel(_ORBIT_TABLE.get(flags, "UNCLASSIFIED"), flags,
+                              dict(zip(_CLASSIFIER_NAMES, values))))
+    return out
+
+
+_CLASSIFIER_NAMES = ("B_200", "B_020", "B_002", "D_000")
+
+
+@lru_cache(maxsize=None)
+def _classifier_evaluators() -> tuple:
+    """Batch evaluators of B_200, B_020, B_002 and Delta."""
+    from .catalog import catalog_3
+    from .invariants import b_pairing
+
+    polys = [b_pairing(3, d).poly for d in ((2, 0, 0), (0, 2, 0), (0, 0, 2))]
+    polys.append(catalog_3("Delta").poly)
+    return tuple(p.batch_evaluator() for p in polys)

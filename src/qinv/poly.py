@@ -6,21 +6,19 @@ total order for free: amplitude < conjugate amplitude < auxiliary):
   ('a', idx)            amplitude a_{i1...ik}, idx = int of the bitstring,
                         i1 most significant
   ('ac', idx)           conjugate amplitude
-  ('x', slot, comp, copy)  auxiliary variable x^{(slot)}_comp; slot in 1..k,
-                        comp in {0,1}, copy 0 = plain, 1 = primed,
-                        2 = double-primed (the library builds only plain
-                        ones; `conjugate` rejects the others)
+  ('x', slot, comp, 0)  auxiliary variable x^{(slot)}_comp; slot in 1..k,
+                        comp in {0,1}; the trailing 0 is fixed
 
 Representation.  Each monomial is packed into one Python int with an 8-bit
 exponent field per variable, so multiplying two monomials is integer
 addition (the packed monomials of Monagan & Pearce, "Parallel sparse
 polynomial multiplication using heaps", ISSAC 2009).  `layout(k)` fixes the
 fields, from the least significant: the 2^k amplitudes, the 2^k conjugate
-amplitudes, then three blocks of 2k auxiliary fields for copies 0, 1 and 2
-(slot-major, component-minor).  A polynomial is a dict packed monomial ->
-(re, im) Gaussian-integer numerator, with no zero entries, over one positive
-integer denominator; every result is reduced so that the numerators and the
-denominator have gcd 1.  Equal polynomials therefore have equal dicts and
+amplitudes, then the 2k auxiliary fields (slot-major, component-minor).
+A polynomial is a dict packed monomial -> (re, im) Gaussian-integer
+numerator, with no zero entries, over one positive integer denominator;
+every result is reduced so that the numerators and the denominator have
+gcd 1.  Equal polynomials therefore have equal dicts and
 denominators, and == and hash are plain dict and int comparisons.
 
 All exact arithmetic runs through one multiply-accumulate,
@@ -83,8 +81,8 @@ def amp_conj(idx: int) -> tuple:
     return ("ac", idx)
 
 
-def aux(slot: int, comp: int, copy: int = 0) -> tuple:
-    return ("x", slot, comp, copy)
+def aux(slot: int, comp: int) -> tuple:
+    return ("x", slot, comp, 0)
 
 
 def mono_mul(m1: tuple, m2: tuple) -> tuple:
@@ -143,8 +141,7 @@ class Layout:
         self.var = (
             [amp(i) for i in range(n)]
             + [amp_conj(i) for i in range(n)]
-            + [aux(slot, comp, copy) for copy in range(3)
-               for slot in range(1, k + 1) for comp in (0, 1)]
+            + [aux(slot, comp) for slot in range(1, k + 1) for comp in (0, 1)]
         )
         self.field = {v: f for f, v in enumerate(self.var)}
         # Fields in the order of their variable tuples, with printed names.
@@ -153,12 +150,8 @@ class Layout:
         block = FIELD_BITS * n
         self.conj_shift = block
         self.aux_shift = 2 * block
-        self.copy_shift = FIELD_BITS * 2 * k
         self.amp_mask = (1 << block) - 1
         self.conj_mask = self.amp_mask << block
-        self.plain_mask = ((1 << self.copy_shift) - 1) << self.aux_shift
-        self.primed_mask = ((1 << 2 * self.copy_shift) - 1) << (
-            self.aux_shift + self.copy_shift)
 
     def encode(self, mono) -> tuple:
         """(packed key, total degree) of a tuple monomial."""
@@ -192,8 +185,7 @@ class Layout:
 
 def _name(v: tuple, k: int) -> str:
     if v[0] == "x":
-        prime = "'" * v[3]
-        return f"x{v[1]}{prime}_{v[2]}"
+        return f"x{v[1]}_{v[2]}"
     return f"{v[0]}[{format(v[1], f'0{k}b')}]"
 
 
@@ -427,16 +419,12 @@ class Polynomial:
                                       max(self.degree_bound - 1, 0))
 
     def conjugate(self) -> "Polynomial":
-        """Swap a <-> conj(a) and conjugate coefficients; aux vars unchanged.
-
-        Rejects transvection intermediates (primed copies must never leak).
-        """
+        """Swap a <-> conj(a) and conjugate coefficients; aux vars unchanged."""
         lay = layout(self.k)
-        if any(m & lay.primed_mask for m in self.packed):
-            raise ValueError("cannot conjugate transvection intermediate")
-        amp_mask, shift, keep = lay.amp_mask, lay.conj_shift, lay.plain_mask
+        amp_mask, shift, top = lay.amp_mask, lay.conj_shift, lay.aux_shift
         out = {
-            ((m & amp_mask) << shift) | ((m >> shift) & amp_mask) | (m & keep):
+            ((m & amp_mask) << shift) | ((m >> shift) & amp_mask)
+            | (m >> top << top):
             (r, -i)
             for m, (r, i) in self.packed.items()
         }

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 import operator
 from dataclasses import dataclass
 
@@ -19,7 +20,12 @@ class DimensionError(ValueError):
 
 @dataclass(frozen=True)
 class State:
-    """Numeric pure k-qubit state: 2^k amplitudes in bitstring order (i1 MSB)."""
+    """Numeric pure k-qubit state: 2^k amplitudes in bitstring order (i1 MSB).
+
+    The amplitudes must be finite, and so must their squared norm, which is
+    the norm invariant A: every invariant has degree 2 or more, so a state
+    whose squared norm overflows has no finite invariants to report.
+    """
 
     k: int
     amplitudes: tuple
@@ -28,21 +34,24 @@ class State:
         k = operator.index(self.k)
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
-        if len(self.amplitudes) != 2 ** k:
+        n = len(self.amplitudes)
+        # 2^k is formed only once it is known to be at most n: a huge k
+        # read from a state file must not build a huge integer.
+        if n.bit_length() - 1 != k or n != 2 ** k:
+            size = 2 ** k if k < 64 else f"2^{k}"
             raise DimensionError(
-                f"expected {2 ** k} amplitudes for k={k}, "
-                f"got {len(self.amplitudes)}"
+                f"expected {size} amplitudes for k={k}, got {n}"
             )
         amps = tuple(complex(a) for a in self.amplitudes)
         if not all(cmath.isfinite(a) for a in amps):
             raise ValueError("amplitudes must be finite")
+        if not math.isfinite(_squared_norm(amps)):
+            raise ValueError("the squared norm of the amplitudes overflows")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "amplitudes", amps)
 
     def norm(self) -> float:
-        import numpy as np
-
-        return float(np.linalg.norm(self.amplitudes))
+        return math.sqrt(_squared_norm(self.amplitudes))
 
     def normalized(self) -> "State":
         n = self.norm()
@@ -70,3 +79,9 @@ class State:
     def save(self, path: str):
         with open(path, "w") as fh:
             json.dump(self.to_json_obj(), fh)
+
+
+def _squared_norm(amps) -> float:
+    """sum |a|^2, the norm invariant A; inf once it overflows (math.fsum
+    would raise OverflowError instead)."""
+    return sum(a.real * a.real + a.imag * a.imag for a in amps)

@@ -109,8 +109,6 @@ def _check_homogeneous(poly: Polynomial, d: int, alpha: tuple):
     for m in poly.packed:
         if m & lay.conj_mask:
             raise ValueError("covariants must not contain conjugate amplitudes")
-        if m & lay.primed_mask:
-            raise ValueError("covariants must not contain primed variables")
         e = lay.fields(m)
         amp_deg = sum(e[:n])
         slot = tuple(e[2 * n + 2 * j] + e[2 * n + 2 * j + 1] for j in range(k))
@@ -173,23 +171,35 @@ def _derivatives(poly: Polynomial, eps: tuple, side: int) -> dict:
 
 
 def act_on_state(g, s: State) -> State:
-    """Apply a k-tuple of invertible 2x2 matrices to the amplitude tensor.
+    """Apply a k-tuple of invertible 2x2 matrices to the amplitude tensor:
+    the one-row case of `act_on_state_batch`."""
+    return State(s.k, tuple(act_on_state_batch([g], s)[0]))
+
+
+def act_on_state_batch(gs, s: State) -> np.ndarray:
+    """The amplitudes of s moved by each k-tuple of `gs`, as an (n, 2^k)
+    array.
 
     The transformed amplitudes a' are defined by
     sum a x = sum a' x' with x'^(j) = g^(j) x^(j), which works out to
-    a' = (tensor_j (g^(j))^-T) a.
+    a' = (tensor_j (g^(j))^-T) a.  Slot j is applied to all rows at once,
+    contracting each row's 2x2 factor with the axis of that slot's bit.
     """
-    mats = [np.asarray(m, dtype=complex) for m in g]
-    if len(mats) != s.k:
-        raise DimensionError(f"expected {s.k} matrices, got {len(mats)}")
-    for m in mats:
-        if abs(np.linalg.det(m)) < 1e-12:
-            raise ValueError("singular local matrix")
-    arr = np.array(s.amplitudes, dtype=complex).reshape((2,) * s.k)
-    for j, m in enumerate(mats):
-        t = np.linalg.inv(m).T
-        arr = np.moveaxis(np.tensordot(t, arr, axes=([1], [j])), 0, j)
-    return State(s.k, tuple(arr.reshape(-1)))
+    mats = np.asarray(gs, dtype=complex)
+    n, k = mats.shape[:2]
+    if k != s.k:
+        raise DimensionError(f"expected {s.k} matrices, got {k}")
+    (a, b), (c, d) = np.moveaxis(mats, (-2, -1), (0, 1))
+    det = a * d - b * c
+    if np.any(np.abs(det) < 1e-12):
+        raise ValueError("singular local matrix")
+    # The inverse transpose of [[a, b], [c, d]] is [[d, -c], [-b, a]] / det.
+    inv_t = np.moveaxis(np.array([[d, -c], [-b, a]]) / det, (0, 1), (-2, -1))
+    arr = np.broadcast_to(np.asarray(s.amplitudes, dtype=complex), (n, 2 ** k))
+    for j in range(k):
+        arr = np.einsum("nab,nxby->nxay", inv_t[:, j],
+                        arr.reshape(n, 2 ** j, 2, -1))
+    return arr.reshape(n, 2 ** k)
 
 
 def transformed_aux(g, vectors) -> dict:

@@ -2,47 +2,17 @@
 
 Each suite returns a report dict with one entry per named check; reports are
 deterministic for a fixed seed and sorted by item name.
+
+Each suite imports the layers it runs, so `qinv verify --suite hilbert`
+loads the Hilbert-series layer alone and no numpy.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .catalog import (
-    b_multidegrees,
-    catalog_3,
-    catalog_4,
-    cayley_hyperdet,
-    degree4_invariants,
-    ground_form,
-)
-from .hilbert import (
-    dim_cov_total,
-    hilbert_lut_coeffs,
-    hilbert_lut_ct,
-    hilbert_slocc_coeffs,
-    lut3_closed_form_coeffs,
-    slocc4_closed_form_coeffs,
-)
-from .invariants import (
-    b_pairing,
-    degree6_invariants_4,
-    f7_check,
-    f_squared_relation_check,
-    lut3_generator,
-    lut3_generator_sum,
-    jacobian_determinant,
-    jacobian_rank,
-    lut_degree4_basis,
-    norm_invariant,
-    syzygy_checks,
-)
-from .measures import classify3, meyer_wallach
-from .poly import State, basis_state, ghz, random_state, w_state
-from .transvection import act_on_state, random_tuple
-
 
 def _batch_invariance(poly, amps_matrix, tol):
+    import numpy as np
+
     values = poly.batch_evaluator()(amps_matrix)
     base = values[0]
     worst = float(np.max(np.abs(values - base)) / max(1.0, abs(base)))
@@ -51,6 +21,10 @@ def _batch_invariance(poly, amps_matrix, tol):
 
 def lut_invariant_registry(k: int):
     """Named LUT invariant polynomials used by the invariance suite."""
+    from .catalog import b_multidegrees
+    from .invariants import (b_pairing, degree6_invariants_4, lut3_generator,
+                             norm_invariant)
+
     out = {"A": norm_invariant(k).poly}
     for d in b_multidegrees(k):
         if d == (2,) * k:
@@ -68,6 +42,8 @@ def lut_invariant_registry(k: int):
 def slocc_invariant_registry(k: int):
     """Named SLOCC invariant polynomials: the hyperdeterminant (k=3),
     B_0000 (k=4), and the degree-4 D family."""
+    from .catalog import catalog_4, cayley_hyperdet, degree4_invariants
+
     out = {}
     if k == 3:
         out["Det"] = cayley_hyperdet()
@@ -81,6 +57,10 @@ def slocc_invariant_registry(k: int):
 def suite_identities(k: int = 3, trials: int = 0, seed: int = 0) -> dict:
     """Exact symbolic identities; `trials`/`seed` are accepted for interface
     uniformity but unused."""
+    from .invariants import (f7_check, f_squared_relation_check,
+                             jacobian_determinant, jacobian_rank,
+                             lut3_generator, lut3_generator_sum, syzygy_checks)
+
     items = []
     for kk in (2, 3, 4):
         ok, _ = f_squared_relation_check(kk)
@@ -115,23 +95,26 @@ def suite_identities(k: int = 3, trials: int = 0, seed: int = 0) -> dict:
 
 
 def suite_invariance(k: int = 3, trials: int = 100, seed: int = 0) -> dict:
+    import numpy as np
+
+    from .poly import random_state
+    from .transvection import act_on_state_batch, random_tuple
+
     rng = np.random.default_rng(seed)
     items = []
     s = random_state(k, rng)
-    u_amps = np.array(
-        [s.amplitudes]
-        + [act_on_state(random_tuple(k, rng, "u2"), s).amplitudes
-           for _ in range(trials)]
-    )
+
+    def moved(kind):
+        """s and its images under `trials` random tuples of `kind`."""
+        gs = [random_tuple(k, rng, kind) for _ in range(trials)]
+        return np.vstack([s.amplitudes, act_on_state_batch(gs, s)])
+
+    u_amps = moved("u2")
     lut = lut_invariant_registry(k)
     for name in sorted(lut):
         ok, worst = _batch_invariance(lut[name], u_amps, 1e-9)
         items.append((f"LUT:{name}", ok, worst))
-    sl_amps = np.array(
-        [s.amplitudes]
-        + [act_on_state(random_tuple(k, rng), s).amplitudes
-           for _ in range(trials)]
-    )
+    sl_amps = moved("sl2")
     slocc = slocc_invariant_registry(k)
     for name in sorted(slocc):
         ok, worst = _batch_invariance(slocc[name], sl_amps, 1e-8)
@@ -140,6 +123,10 @@ def suite_invariance(k: int = 3, trials: int = 100, seed: int = 0) -> dict:
 
 
 def suite_hilbert(k: int = 3, trials: int = 0, seed: int = 0) -> dict:
+    from .hilbert import (dim_cov_total, hilbert_lut_coeffs, hilbert_lut_ct,
+                          hilbert_slocc_coeffs, lut3_closed_form_coeffs,
+                          slocc4_closed_form_coeffs)
+
     items = []
     for kk in (2, 3):
         char = hilbert_lut_coeffs(kk, 10)
@@ -165,6 +152,12 @@ def suite_hilbert(k: int = 3, trials: int = 0, seed: int = 0) -> dict:
 
 
 def suite_classification(k: int = 3, trials: int = 50, seed: int = 0) -> dict:
+    import numpy as np
+
+    from .measures import classify3_batch, meyer_wallach
+    from .poly import State, basis_state, ghz, random_state, w_state
+    from .transvection import act_on_state_batch, random_tuple
+
     rng = np.random.default_rng(seed)
     reps = {
         "GHZ": ghz(3),
@@ -174,17 +167,19 @@ def suite_classification(k: int = 3, trials: int = 50, seed: int = 0) -> dict:
         "B3": State(3, (0, 0, 1, 0, 1, 0, 0, 0)),
         "SEPARABLE": basis_state(3, 0),
     }
+    # All moves are drawn, representative by representative, before any
+    # state is labelled, so the draws do not depend on where one failed.
+    moved = np.vstack([
+        act_on_state_batch([random_tuple(3, rng) for _ in range(trials)], s)
+        for s in reps.values()
+    ])
+    plain = classify3_batch([s.amplitudes for s in reps.values()])
+    stable = classify3_batch(moved, tol=1e-7)
     items = []
-    for label, s in reps.items():
-        ok = classify3(s).label == label
-        # All of a representative's moves are drawn before any is tested,
-        # so the draws do not depend on where an earlier one failed.
-        moves = [random_tuple(3, rng) for _ in range(trials)]
-        stable = all(
-            classify3(act_on_state(g, s), tol=1e-7).label == label
-            for g in moves
-        )
-        items.append((f"classify:{label}", ok and stable, None))
+    for r, label in enumerate(reps):
+        ok = plain[r].label == label and all(
+            o.label == label for o in stable[r * trials:(r + 1) * trials])
+        items.append((f"classify:{label}", ok, None))
     qerr = 0.0
     for kk in (2, 3, 4):
         for _ in range(max(trials // 5, 1)):

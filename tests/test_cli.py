@@ -189,31 +189,30 @@ def test_verify_hilbert_suite(capsys):
 
 
 def _classification_draws(monkeypatch, fail_ghz_first_trial):
-    """The suite's report and every SL(2) tuple it drew, with classify3
-    optionally made to mislabel GHZ on its first trial."""
-    from qinv import verify
-    from qinv.measures import classify3 as classify
-    from qinv.transvection import random_tuple as draw
+    """The suite's report and every SL(2) tuple it drew, with the batched
+    classifier optionally made to mislabel GHZ on its first trial."""
+    from qinv import measures, transvection, verify
 
+    classify = measures.classify3_batch
+    draw = transvection.random_tuple
     draws = []
-    trials = []
 
     def recording_draw(*args, **kwargs):
         g = draw(*args, **kwargs)
         draws.append(np.array(g))
         return g
 
-    def flaky_classify(s, tol=1e-9):
-        result = classify(s, tol=tol)
-        if tol == 1e-7:  # the moved states; GHZ's come first
-            trials.append(s)
-            if fail_ghz_first_trial and len(trials) == 1:
-                return dataclasses.replace(result, label="W")
-        return result
+    def flaky_classify(amplitudes, tol=1e-9):
+        results = classify(amplitudes, tol=tol)
+        # The moved states are labelled at tol 1e-7; GHZ's come first.
+        if tol == 1e-7 and fail_ghz_first_trial:
+            results[0] = dataclasses.replace(results[0], label="W")
+        return results
 
-    monkeypatch.setattr(verify, "random_tuple", recording_draw)
-    monkeypatch.setattr(verify, "classify3", flaky_classify)
-    return verify.suite_classification(trials=5, seed=0), draws
+    with monkeypatch.context() as patch:
+        patch.setattr(transvection, "random_tuple", recording_draw)
+        patch.setattr(measures, "classify3_batch", flaky_classify)
+        return verify.suite_classification(trials=5, seed=0), draws
 
 
 def test_classification_draws_do_not_depend_on_earlier_failures(
@@ -229,9 +228,135 @@ def test_classification_draws_do_not_depend_on_earlier_failures(
     assert failed["items"][-1] == clean["items"][-1]  # meyer_wallach_routes
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_classification_suite_matches_per_state_classify3(
+        monkeypatch, seed):
+    """The suite's draws and verdicts against a per-state loop: each move
+    drawn in the same order, applied by act_on_state and labelled by
+    classify3."""
+    from qinv import transvection, verify
+    from qinv.measures import classify3
+    from qinv.poly import basis_state
+
+    trials = 20
+    draw = transvection.random_tuple
+    suite_draws = []
+
+    def recording_draw(*args, **kwargs):
+        g = draw(*args, **kwargs)
+        suite_draws.append(np.array(g))
+        return g
+
+    with monkeypatch.context() as patch:
+        patch.setattr(transvection, "random_tuple", recording_draw)
+        report = verify.suite_classification(trials=trials, seed=seed)
+    rng = np.random.default_rng(seed)
+    reps = {
+        "GHZ": ghz(3),
+        "W": w_state(3),
+        "B1": State(3, (0, 1, 1, 0, 0, 0, 0, 0)),
+        "B2": State(3, (0, 1, 0, 0, 1, 0, 0, 0)),
+        "B3": State(3, (0, 0, 1, 0, 1, 0, 0, 0)),
+        "SEPARABLE": basis_state(3, 0),
+    }
+    verdicts = {}
+    draws = []
+    for label, s in reps.items():
+        moves = [draw(3, rng) for _ in range(trials)]
+        draws += [np.array(g) for g in moves]
+        verdicts[f"classify:{label}"] = classify3(s).label == label and all(
+            classify3(transvection.act_on_state(g, s), tol=1e-7).label
+            == label for g in moves)
+    assert len(suite_draws) == len(draws) == 6 * trials
+    assert all(np.array_equal(a, b) for a, b in zip(suite_draws, draws))
+    assert {i["name"]: i["passed"] for i in report["items"]
+            if i["name"].startswith("classify:")} == verdicts
+
+
 def test_bad_arguments_exit_code(capsys):
     assert run(["hilbert", "--group", "nope", "--k", "3",
                 "--max-degree", "4"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "qinv hilbert: argument --group: invalid choice: 'nope' "
+                 "(choose from 'slocc', 'lut', 'lsut')"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["covariant", "--k", "abc", "--name", "f"],
+    ["classify"],
+    [],
+])
+def test_bad_arguments_give_json_error(capsys, argv):
+    code, doc = _run_json(capsys, argv)
+    assert code == 1
+    assert list(doc) == ["error"]
+    assert doc["error"].startswith("qinv")
+
+
+@pytest.mark.parametrize("tol", ["0", "-0.5", "nan", "inf"])
+def test_classify_rejects_bad_tolerance(capsys, ghz_file, tol):
+    code, doc = _run_json(capsys, ["classify", "--state", ghz_file,
+                                   "--tol", tol])
+    assert code == 1
+    assert doc == {"error": f"--tol must be positive and finite, got "
+                            f"{float(tol)}"}
+
+
+def _uniform_state_file(tmp_path, k, value):
+    path = tmp_path / f"uniform_{k}_{value}.json"
+    path.write_text(json.dumps({"k": k, "amplitudes": [[value, 0]] * 2 ** k}))
+    return str(path)
+
+
+# One case per way a degenerate or overflowing state used to end in a
+# traceback, a label or NaN: each must give the JSON error and exit code 1.
+@pytest.mark.parametrize("argv, value, message", [
+    (["classify"], 0.0, "cannot classify the zero state"),
+    (["classify"], 1e-170, "cannot classify the zero state"),
+    (["classify"], 1e308, "squared norm of the amplitudes overflows"),
+    (["classify"], 1.1e154, "squared norm of the amplitudes overflows"),
+    (["eval", "--invariant", "A"], 1e200,
+     "squared norm of the amplitudes overflows"),
+    (["measure", "--route", "direct"], 1e200,
+     "squared norm of the amplitudes overflows"),
+    (["measure", "--route", "covariant"], 1e200,
+     "squared norm of the amplitudes overflows"),
+    (["measure", "--route", "direct"], 1e100, "measure: the result is not "
+     "finite"),
+    (["eval", "--invariant", "f7"], 1e60, "eval: the result is not finite"),
+])
+def test_degenerate_and_overflowing_states_give_json_error(
+        capsys, tmp_path, argv, value, message):
+    path = _uniform_state_file(tmp_path, 3, value)
+    code, doc = _run_json(capsys, argv[:1] + ["--state", path] + argv[1:])
+    assert code == 1
+    assert list(doc) == ["error"]
+    assert message in doc["error"]
+
+
+# The first k past each command's bound; the check comes before any
+# covariant is built (the k=7 covariant route alone takes seconds).
+@pytest.mark.parametrize("command, argv, k", [
+    ("eval", ["eval", "--invariant", "A"], 8),
+    ("measure --route covariant", ["measure", "--route", "covariant"], 7),
+])
+def test_state_commands_cap_k(capsys, tmp_path, command, argv, k):
+    from qinv.cli import MAX_K
+
+    assert MAX_K[command] == k - 1
+    path = _uniform_state_file(tmp_path, k, 0.01)
+    code, doc = _run_json(capsys, argv[:1] + ["--state", path] + argv[1:])
+    assert code == 1
+    assert doc == {"error": f"{command} supports k <= {k - 1}, got k={k}"}
+
+
+def test_covariant_caps_k(capsys):
+    from qinv.cli import MAX_K
+
+    assert MAX_K["covariant"] == 8
+    code, doc = _run_json(capsys, ["covariant", "--k", "9", "--name", "f"])
+    assert code == 1
+    assert doc == {"error": "covariant supports k <= 8, got k=9"}
 
 
 def test_state_round_trip_through_cli_inputs(tmp_path):
@@ -395,6 +520,12 @@ def test_hilbert_and_state_file_errors_do_not_import_numpy(tmp_path):
     for path in (missing, not_json, short):
         argvs.append(["eval", "--state", str(path), "--invariant", "A"])
         argvs.append(["classify", "--state", str(path)])
+    assert _numpy_importers(argvs) == []
+
+
+def _numpy_importers(argvs):
+    """The commands of `argvs` after which numpy was loaded, run in order in
+    one fresh interpreter, with any exit code other than 0 or 1."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -403,4 +534,22 @@ def test_hilbert_and_state_file_errors_do_not_import_numpy(tmp_path):
         [sys.executable, "-c", _NUMPY_FREE, json.dumps(argvs)],
         capture_output=True, text=True, env=env, check=False)
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == []
+    return json.loads(out.stdout)
+
+
+def test_direct_measure_and_hilbert_suite_do_not_import_numpy(tmp_path):
+    argvs = []
+    for k in (1, 2, 3, 4):
+        path = tmp_path / f"ghz{k}.json"
+        ghz(k).save(path)
+        argvs.append(["measure", "--state", str(path)])
+        argvs.append(["measure", "--state", str(path), "--route", "direct"])
+    argvs.append(["verify", "--suite", "hilbert"])
+    argvs.append(["hilbert", "--group", "lut", "--k", "3", "--max-degree",
+                  "6"])
+    overflow = _uniform_state_file(tmp_path, 3, 1e200)
+    for command in (["eval", "--invariant", "A"], ["classify"],
+                    ["measure", "--route", "covariant"]):
+        argvs.append(command[:1] + ["--state", overflow] + command[1:])
+    argvs.append(["covariant", "--k", "9", "--name", "f"])
+    assert _numpy_importers(argvs) == []

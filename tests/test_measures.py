@@ -5,13 +5,14 @@ from qinv.measures import (
     MeasureReport,
     OrbitLabel,
     classify3,
+    classify3_batch,
     d1,
     hyperdet3,
     meyer_wallach,
     onion_leq,
 )
 from qinv.poly import DimensionError, State, basis_state, ghz, random_state, w_state
-from qinv.transvection import act_on_state, random_sl2
+from qinv.transvection import act_on_state, act_on_state_batch, random_sl2
 
 
 REPRESENTATIVES = {
@@ -145,3 +146,49 @@ def test_classification_invariants_reported():
     result = classify3(ghz(3))
     assert set(result.invariants) == {"B_200", "B_020", "B_002", "D_000"}
     assert result.invariants["D_000"] > 0
+
+
+def _purity_reference(s):
+    """D_1^(i) = 2 ((tr rho_i)^2 - tr rho_i^2) with numpy, per qubit."""
+    psi = np.asarray(s.amplitudes, dtype=complex).reshape((2,) * s.k)
+    out = []
+    for i in range(s.k):
+        m = np.moveaxis(psi, i, 0).reshape(2, -1)
+        rho = m @ m.conj().T
+        out.append(2.0 * float((np.trace(rho) ** 2 - np.trace(rho @ rho)).real))
+    return out
+
+
+# k=1 included: there each half of the amplitude tuple is a single entry.
+@pytest.mark.parametrize("k", range(1, 9))
+def test_direct_route_matches_numpy_purity(k, rng):
+    for normalized in (True, False):
+        for _ in range(5):
+            s = random_state(k, rng, normalized=normalized)
+            ref = _purity_reference(s)
+            # Both sides are homogeneous of degree 4 in the amplitudes.
+            tol = 1e-12 * s.norm() ** 4
+            report = meyer_wallach(s, "direct")
+            assert report.d1 == pytest.approx(ref, abs=tol)
+            assert report.q == pytest.approx(sum(ref) / k, abs=tol)
+            assert [d1(i, s) for i in range(1, k + 1)] == list(report.d1)
+
+
+def test_batched_classifier_rows_are_classify3(rng):
+    gs = [tuple(_moderate_sl2(rng) for _ in range(3)) for _ in range(5)]
+    for label, s in REPRESENTATIVES.items():
+        rows = act_on_state_batch(gs, s)
+        batch = classify3_batch(rows, tol=1e-7)
+        assert [r.label for r in batch] == [label] * len(gs)
+        for row, result in zip(rows, batch):
+            one = classify3(State(3, tuple(row)), tol=1e-7)
+            assert (one.label, one.flags) == (result.label, result.flags)
+            assert one.invariants == pytest.approx(result.invariants,
+                                                   rel=1e-12, abs=1e-15)
+
+
+def test_batched_classifier_rejects_zero_rows_and_wrong_width():
+    with pytest.raises(ValueError, match="zero state"):
+        classify3_batch([ghz(3).amplitudes, (0,) * 8])
+    with pytest.raises(DimensionError):
+        classify3_batch([ghz(2).amplitudes])

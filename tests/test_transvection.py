@@ -7,10 +7,11 @@ import sympy as sp
 
 from qinv.catalog import b_family, ground_form
 from qinv.gaussian import GaussianRational
-from qinv.poly import Polynomial, amp, aux, random_state
+from qinv.poly import DimensionError, Polynomial, amp, aux, random_state
 from qinv.transvection import (
     Covariant,
     act_on_state,
+    act_on_state_batch,
     all_ones_aux,
     plain_aux,
     random_sl2,
@@ -198,6 +199,32 @@ def test_action_matches_reference_example():
     s = State(1, (2 + 1j, -3 + 0j))
     out = act_on_state([swap], s)
     assert out.amplitudes == pytest.approx((-3 + 0j, 2 + 1j))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_batched_action_rows_are_the_one_row_action(k, rng):
+    s = random_state(k, rng)
+    gs = [random_tuple(k, rng, kind) for kind in ("sl2", "u2", "su2")
+          for _ in range(4)]
+    rows = act_on_state_batch(gs, s)
+    assert rows.shape == (len(gs), 2 ** k)
+    for g, row in zip(gs, rows):
+        assert act_on_state(g, s).amplitudes == tuple(row)
+        # a' = (tensor_j (g^(j))^-T) a, slot 1 most significant.
+        ref = np.linalg.inv(g[0]).T
+        for m in g[1:]:
+            ref = np.kron(ref, np.linalg.inv(m).T)
+        assert np.allclose(row, ref @ np.array(s.amplitudes), rtol=1e-12,
+                           atol=1e-12)
+
+
+def test_batched_action_rejects_singular_and_miscounted_tuples(rng):
+    s = random_state(2, rng)
+    good = random_tuple(2, rng)
+    with pytest.raises(ValueError, match="singular"):
+        act_on_state_batch([good, [good[0], np.zeros((2, 2))]], s)
+    with pytest.raises(DimensionError):
+        act_on_state_batch([random_tuple(3, rng)], s)
 
 
 def test_covariant_validation():
