@@ -20,9 +20,9 @@ _EXPORTS = {
     "transvection": ("Covariant", "act_on_state", "random_sl2", "random_su2",
                      "random_u2", "transvect"),
     "catalog": ("b_family", "b_family_all", "b_multidegrees", "catalog_3",
-                "catalog_4", "cayley_hyperdet", "covariant_by_name",
-                "degree3_multilinear_basis", "degree4_invariants",
-                "ground_form"),
+                "catalog_4", "cayley_hyperdet", "covariant_basis",
+                "covariant_by_name", "degree3_multilinear_basis",
+                "degree4_invariants", "ground_form"),
     "invariants": ("InvariantExpr", "b_pairing", "degree6_invariants_4",
                    "f7_check", "f_squared_relation_check", "lut3_generator",
                    "lut3_generator_sum", "jacobian_determinant",

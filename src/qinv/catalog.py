@@ -1,13 +1,18 @@
-"""Named covariants: ground form, degree-2 B family, the 3-qubit system
-(f, Hx, Hy, Hz, T, Delta), the 4-qubit B/C/D/E families, and bases of
-multilinear degree-3 covariants and degree-4 invariants.
+"""Named covariants and covariant bases: the ground form, the degree-2 B
+family, the 3-qubit system (f, Hx, Hy, Hz, T, Delta), the 4-qubit B/C/D/E
+chains, and `covariant_basis`, which builds a basis of every (degree,
+multidegree) space by transvecting f onto the basis one degree lower.
+`degree3_multilinear_basis` and `degree4_invariants` name two of its
+outputs.
 
 Slot numbering for k = 3 follows x = slot 1, y = slot 2, z = slot 3.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from .linalg import independent_subset
 from .poly import Polynomial, amp, aux
@@ -69,43 +74,19 @@ def _dstr(d: tuple) -> str:
 # -- 3-qubit catalog ------------------------------------------------------
 
 
-def _det2(rows) -> Polynomial:
-    return Polynomial.sum_of_products(
-        rows[0][0].k,
-        [(1, (rows[0][0], rows[1][1])), (-1, (rows[0][1], rows[1][0]))])
-
-
 @lru_cache(maxsize=None)
 def catalog_3(name: str) -> Covariant:
     """The generators of the 3-qubit covariant algebra, by name."""
-    k = 3
-    f = ground_form(k)
-    fp = f.poly
+    f = ground_form(3)
     if name == "f":
         return f
     if name in ("Hx", "Hy", "Hz"):
-        # Determinant of second partials in the two slots other than the named one.
-        slot = {"Hx": 1, "Hy": 2, "Hz": 3}[name]
-        s1, s2 = [j for j in (1, 2, 3) if j != slot]
-        h = _det2(
-            [
-                [fp.partial(aux(s1, 0)).partial(aux(s2, 0)),
-                 fp.partial(aux(s1, 1)).partial(aux(s2, 0))],
-                [fp.partial(aux(s1, 0)).partial(aux(s2, 1)),
-                 fp.partial(aux(s1, 1)).partial(aux(s2, 1))],
-            ]
-        )
-        alpha = tuple(2 if j == slot else 0 for j in (1, 2, 3))
-        return Covariant(h, 2, alpha, name)
+        # The Hessian in the two slots other than the named one, the
+        # determinant of second partials, is half of (f, f) over them.
+        alpha = tuple(2 if s == name[1] else 0 for s in "xyz")
+        return (b_family(3, alpha) * Fraction(1, 2)).named(name)
     if name == "T":
-        hx = catalog_3("Hx").poly
-        t = _det2(
-            [
-                [fp.partial(aux(1, 0)), fp.partial(aux(1, 1))],
-                [hx.partial(aux(1, 0)), hx.partial(aux(1, 1))],
-            ]
-        )
-        return Covariant(t, 3, (1, 1, 1), "T")
+        return transvect(f, catalog_3("Hx"), (1, 0, 0)).named("T")
     if name == "Delta":
         return transvect(catalog_3("T"), f, (1, 1, 1)).named("Delta")
     raise KeyError(f"unknown 3-qubit covariant {name!r}")
@@ -203,51 +184,60 @@ def covariant_by_name(k: int, name: str) -> Covariant:
 
 
 @lru_cache(maxsize=None)
-def degree3_multilinear_basis(k: int):
-    """Basis of the multilinear ((1,...,1)-multidegree) degree-3 covariants.
+def covariant_basis(k: int, d: int, alpha: tuple) -> tuple:
+    """A basis of the covariants of amplitude degree d and auxiliary
+    multidegree alpha.
 
-    Candidates (f, B)^e over the degree-2 family, selected down to a basis by
-    exact rank; the count must match the character-formula dimension
-    (2^(k-1) + (-1)^k) / 3.
+    Degree 1 is the ground form and degree 2 the B family.  Degree d >= 3
+    transvects f onto the degree-(d-1) bases: the candidates (f, C)^eps for
+    eps in {0,1}^k in decreasing order and C in the basis of multidegree
+    alpha - 1 + 2 eps.  They span, because V (x) S^(d-1)V maps onto S^dV.
+    The first independent candidates by exact rank form the basis, whose
+    size must equal the character-formula dimension dim_cov(d, k, alpha).
     """
+    if len(alpha) != k or d < 1:
+        raise ValueError(
+            f"no degree-{d} covariants of multidegree {alpha} at k={k}")
+    if any(x < 0 or x > d or (d - x) % 2 for x in alpha):
+        return ()
+    if d == 1:
+        return (ground_form(k),)
+    if d == 2:
+        return (b_family(k, alpha),) if alpha.count(0) % 2 == 0 else ()
+    # Imported here, so that degrees 1 and 2 never load the Hilbert layer.
     from .hilbert import dim_cov
 
-    if k < 2:
-        raise ValueError("k must be at least 2")
     f = ground_form(k)
     candidates = []
-    for b in b_family_all(k):
-        eps = tuple(x // 2 for x in b.multidegree)
-        cov = transvect(f, b, eps)
-        if cov.poly:
-            candidates.append(cov)
+    for eps in product((1, 0), repeat=k):
+        lower = tuple(a - 1 + 2 * e for a, e in zip(alpha, eps))
+        for c in covariant_basis(k, d - 1, lower):
+            cov = transvect(f, c, eps)
+            if cov.poly:
+                candidates.append(cov)
     idx = independent_subset([c.poly for c in candidates])
-    basis = [candidates[i].named(f"C{n + 1}") for n, i in enumerate(idx)]
-    expected = dim_cov(3, k, (1,) * k)
-    if len(basis) != expected:
-        raise RuntimeError(
-            f"multilinear degree-3 basis has rank {len(basis)}, expected {expected}"
-        )
-    return tuple(basis)
+    expected = dim_cov(d, k, alpha)
+    if len(idx) != expected:
+        raise RuntimeError(f"degree-{d} basis of multidegree {alpha} has rank "
+                           f"{len(idx)}, expected {expected}")
+    return tuple(candidates[i] for i in idx)
+
+
+def _named_basis(k: int, d: int, alpha: tuple, letter: str) -> tuple:
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    return tuple(c.named(f"{letter}{n}")
+                 for n, c in enumerate(covariant_basis(k, d, alpha), start=1))
+
+
+@lru_cache(maxsize=None)
+def degree3_multilinear_basis(k: int):
+    """Basis C1.. of the multilinear ((1,...,1)-multidegree) degree-3
+    covariants, (2^(k-1) + (-1)^k) / 3 of them."""
+    return _named_basis(k, 3, (1,) * k, "C")
 
 
 @lru_cache(maxsize=None)
 def degree4_invariants(k: int):
-    """Basis of degree-4 SLOCC invariants: transvect the ground form onto the
-    multilinear degree-3 covariants."""
-    from .hilbert import dim_cov
-
-    f = ground_form(k)
-    candidates = []
-    for c in degree3_multilinear_basis(k):
-        cov = transvect(f, c, (1,) * k)
-        if cov.poly:
-            candidates.append(cov)
-    idx = independent_subset([c.poly for c in candidates])
-    basis = [candidates[i].named(f"D{n + 1}") for n, i in enumerate(idx)]
-    expected = dim_cov(4, k, (0,) * k)
-    if len(basis) != expected:
-        raise RuntimeError(
-            f"degree-4 invariant basis has rank {len(basis)}, expected {expected}"
-        )
-    return tuple(basis)
+    """Basis D1.. of the degree-4 SLOCC invariants."""
+    return _named_basis(k, 4, (0,) * k, "D")

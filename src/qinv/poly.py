@@ -519,7 +519,8 @@ class Polynomial:
     def _kernel(self, amplitudes: np.ndarray, aux_assignment=None) -> np.ndarray:
         """Values at the rows of an (n, 2^k) complex amplitude array, with
         one aux assignment for every row.  Parts and terms are walked in
-        blocks of at most _BLOCK elements per temporary array."""
+        blocks of at most _BLOCK elements per temporary array.  Overflow
+        gives inf or nan without a warning: callers check finiteness."""
         form = self._compile()
         n = len(amplitudes)
         amps = len(form.sources)
@@ -536,22 +537,23 @@ class Polynomial:
             except (KeyError, TypeError):
                 raise EvaluationError(
                     f"unresolved auxiliary variable {v}") from None
-        for e in range(1, top):
-            np.multiply(table[1 + (e - 1) * fields:1 + e * fields], x,
-                        out=table[1 + e * fields:1 + (e + 1) * fields])
-        width, parts = form.index.shape
-        values = np.empty((parts, n), dtype=complex)
-        step = max(_BLOCK // (n * width), 1)
-        for s in range(0, parts, step):
-            np.multiply.reduce(table[form.index[:, s:s + step]], axis=0,
-                               out=values[s:s + step])
-        coeffs, left, right = form.coeffs, form.left, form.right
-        out = np.zeros(n, dtype=complex)
-        step = max(_BLOCK // n, 1)
-        for s in range(0, len(coeffs), step):
-            out += coeffs[s:s + step] @ (values[left[s:s + step]]
-                                         * values[right[s:s + step]])
-        return out
+        with np.errstate(over="ignore", invalid="ignore"):
+            for e in range(1, top):
+                np.multiply(table[1 + (e - 1) * fields:1 + e * fields], x,
+                            out=table[1 + e * fields:1 + (e + 1) * fields])
+            width, parts = form.index.shape
+            values = np.empty((parts, n), dtype=complex)
+            step = max(_BLOCK // (n * width), 1)
+            for s in range(0, parts, step):
+                np.multiply.reduce(table[form.index[:, s:s + step]], axis=0,
+                                   out=values[s:s + step])
+            coeffs, left, right = form.coeffs, form.left, form.right
+            out = np.zeros(n, dtype=complex)
+            step = max(_BLOCK // n, 1)
+            for s in range(0, len(coeffs), step):
+                out += coeffs[s:s + step] @ (values[left[s:s + step]]
+                                             * values[right[s:s + step]])
+            return out
 
     def evaluate(self, state: "State", aux_assignment: Mapping | None = None) -> complex:
         """Evaluate at a numeric state; aux_assignment maps (slot, comp) -> complex."""

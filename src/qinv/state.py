@@ -67,9 +67,8 @@ class State:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "State":
-        k = int(obj["k"])
         amps = [complex(re, im) for re, im in obj["amplitudes"]]
-        return cls(k, tuple(amps))
+        return cls(obj["k"], tuple(amps))
 
     @classmethod
     def load(cls, path: str) -> "State":

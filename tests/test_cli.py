@@ -334,6 +334,38 @@ def test_degenerate_and_overflowing_states_give_json_error(
     assert message in doc["error"]
 
 
+# Overflow inside the evaluator is reported only by the JSON error: numpy
+# prints no warning on stderr.  Run as a command, outside pytest's filters.
+@pytest.mark.parametrize("argv, k, value, message", [
+    (["eval", "--invariant", "f7"], 3, 1e60, "eval: the result is not finite"),
+    (["measure", "--route", "covariant"], 4, 1e100,
+     "measure: the result is not finite"),
+])
+def test_overflowing_evaluation_leaves_stderr_empty(tmp_path, argv, k, value,
+                                                    message):
+    path = _uniform_state_file(tmp_path, k, value)
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-m", "qinv", argv[0], "--state", path, *argv[1:]],
+        capture_output=True, text=True, env=env, check=False)
+    assert out.returncode == 1
+    assert out.stderr == ""
+    assert json.loads(out.stdout) == {"error": message}
+
+
+@pytest.mark.parametrize("k", [3.9, "3"])
+def test_state_file_with_non_integer_k_is_rejected(capsys, tmp_path, k):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"k": k, "amplitudes": [[1, 0]] + [[0, 0]] * 7}))
+    code, doc = _run_json(capsys, ["measure", "--state", str(path)])
+    assert code == 1
+    assert list(doc) == ["error"]
+    assert doc["error"].startswith(f"malformed state file {path}: ")
+
+
 # The first k past each command's bound; the check comes before any
 # covariant is built (the k=7 covariant route alone takes seconds).
 @pytest.mark.parametrize("command, argv, k", [
