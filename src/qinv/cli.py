@@ -8,6 +8,7 @@ state whose squared norm overflows and a result that is not finite, prints
 
 The commands that build covariants for a given k accept k up to `MAX_K`:
 7 for `eval`, 6 for `measure --route covariant` and 8 for `covariant`.
+`hilbert` accepts the sizes in `HILBERT_MAX`.
 
 Each subcommand imports the layers it runs inside its handler, after its
 state file (if any) has loaded, so `hilbert`, `measure --route direct`,
@@ -33,11 +34,32 @@ SUITE_NAMES = ("classification", "hilbert", "identities", "invariance")
 
 # The largest k for which each command builds covariants, so that no
 # command runs for minutes or exhausts memory.  Cold CPU time of the costliest
-# case on a 2-vCPU host: `measure --route covariant` took 0.85 s at k=6 and
-# 6.0 s (480 MB) at k=7; `eval --invariant B_2...2` took 0.82 s at k=7 and
-# 5.3 s (440 MB) at k=8; `covariant --name B_2...2 --print` took 1.7 s at
-# k=8 and 12 s (2.8 GB) at k=9.
+# case on a 2-vCPU host, with pairings evaluated through their covariants:
+# `measure --route covariant` took 0.40 s at k=6 and 0.88 s (70 MB) at k=7;
+# `eval --invariant B_2...2` took 0.46 s at k=7 and 0.98 s (120 MB) at k=8;
+# `covariant --name B_2...2 --print` took 1.7 s at k=8 and 12 s (2.8 GB) at
+# k=9.  (When the pairings were expanded first, the first two took 0.87 and
+# 5.8 s, and 0.82 and 5.6 s.)
 MAX_K = {"eval": 7, "measure --route covariant": 6, "covariant": 8}
+
+# The largest k and degree of `qinv hilbert` per (group, method), checked
+# before any work; for lsut the degree bound holds for both degrees.  The
+# closed forms have no k bound here: they exist for the shipped k only.
+# Cold CPU time at each (k, degree) corner on a 2-vCPU host: lut ct 2.4 s
+# (the costliest allowed call; k=5 took 4.4 s at degree 8), lut character
+# 2.2 s, lsut character 1.6 s, slocc ct 1.6 s, lsut ct 1.4 s, slocc
+# character 0.3 s, and 0.6 s for the closed forms at degree 100.
+HILBERT_MAX = {
+    ("lut", "character"): (6, 16),
+    ("lut", "ct"): (4, 12),
+    ("lsut", "character"): (4, 12),
+    ("lsut", "ct"): (4, 6),
+    ("slocc", "character"): (8, 24),
+    ("slocc", "ct"): (4, 20),
+    ("lut", "closed-form"): (None, 100),
+    ("lsut", "closed-form"): (None, 100),
+    ("slocc", "closed-form"): (None, 100),
+}
 
 
 class CliError(Exception):
@@ -73,9 +95,9 @@ def _complex_json(z: complex):
 
 
 class _Registry(Mapping):
-    """Read-only map from invariant name to its bound `evaluate`.  The keys
-    come from a table of builders; an invariant is built on first access
-    and then kept."""
+    """Read-only map from invariant name to the bound `evaluate` of its
+    numeric form.  The keys come from a table of builders; an invariant is
+    built on first access and then kept."""
 
     def __init__(self, builders: dict):
         self._builders = builders
@@ -84,7 +106,11 @@ class _Registry(Mapping):
     def __getitem__(self, name):
         fn = self._built.get(name)
         if fn is None:
-            fn = self._built[name] = self._builders[name]().evaluate
+            obj = self._builders[name]()
+            # Bound to the numeric form, not the InvariantExpr: a caller
+            # that reads `fn.__self__.poly` would expand the pairings.
+            numeric = getattr(obj, "numeric", None)
+            fn = self._built[name] = (numeric() if numeric else obj).evaluate
         return fn
 
     def __contains__(self, name):
@@ -185,8 +211,6 @@ def _closed_form(group: str, k: int):
 
 
 def cmd_hilbert(args) -> dict:
-    from .hilbert import ROUTES
-
     k, n = args.k, args.max_degree
     group, method = args.group, args.method
     if k < 1:
@@ -197,6 +221,15 @@ def cmd_hilbert(args) -> dict:
         raise CliError("--max-conj-degree applies to --group lsut only")
     m = args.max_conj_degree if args.max_conj_degree is not None else n
     sizes = (n, m) if group == "lsut" else (n,)
+    max_k, max_degree = HILBERT_MAX[group, method]
+    command = f"hilbert --group {group} --method {method}"
+    if max_k is not None and k > max_k:
+        raise CliError(f"{command} supports k <= {max_k}, got k={k}")
+    if max(sizes) > max_degree:
+        raise CliError(f"{command} supports degrees <= {max_degree}, "
+                       f"got {max(sizes)}")
+    from .hilbert import ROUTES
+
     if method == "closed-form":
         series = _closed_form(group, k)(*sizes)
     else:

@@ -79,6 +79,16 @@ def _halves(k: int, i: int) -> tuple:
     return itemgetter(*zeros), itemgetter(*[j | bit for j in zeros])
 
 
+@lru_cache(maxsize=None)
+def _b_pairings(k: int) -> tuple:
+    """The B_d multidegrees and one numeric form of all the <B_d|B_d>."""
+    from .catalog import b_multidegrees
+    from .invariants import NumericForm, b_pairing
+
+    degrees = tuple(b_multidegrees(k))
+    return degrees, NumericForm([b_pairing(k, d) for d in degrees])
+
+
 @dataclass(frozen=True)
 class MeasureReport:
     """Meyer-Wallach measure Q with the per-qubit linear entropies."""
@@ -103,12 +113,11 @@ def meyer_wallach(s: State, route: str = "direct") -> MeasureReport:
         return MeasureReport(sum(values) / k, values)
     if route != "covariant":
         raise ValueError(f"unknown route {route!r}")
-    from .catalog import b_multidegrees
-    from .invariants import b_pairing
+    import numpy as np
 
-    bvals = {}
-    for d in b_multidegrees(k):
-        bvals[d] = b_pairing(k, d).evaluate(s).real
+    degrees, form = _b_pairings(k)
+    a = np.array([s.amplitudes], dtype=complex)
+    bvals = dict(zip(degrees, form.values(a)[:, 0].real.tolist()))
     scale = 2.0 ** (k - 2)
     values = tuple(
         sum(v for d, v in bvals.items() if d[i] == 0) / scale for i in range(k)
@@ -169,7 +178,7 @@ def classify3(s: State, tol: float = 1e-9) -> OrbitLabel:
 def classify3_batch(amplitudes, tol: float = 1e-9) -> list:
     """The `OrbitLabel` of each row of an (n, 8) amplitude array.  Each row
     is scaled to unit norm, and B_200, B_020, B_002 and |Delta|^2 are taken
-    on all rows at once by their batch evaluators."""
+    on all rows at once by one numeric form."""
     import numpy as np
 
     a = np.asarray(amplitudes, dtype=complex)
@@ -182,9 +191,8 @@ def classify3_batch(amplitudes, tol: float = 1e-9) -> list:
     if not np.all(np.isfinite(norms)):
         raise ValueError("cannot classify a state whose norm overflows")
     a = a / norms[:, None]
-    b200, b020, b002, delta = _classifier_evaluators()
-    columns = (b200(a).real, b020(a).real, b002(a).real,
-               np.abs(delta(a)) ** 2)
+    b200, b020, b002, delta = _classifier_form().values(a)
+    columns = (b200.real, b020.real, b002.real, np.abs(delta) ** 2)
     out = []
     for values in zip(*(c.tolist() for c in columns)):
         flags = tuple(abs(v) > tol for v in values)
@@ -197,11 +205,10 @@ _CLASSIFIER_NAMES = ("B_200", "B_020", "B_002", "D_000")
 
 
 @lru_cache(maxsize=None)
-def _classifier_evaluators() -> tuple:
-    """Batch evaluators of B_200, B_020, B_002 and Delta."""
-    from .catalog import catalog_3
-    from .invariants import b_pairing
+def _classifier_form():
+    """One numeric form of B_200, B_020, B_002 and Delta."""
+    from .invariants import NumericForm, b_pairing, delta_invariant
 
-    polys = [b_pairing(3, d).poly for d in ((2, 0, 0), (0, 2, 0), (0, 0, 2))]
-    polys.append(catalog_3("Delta").poly)
-    return tuple(p.batch_evaluator() for p in polys)
+    return NumericForm([b_pairing(3, d) for d in
+                        ((2, 0, 0), (0, 2, 0), (0, 0, 2))]
+                       + [delta_invariant()])

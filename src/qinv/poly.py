@@ -46,6 +46,14 @@ has far fewer distinct parts than terms (f7: 8,412 terms over 504 + 504
 parts), so the kernel takes the value of every part once, from a table of
 powers, and then sums c * left * right over the terms, in blocks of a
 fixed number of elements so that its temporaries stay small.
+
+The same kernel evaluates pairings without expanding them.  A stacked
+form (`Polynomial.stack`) of several covariants cuts each key into its
+auxiliary part and the rest instead; its right parts are the (covariant,
+aux monomial) slots, and in its per-right-part mode (`by_right`) the
+kernel returns the value of every slot, that is of every aux-coefficient
+c_m(a) of every covariant, from which `invariants.NumericForm` forms the
+pairings sum_m w(m) c_m conj(d_m).
 """
 
 from __future__ import annotations
@@ -129,6 +137,8 @@ class _Compiled(NamedTuple):
     conj: int             # how many of those are amplitudes, not conjugates
     aux_vars: tuple       # the variable of each used auxiliary field
     top: int              # the largest exponent
+    starts: np.ndarray | None  # stacked forms: the first term of each
+                               # right part
 
 
 class Layout:
@@ -222,8 +232,7 @@ _SCALARS = (int, Fraction, GaussianRational)
 
 
 class Polynomial:
-    """Exact sparse polynomial in packed form; immutable (its value never
-    changes, see `_share_coefficients`)."""
+    """Exact sparse polynomial in packed form; immutable."""
 
     __slots__ = ("k", "packed", "den", "degree_bound", "_terms", "_compiled")
 
@@ -443,85 +452,42 @@ class Polynomial:
 
     # -- numeric evaluation -----------------------------------------------
 
-    def _share_coefficients(self):
-        """Make equal coefficients of the packed dict one tuple object.
-
-        No value changes, so `==`, `hash`, `terms` and `pretty()` do not
-        either.  A pairing's thousands of terms carry a few dozen distinct
-        coefficients (the 47 k=3 and k=4 registry invariants: 66,764 terms,
-        51 distinct), and sharing them frees about 4 MB once those are
-        compiled.  It runs when a polynomial is first evaluated, not where
-        packed dicts are built: doing it in `_set`, for every intermediate,
-        made a pass of exact checks about 45% slower.  Returns the distinct
-        coefficients.
-        """
-        packed = self.packed
-        shared: dict = {}
-        for key, c in list(packed.items()):
-            packed[key] = shared.setdefault(c, c)
-        return shared
-
     def _compile(self) -> "_Compiled":
         """The split form shared by `evaluate` and `batch_evaluator`, built
-        from the packed keys on first use.
-
-        Each key is cut into its amplitude part (the low 2^k fields) and
-        the rest (conjugate and auxiliary fields), and the distinct parts of
-        both sides are numbered together, amplitude parts first.  With v
-        the values of the parts the polynomial is
-        sum_t coeffs[t] * v[left[t]] * v[right[t]]; the fields of
-        `_Compiled` say what each array holds.  The power table has a row
-        of ones, then row 1 + (e - 1) * fields + u holds the e-th power of
-        the u-th used field.
-
-        Each distinct coefficient is converted to complex once.
-        """
+        from the packed keys on first use (see `_split_form`)."""
         if self._compiled is None:
-            distinct = self._share_coefficients()
-            lay = layout(self.k)
-            lows: dict = {}
-            highs: dict = {}
-            left, right = [], []
-            for key in self.packed:
-                low = key & lay.amp_mask
-                left.append(lows.setdefault(low, len(lows)))
-                right.append(highs.setdefault(key - low, len(highs)))
-            exps = lay.exponent_matrix(list(lows) + list(highs))
-            used = np.flatnonzero(exps.any(axis=0))
-            exps = exps[:, used]
-            rows, cols = np.nonzero(exps)
-            counts = np.count_nonzero(exps, axis=1)
-            index = np.zeros((int(counts.max(initial=1)), len(exps)),
-                             dtype=np.intp)
-            # np.nonzero walks the parts in order, so a factor's rank within
-            # its part is its position minus the part's first position.  The
-            # exponents are uint8: widen them before the row arithmetic.
-            index[np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows],
-                  rows] = (1 + (exps[rows, cols].astype(np.intp) - 1)
-                           * len(used) + cols)
-            den = self.den
-            as_complex = {c: complex(c[0] / den, c[1] / den)
-                          for c in distinct}
-            n = lay.n
-            self._compiled = _Compiled(
-                coeffs=np.array([as_complex[c] for c in self.packed.values()],
-                                dtype=complex),
-                left=np.array(left, dtype=np.intp),
-                right=np.array(right, dtype=np.intp) + len(lows),
-                index=index,
-                sources=used[used < 2 * n] % n,
-                conj=int(np.count_nonzero(used < n)),
-                aux_vars=tuple(lay.var[f] for f in used[used >= 2 * n]),
-                top=int(exps.max(initial=0)),
-            )
+            self._compiled = _split_form(self.k, (self,), stacked=False)[0]
         return self._compiled
 
-    def _kernel(self, amplitudes: np.ndarray, aux_assignment=None) -> np.ndarray:
-        """Values at the rows of an (n, 2^k) complex amplitude array, with
-        one aux assignment for every row.  Parts and terms are walked in
-        blocks of at most _BLOCK elements per temporary array.  Overflow
-        gives inf or nan without a warning: callers check finiteness."""
-        form = self._compile()
+    @staticmethod
+    def stack(k: int, polys) -> tuple:
+        """The stacked split form of several polynomials, and the output
+        row of each of their coefficients in the kernel's `by_right` mode.
+
+        The right parts of the stacked form are the (polynomial, auxiliary
+        monomial) slots, so for each polynomial sum_m c_m(a, abar) m(x)
+        the kernel gives the value of every coefficient c_m.  Returns
+        (form, slots), with slots[i] the dict auxiliary part of a packed
+        key -> output row, for polys[i].
+        """
+        form, highs = _split_form(k, polys, stacked=True)
+        slots: list = [{} for _ in polys]
+        for (i, m), row in highs.items():
+            slots[i][m] = row
+        return form, slots
+
+    @staticmethod
+    def _kernel(form: "_Compiled", amplitudes: np.ndarray, aux_assignment=None,
+                by_right: bool = False) -> np.ndarray:
+        """Values of a split form at the rows of an (n, 2^k) complex
+        amplitude array, with one aux assignment for every row.
+
+        By default the result is the n-vector sum_t c_t L_t R_t.  With
+        `by_right`, for a stacked form, it is the (right parts, n) array
+        whose row r is sum_t c_t L_t over the terms t of right part r.
+        Parts and terms are walked in blocks of at most _BLOCK elements per
+        temporary array.  Overflow gives inf or nan without a warning:
+        callers check finiteness."""
         n = len(amplitudes)
         amps = len(form.sources)
         fields = amps + len(form.aux_vars)
@@ -548,8 +514,25 @@ class Polynomial:
                 np.multiply.reduce(table[form.index[:, s:s + step]], axis=0,
                                    out=values[s:s + step])
             coeffs, left, right = form.coeffs, form.left, form.right
-            out = np.zeros(n, dtype=complex)
             step = max(_BLOCK // n, 1)
+            if by_right:
+                starts = form.starts
+                if 0 < len(coeffs) <= step:
+                    return np.add.reduceat(coeffs[:, None] * values[left],
+                                           starts, axis=0)
+                out = np.zeros((len(starts), n), dtype=complex)
+                for s in range(0, len(coeffs), step):
+                    # The right parts whose runs of terms meet this block;
+                    # the first may have begun in an earlier block.
+                    lo = int(np.searchsorted(starts, s, "right")) - 1
+                    hi = int(np.searchsorted(starts, s + step))
+                    runs = starts[lo:hi] - s
+                    runs[0] = 0
+                    out[lo:hi] += np.add.reduceat(
+                        coeffs[s:s + step, None] * values[left[s:s + step]],
+                        runs, axis=0)
+                return out
+            out = np.zeros(n, dtype=complex)
             for s in range(0, len(coeffs), step):
                 out += coeffs[s:s + step] @ (values[left[s:s + step]]
                                              * values[right[s:s + step]])
@@ -560,7 +543,7 @@ class Polynomial:
         if state.k != self.k:
             raise DimensionError(f"ambient k mismatch: {self.k} vs {state.k}")
         a = np.asarray(state.amplitudes, dtype=complex)[None, :]
-        return complex(self._kernel(a, aux_assignment)[0])
+        return complex(self._kernel(self._compile(), a, aux_assignment)[0])
 
     def batch_evaluator(self):
         """Compile an auxiliary-free polynomial into a vectorized evaluator.
@@ -569,26 +552,12 @@ class Polynomial:
         n-vector of values (a (2^k,) array to one value); the same kernel
         as `evaluate`, run on all rows at once.
         """
-        dim = 2 ** self.k
-        if self._compile().aux_vars:
+        form = self._compile()
+        if form.aux_vars:
             raise EvaluationError(
                 "batch evaluation requires an auxiliary-free polynomial"
             )
-        expected_k = self.k
-
-        def run(amps: np.ndarray) -> np.ndarray:
-            a = np.asarray(amps, dtype=complex)
-            single = a.ndim == 1
-            if single:
-                a = a[None, :]
-            if a.shape[1] != dim:
-                raise DimensionError(
-                    f"expected {dim} amplitudes (k={expected_k}), got {a.shape[1]}"
-                )
-            out = self._kernel(a)
-            return out[0] if single else out
-
-        return run
+        return batch_runner(self.k, lambda a: self._kernel(form, a))
 
     # -- printing ---------------------------------------------------------
 
@@ -627,6 +596,98 @@ class Polynomial:
             parts.append(f"({shown[c]})*{'*'.join(factors[start:end]) or '1'}")
             start = end
         return " + ".join(parts)
+
+
+def batch_runner(k: int, values):
+    """The vectorized evaluator over `values`, which maps an (n, 2^k)
+    complex amplitude array to n values: it takes an (n, 2^k) array to an
+    n-vector and a (2^k,) array to one value, and checks the width."""
+    dim = 2 ** k
+
+    def run(amps: np.ndarray) -> np.ndarray:
+        a = np.asarray(amps, dtype=complex)
+        single = a.ndim == 1
+        if single:
+            a = a[None, :]
+        if a.shape[1] != dim:
+            raise DimensionError(
+                f"expected {dim} amplitudes (k={k}), got {a.shape[1]}")
+        out = values(a)
+        return out[0] if single else out
+
+    return run
+
+
+def _split_form(k: int, polys, stacked: bool) -> tuple:
+    """The split form of one polynomial, or the stacked form of several,
+    and the numbering of its right parts.
+
+    Unstacked, each key is cut into its amplitude part (the low 2^k
+    fields) and the rest (conjugate and auxiliary fields), and the
+    distinct parts of both sides are numbered together, amplitude parts
+    first.  With v the values of the parts the polynomial is
+    sum_t coeffs[t] * v[left[t]] * v[right[t]].
+
+    Stacked, each key is cut into its auxiliary part and the rest, only
+    the rest is given a value, and right[t] numbers the (polynomial,
+    auxiliary part) slot of term t.  The terms of one slot are adjacent and
+    `starts` holds the first term of each, so the kernel's `by_right` mode
+    sums each slot with one `np.add.reduceat`.
+
+    The fields of `_Compiled` say what each array holds.  The power table
+    has a row of ones, then row 1 + (e - 1) * fields + u holds the e-th
+    power of the u-th used field.  Each distinct coefficient of a
+    polynomial is converted to complex once.
+    """
+    lay = layout(k)
+    cut = (1 << lay.aux_shift) - 1 if stacked else lay.amp_mask
+    lows: dict = {}
+    highs: dict = {}
+    coeffs, left, right = [], [], []
+    for i, p in enumerate(polys):
+        den = p.den
+        as_complex = {c: complex(c[0] / den, c[1] / den)
+                      for c in set(p.packed.values())}
+        items = p.packed.items()
+        if stacked:
+            slots: dict = {}
+            for key, c in items:
+                slots.setdefault(key & ~cut, []).append((key, c))
+            items = chain.from_iterable(slots.values())
+        for key, c in items:
+            low = key & cut
+            left.append(lows.setdefault(low, len(lows)))
+            high = (i, key - low) if stacked else key - low
+            right.append(highs.setdefault(high, len(highs)))
+            coeffs.append(as_complex[c])
+    exps = lay.exponent_matrix(list(lows) if stacked
+                               else list(lows) + list(highs))
+    used = np.flatnonzero(exps.any(axis=0))
+    exps = exps[:, used]
+    rows, cols = np.nonzero(exps)
+    counts = np.count_nonzero(exps, axis=1)
+    index = np.zeros((int(counts.max(initial=1)), len(exps)), dtype=np.intp)
+    # np.nonzero walks the parts in order, so a factor's rank within its
+    # part is its position minus the part's first position.  The exponents
+    # are uint8: widen them before the row arithmetic.
+    index[np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows],
+          rows] = (1 + (exps[rows, cols].astype(np.intp) - 1) * len(used)
+                   + cols)
+    right = np.array(right, dtype=np.intp)
+    n = lay.n
+    form = _Compiled(
+        coeffs=np.array(coeffs, dtype=complex),
+        left=np.array(left, dtype=np.intp),
+        right=right if stacked else right + len(lows),
+        index=index,
+        sources=used[used < 2 * n] % n,
+        conj=int(np.count_nonzero(used < n)),
+        aux_vars=tuple(lay.var[f] for f in used[used >= 2 * n]),
+        top=int(exps.max(initial=0)),
+        starts=(np.flatnonzero(np.diff(right, prepend=-1)) if stacked
+                else None),
+    )
+    return form, highs
 
 
 def _parts(packed: dict) -> tuple:

@@ -31,6 +31,10 @@ class State:
     amplitudes: tuple
 
     def __post_init__(self):
+        # operator.index accepts a bool (True is 1); a state file's
+        # "k": true must not load as k=1.
+        if isinstance(self.k, bool):
+            raise TypeError(f"k must be an integer, got {self.k!r}")
         k = operator.index(self.k)
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")

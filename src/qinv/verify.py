@@ -10,33 +10,34 @@ loads the Hilbert-series layer alone and no numpy.
 from __future__ import annotations
 
 
-def _batch_invariance(poly, amps_matrix, tol):
+def _batch_invariance(form, amps_matrix, tol):
     import numpy as np
 
-    values = poly.batch_evaluator()(amps_matrix)
+    values = form.batch_evaluator()(amps_matrix)
     base = values[0]
     worst = float(np.max(np.abs(values - base)) / max(1.0, abs(base)))
     return worst <= tol, worst
 
 
 def lut_invariant_registry(k: int):
-    """Named LUT invariant polynomials used by the invariance suite."""
+    """Named LUT invariants used by the invariance suite, as numeric forms
+    (see `InvariantExpr.numeric`)."""
     from .catalog import b_multidegrees
     from .invariants import (b_pairing, degree6_invariants_4, lut3_generator,
                              norm_invariant)
 
-    out = {"A": norm_invariant(k).poly}
+    out = {"A": norm_invariant(k)}
     for d in b_multidegrees(k):
         if d == (2,) * k:
             continue
-        out["B_" + "".join(map(str, d))] = b_pairing(k, d).poly
+        out["B_" + "".join(map(str, d))] = b_pairing(k, d)
     if k == 3:
         for i in range(1, 8):
-            out[f"f{i}"] = lut3_generator(i).poly
+            out[f"f{i}"] = lut3_generator(i)
     if k == 4:
         for name, expr in degree6_invariants_4():
-            out[f"deg6:{name}"] = expr.poly
-    return out
+            out[f"deg6:{name}"] = expr
+    return {name: expr.numeric() for name, expr in out.items()}
 
 
 def slocc_invariant_registry(k: int):

@@ -356,10 +356,13 @@ def test_overflowing_evaluation_leaves_stderr_empty(tmp_path, argv, k, value,
     assert json.loads(out.stdout) == {"error": message}
 
 
-@pytest.mark.parametrize("k", [3.9, "3"])
+@pytest.mark.parametrize("k", [3.9, "3", True, False])
 def test_state_file_with_non_integer_k_is_rejected(capsys, tmp_path, k):
+    # A boolean k gets two amplitudes, the size that True (= 1) would fit.
+    size = 2 if isinstance(k, bool) else 8
     path = tmp_path / "k.json"
-    path.write_text(json.dumps({"k": k, "amplitudes": [[1, 0]] + [[0, 0]] * 7}))
+    path.write_text(json.dumps(
+        {"k": k, "amplitudes": [[1, 0]] + [[0, 0]] * (size - 1)}))
     code, doc = _run_json(capsys, ["measure", "--state", str(path)])
     assert code == 1
     assert list(doc) == ["error"]
@@ -585,3 +588,42 @@ def test_direct_measure_and_hilbert_suite_do_not_import_numpy(tmp_path):
         argvs.append(command[:1] + ["--state", overflow] + command[1:])
     argvs.append(["covariant", "--k", "9", "--name", "f"])
     assert _numpy_importers(argvs) == []
+
+
+def _past_hilbert_bounds():
+    """For each bound of `HILBERT_MAX`, an argv at the first size past it,
+    with the error it must give."""
+    from qinv.cli import HILBERT_MAX
+
+    for (group, method), (max_k, max_degree) in HILBERT_MAX.items():
+        command = f"hilbert --group {group} --method {method}"
+        base = ["hilbert", "--group", group, "--method", method]
+        if max_k is not None:
+            yield pytest.param(
+                base + ["--k", str(max_k + 1), "--max-degree", "2"],
+                f"{command} supports k <= {max_k}, got k={max_k + 1}",
+                id=f"{group}-{method}-k{max_k + 1}")
+        past = f"{command} supports degrees <= {max_degree}, got " \
+               f"{max_degree + 1}"
+        yield pytest.param(
+            base + ["--k", "3", "--max-degree", str(max_degree + 1)], past,
+            id=f"{group}-{method}-degree{max_degree + 1}")
+        if group == "lsut":
+            yield pytest.param(
+                base + ["--k", "3", "--max-degree", "2",
+                        "--max-conj-degree", str(max_degree + 1)], past,
+                id=f"{group}-{method}-conj-degree{max_degree + 1}")
+
+
+@pytest.mark.parametrize("argv, message", list(_past_hilbert_bounds()))
+def test_hilbert_sizes_are_bounded(capsys, argv, message):
+    code, doc = _run_json(capsys, argv)
+    assert code == 1
+    assert doc == {"error": message}
+
+
+def test_hilbert_bounds_allow_the_ct_size_of_the_benchmark(capsys):
+    code, doc = _run_json(capsys, ["hilbert", "--group", "lut", "--k", "3",
+                                   "--max-degree", "10", "--method", "ct"])
+    assert code == 0
+    assert doc["coefficients"] == [1, 0, 1, 0, 4, 0, 5, 0, 12, 0, 15]

@@ -1,6 +1,10 @@
 """Hermitian pairings, the 3-qubit generator identities, syzygies and the
 Jacobian independence certificate."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -205,3 +209,138 @@ def test_pairing_sesquilinearity_numeric(rng):
         assert fwd.evaluate(s) == pytest.approx(
             bwd.evaluate(s).conjugate(), rel=1e-10, abs=1e-12
         )
+
+
+# -- lazy expansion -------------------------------------------------------
+
+
+def _run_fresh(script: str) -> str:
+    """stdout of `script` run in a fresh interpreter on this source tree."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env, check=False)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+_NUMERIC_PATHS = """
+import gc, json
+import numpy as np
+from qinv.cli import invariant_registry
+from qinv.invariants import InvariantExpr
+from qinv.measures import classify3, meyer_wallach
+from qinv.poly import random_state
+from qinv.verify import lut_invariant_registry, suite_invariance
+
+rng = np.random.default_rng(0)
+for k in (3, 4):
+    s = random_state(k, rng)
+    rows = np.array([random_state(k, rng).amplitudes for _ in range(3)])
+    for fn in invariant_registry(k).values():
+        fn(s)
+        fn.__self__.batch_evaluator()(rows)
+    for form in lut_invariant_registry(k).values():
+        form.evaluate(s)
+        form.batch_evaluator()(rows)
+    meyer_wallach(s, "covariant")
+classify3(random_state(3, rng))
+suite_invariance(k=3)
+nodes = [x for x in gc.get_objects() if isinstance(x, InvariantExpr)]
+print(json.dumps({
+    "pairings": sum(x._op == "pairing" for x in nodes),
+    "expanded": sorted(repr(x) for x in nodes
+                       if x._op != "poly" and x._poly is not None),
+}))
+"""
+
+
+def test_numeric_paths_expand_no_pairing():
+    doc = json.loads(_run_fresh(_NUMERIC_PATHS))
+    assert doc["pairings"] >= 30
+    assert doc["expanded"] == []
+
+
+# sha256 of pretty() of f7, the k=4 covariant E_3111, Delta, and the
+# degree-6 k=4 family (one "name<TAB>pretty()" line each), and their
+# denominators; the same digests as perfbench/pins.json.
+PINNED_EXACT = {
+    "f7": ["c705c6cded8e7e86d98b3f6dbb7131f5647dc820d55fcd764104b80f9df9419c",
+           [1]],
+    "E_3111": [
+        "50cf743cd5b710d3233f4f50627d41329582a51aa725e2d6b0de109b792734fa",
+        [1]],
+    "Delta": [
+        "d5eeb9b69c508d7b19273797dea2423532a9dab6adcd1b833dd447b58712eedd",
+        [1]],
+    "degree6_4": [
+        "e1d31a501629d65341c9c6ecf41d86e0c798971fc3abc31f583cfdbc715a7cf3",
+        [1] * 20],
+}
+
+_PINS_AROUND_EVALUATION = """
+import hashlib, json
+import numpy as np
+from qinv.catalog import catalog_3, catalog_4
+from qinv.invariants import degree6_invariants_4, delta_invariant, lut3_generator
+from qinv.poly import State, random_state
+
+def pins():
+    def pin(*named):
+        text = "\\n".join(f"{n}\\t{p.pretty()}" if n else p.pretty()
+                         for n, p in named)
+        return [hashlib.sha256(text.encode()).hexdigest(),
+                [p.den for _, p in named]]
+    return {
+        "f7": pin(("", lut3_generator(7).poly)),
+        "E_3111": pin(("", catalog_4("E_3111").poly)),
+        "Delta": pin(("", catalog_3("Delta").poly)),
+        "degree6_4": pin(*((n, e.poly) for n, e in degree6_invariants_4())),
+    }
+
+before = pins()
+rng = np.random.default_rng(1)
+for k, exprs in ((3, [lut3_generator(7), delta_invariant()]),
+                 (4, [e for _, e in degree6_invariants_4()])):
+    s = random_state(k, rng)
+    rows = np.array([random_state(k, rng).amplitudes for _ in range(3)])
+    for e in exprs:
+        e.evaluate(s)
+        e.numeric().batch_evaluator()(rows)
+        e.poly.evaluate(s)
+        e.poly.batch_evaluator()(rows)
+catalog_4("E_3111").evaluate(random_state(4, rng), {
+    (j, b): 1j + j + b for j in range(1, 5) for b in (0, 1)})
+print(json.dumps([before, pins()]))
+"""
+
+
+def test_exact_outputs_are_pinned_around_numeric_evaluation():
+    before, after = json.loads(_run_fresh(_PINS_AROUND_EVALUATION))
+    assert before == PINNED_EXACT
+    assert after == PINNED_EXACT
+
+
+def test_numeric_form_matches_the_expansion_on_every_node_kind(rng):
+    import numpy as np
+
+    from qinv.invariants import NumericForm
+    from qinv.poly import random_state
+
+    a, s2, delta = norm_invariant(3), s2_invariant(), delta_invariant()
+    mixed = lut3_generator_sum((1, 0), (1, 0), (0, 1))
+    zero = pairing(catalog_3("Hx"), catalog_3("Hy"))
+    exprs = [
+        s2.conjugate(), delta.conjugate() * s2 * s2, a ** 0, a ** 3,
+        mixed * a - Fraction(1, 3) * (a * mixed), (mixed * s2).conjugate(),
+        zero + zero, zero * a, s2 * GaussianRational(1, 2) - s2,
+    ]
+    rows = np.array([random_state(3, rng).amplitudes for _ in range(5)])
+    together = NumericForm(exprs).values(rows)
+    for expr, joint in zip(exprs, together):
+        want = expr.poly.batch_evaluator()(rows)
+        got = expr.numeric().batch_evaluator()(rows)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert np.allclose(joint, want, rtol=1e-12, atol=1e-12)

@@ -365,16 +365,25 @@ def test_named_states():
 # -- the numeric kernel ---------------------------------------------------
 
 
-def _registry_polys(k):
+def _numeric_forms(k):
+    """(name, numeric form, expanded polynomial) for every name of
+    `invariant_registry(k)` and `lut_invariant_registry(k)`."""
     from qinv.cli import invariant_registry
+    from qinv.verify import lut_invariant_registry
 
-    for name, fn in invariant_registry(k).items():
-        owner = fn.__self__
-        yield name, getattr(owner, "poly", owner)
+    forms = [(name, fn.__self__) for name, fn in invariant_registry(k).items()]
+    forms += [(f"LUT:{name}", form)
+              for name, form in lut_invariant_registry(k).items()]
+    for name, form in forms:
+        exprs = getattr(form, "exprs", None)
+        yield name, form, exprs[0].poly if exprs else form
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_registry_scalar_batch_and_exact_agree(k):
+    # The numeric forms evaluate pairings through their covariants; the
+    # expanded polynomials are the reference, exact at a Gaussian-integer
+    # point and to 1e-12 on random states.
     from qinv.invariants import evaluate_exact
 
     gen = np.random.default_rng(k)
@@ -382,14 +391,41 @@ def test_registry_scalar_batch_and_exact_agree(k):
     exact_point = {i: GaussianRational(int(r), int(m))
                    for i, (r, m) in enumerate(point.T)}
     rows = np.array([point[0] + 1j * point[1]]
-                    + [random_state(k, gen).amplitudes for _ in range(4)])
-    for name, p in _registry_polys(k):
-        batch = p.batch_evaluator()(rows)
+                    + [random_state(k, gen).amplitudes for _ in range(32)])
+    for name, form, poly in _numeric_forms(k):
+        batch = form.batch_evaluator()(rows)
+        ref = poly.batch_evaluator()(rows)
+        assert np.all(np.abs(batch - ref)
+                      <= 1e-12 * np.maximum(1, np.abs(ref))), name
         for row, want in zip(rows, batch):
-            got = p.evaluate(State(k, tuple(row)))
+            got = form.evaluate(State(k, tuple(row)))
             assert abs(got - want) <= 1e-12 * abs(want), name
-        exact = complex(evaluate_exact(p, exact_point))
+        exact = complex(evaluate_exact(poly, exact_point))
         assert abs(batch[0] - exact) <= 1e-12 * abs(exact), name
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_registry_evaluation_takes_one_kernel_call(k, monkeypatch):
+    from qinv.cli import invariant_registry
+
+    gen = np.random.default_rng(k)
+    s = random_state(k, gen)
+    rows = np.array([random_state(k, gen).amplitudes for _ in range(3)])
+    registry = dict(invariant_registry(k).items())
+    calls = []
+    kernel = Polynomial._kernel
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "_kernel", staticmethod(counted))
+    for name, fn in registry.items():
+        run = fn.__self__.batch_evaluator()
+        for evaluate in (lambda: fn(s), lambda: run(rows)):
+            calls.clear()
+            evaluate()
+            assert len(calls) == 1, name
 
 
 @pytest.mark.parametrize("p", [Polynomial.zero(3),
