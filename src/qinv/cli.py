@@ -35,11 +35,10 @@ SUITE_NAMES = ("classification", "hilbert", "identities", "invariance")
 # The largest k for which each command builds covariants, so that no
 # command runs for minutes or exhausts memory.  Cold CPU time of the costliest
 # case on a 2-vCPU host, with pairings evaluated through their covariants:
-# `measure --route covariant` took 0.40 s at k=6 and 0.88 s (70 MB) at k=7;
-# `eval --invariant B_2...2` took 0.46 s at k=7 and 0.98 s (120 MB) at k=8;
+# `measure --route covariant` took 0.37 s at k=6 and 0.75 s (72 MB) at k=7;
+# `eval --invariant B_2...2` took 0.36 s at k=7 and 0.86 s (122 MB) at k=8;
 # `covariant --name B_2...2 --print` took 1.7 s at k=8 and 12 s (2.8 GB) at
-# k=9.  (When the pairings were expanded first, the first two took 0.87 and
-# 5.8 s, and 0.82 and 5.6 s.)
+# k=9.
 MAX_K = {"eval": 7, "measure --route covariant": 6, "covariant": 8}
 
 # The largest k and degree of `qinv hilbert` per (group, method), checked

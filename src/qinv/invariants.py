@@ -62,7 +62,8 @@ class InvariantExpr:
     dropped, so intermediate results do not stay in memory.
 
     Numeric evaluation never expands: `numeric()` evaluates the recipe
-    through its covariants (`NumericForm`).
+    through its covariants (`NumericForm`).  Equality and hashing compare
+    (poly, bidegree, name), so they expand.
     """
 
     __slots__ = ("k", "bidegree", "name", "_op", "_args", "_poly",
@@ -104,6 +105,15 @@ class InvariantExpr:
         """The same recipe under another name."""
         return self._node(self.k, self.bidegree, self._op, self._args, name,
                           self._poly)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.poly, self.bidegree, self.name)
+                == (other.poly, other.bidegree, other.name))
+
+    def __hash__(self):
+        return hash((self.poly, self.bidegree, self.name))
 
     def __repr__(self):
         return (f"InvariantExpr({self.name or self._op!r}, k={self.k}, "
@@ -294,9 +304,12 @@ class NumericForm:
 
         memo: dict = {}
         tops = [e._flatten(False, leaf, memo) for e in self.exprs]
-        linear = all(len(m) == 1 for top in tops for m in top)
-        # <1|1> = 1 pads the products of fewer leaves than the widest.
-        one = None if linear else leaf(None, None)
+        # <1|1> = 1 pads the products of fewer leaves than the widest (at
+        # least one leaf wide).
+        width = max([1] + [len(m) for top in tops for m in top])
+        one = None
+        if any(len(m) < width for top in tops for m in top):
+            one = leaf(None, None)
         unit = Polynomial.constant(k, 1)
         polys: dict = {}
         for _, a, b in sides.values():
@@ -316,49 +329,40 @@ class NumericForm:
                 row[j] = len(starts)
                 starts.append(len(pairs))
                 pairs += common
-        weights = np.array([w for w, _, _ in pairs], dtype=float)[:, None]
-        self._weights = None if np.all(weights == 1) else weights
+        self._weights = np.array([w for w, _, _ in pairs],
+                                 dtype=float)[:, None]
         self._pa = np.array([r for _, r, _ in pairs], dtype=np.intp)
         self._pb = np.array([r for _, _, r in pairs], dtype=np.intp)
         self._starts = np.array(starts, dtype=np.intp)
         # The top polynomials: column q of gamma holds the coefficients of
         # the q-th product of leaves in each output, and column q of
-        # `_index` the rows of its leaves.  A top of single leaves needs no
-        # products: its columns are the leaf rows, and an identity gamma is
-        # left out.
-        cols: dict = {(r,): r for r in range(len(starts))} if linear else {}
+        # `_index` the rows of its leaves, padded with the row of <1|1>.
+        cols: dict = {}
         entries = [(i, cols.setdefault(tuple(row[j] for j in m), len(cols)), c)
                    for i, top in enumerate(tops) for m, c in top.items()
                    if c and all(j in row for j in m)]
-        gamma = np.zeros((len(tops), len(cols)), dtype=complex)
+        self._gamma = np.zeros((len(tops), len(cols)), dtype=complex)
         for i, q, c in entries:
-            gamma[i, q] += c
-        self._index = None
-        if not linear:
-            self._index = np.full((max(map(len, cols), default=0), len(cols)),
-                                  row[one], dtype=np.intp)
-            for m, q in cols.items():
-                self._index[:len(m), q] = m
-        elif len(gamma) == len(cols) and np.array_equal(gamma,
-                                                        np.eye(len(cols))):
-            gamma = None
-        self._gamma = gamma
+            self._gamma[i, q] += c
+        pad = [row[one]] if one in row else []
+        self._index = np.array(
+            [list(m) + pad * (width - len(m)) for m in cols],
+            dtype=np.intp).reshape(len(cols), width).T
 
     def values(self, amplitudes: np.ndarray) -> np.ndarray:
         """The (outputs, n) values at the rows of an (n, 2^k) complex
         amplitude array: one kernel call, then the leaves and the tops."""
         u = Polynomial._kernel(self._form, amplitudes, by_right=True)
-        if not len(self._starts):
-            return np.zeros((len(self.exprs), len(amplitudes)), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             p = u[self._pa]
             p *= np.conjugate(u[self._pb])
-            if self._weights is not None:
-                p *= self._weights
-            p = np.add.reduceat(p, self._starts, axis=0)
-            if self._index is not None:
-                p = np.multiply.reduce(p[self._index], axis=0)
-            return p if self._gamma is None else self._gamma @ p
+            p *= self._weights
+            if len(self._starts):
+                p = np.add.reduceat(p, self._starts, axis=0)
+            prod = p[self._index[0]]
+            for rows in self._index[1:]:
+                prod *= p[rows]
+            return self._gamma @ prod
 
     def evaluate(self, state) -> complex:
         if state.k != self.k:

@@ -509,28 +509,24 @@ class Polynomial:
                             out=table[1 + e * fields:1 + (e + 1) * fields])
             width, parts = form.index.shape
             values = np.empty((parts, n), dtype=complex)
-            step = max(_BLOCK // (n * width), 1)
+            step = max(_BLOCK // max(n * width, 1), 1)
             for s in range(0, parts, step):
                 np.multiply.reduce(table[form.index[:, s:s + step]], axis=0,
                                    out=values[s:s + step])
             coeffs, left, right = form.coeffs, form.left, form.right
-            step = max(_BLOCK // n, 1)
+            step = max(_BLOCK // max(n, 1), 1)
             if by_right:
                 starts = form.starts
-                if 0 < len(coeffs) <= step:
-                    return np.add.reduceat(coeffs[:, None] * values[left],
-                                           starts, axis=0)
                 out = np.zeros((len(starts), n), dtype=complex)
                 for s in range(0, len(coeffs), step):
                     # The right parts whose runs of terms meet this block;
                     # the first may have begun in an earlier block.
-                    lo = int(np.searchsorted(starts, s, "right")) - 1
-                    hi = int(np.searchsorted(starts, s + step))
+                    e = min(s + step, len(coeffs))
+                    lo, hi = right[s], right[e - 1] + 1
                     runs = starts[lo:hi] - s
                     runs[0] = 0
                     out[lo:hi] += np.add.reduceat(
-                        coeffs[s:s + step, None] * values[left[s:s + step]],
-                        runs, axis=0)
+                        coeffs[s:e, None] * values[left[s:e]], runs, axis=0)
                 return out
             out = np.zeros(n, dtype=complex)
             for s in range(0, len(coeffs), step):

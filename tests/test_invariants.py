@@ -335,7 +335,7 @@ def test_numeric_form_matches_the_expansion_on_every_node_kind(rng):
     exprs = [
         s2.conjugate(), delta.conjugate() * s2 * s2, a ** 0, a ** 3,
         mixed * a - Fraction(1, 3) * (a * mixed), (mixed * s2).conjugate(),
-        zero + zero, zero * a, s2 * GaussianRational(1, 2) - s2,
+        zero + zero, zero * a, zero ** 0, s2 * GaussianRational(1, 2) - s2,
     ]
     rows = np.array([random_state(3, rng).amplitudes for _ in range(5)])
     together = NumericForm(exprs).values(rows)
@@ -344,3 +344,16 @@ def test_numeric_form_matches_the_expansion_on_every_node_kind(rng):
         got = expr.numeric().batch_evaluator()(rows)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
         assert np.allclose(joint, want, rtol=1e-12, atol=1e-12)
+
+
+def test_invariants_compare_and_hash_by_value():
+    # Two separately built recipes of one polynomial are equal and hash
+    # alike; the name takes part in both.
+    f = ground_form(3)
+    x, y = pairing(f, f, "A"), pairing(f, f, "A")
+    assert x is not y
+    assert x == y and hash(x) == hash(y)
+    assert len({x, y}) == 1
+    assert x != pairing(f, f, "B")
+    assert (x * x).named("A^2") == (y ** 2).named("A^2")
+    assert x != x.poly

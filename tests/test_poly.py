@@ -440,6 +440,16 @@ def test_zero_and_constant_evaluate_on_both_paths(p):
     assert p.batch_evaluator()(rows[0]) == want
 
 
+def test_empty_batch_gives_an_empty_vector():
+    from qinv.catalog import cayley_hyperdet
+    from qinv.invariants import lut3_generator
+
+    for run in (cayley_hyperdet().batch_evaluator(),
+                lut3_generator(7).numeric().batch_evaluator()):
+        out = run(np.zeros((0, 8), dtype=complex))
+        assert out.shape == (0,)
+
+
 def test_aux_covariant_evaluates_with_an_assignment():
     from qinv.catalog import catalog_3
 
