@@ -27,23 +27,28 @@ class GaussianRational:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
+        if (other := _coerce(other)) is None:
+            return NotImplemented
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
+        if (other := _coerce(other)) is None:
+            return NotImplemented
         return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        if (other := _coerce(other)) is None:
+            return NotImplemented
+        return other - self
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
     def __mul__(self, other):
-        other = _coerce(other)
+        if (other := _coerce(other)) is None:
+            return NotImplemented
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -52,7 +57,8 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
+        if (other := _coerce(other)) is None:
+            return NotImplemented
         n = other.re * other.re + other.im * other.im
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
@@ -62,7 +68,9 @@ class GaussianRational:
         )
 
     def __rtruediv__(self, other):
-        return _coerce(other) / self
+        if (other := _coerce(other)) is None:
+            return NotImplemented
+        return other / self
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -96,12 +104,15 @@ class GaussianRational:
         return f"({self.re}{sign}{abs(self.im)}*I)"
 
 
-def _coerce(x) -> GaussianRational:
+def _coerce(x) -> GaussianRational | None:
+    """x as a GaussianRational, or None for an operand of another type, so
+    that the arithmetic methods return NotImplemented and Python tries the
+    other operand's reflected method."""
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, (int, Fraction)):
         return GaussianRational(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
+    return None
 
 
 GR_ZERO = GaussianRational(0)

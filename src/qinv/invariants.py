@@ -14,7 +14,7 @@ An `InvariantExpr` is the recipe of pairings, plain polynomials, sums,
 products and powers it was built by; its exact polynomial is expanded only
 on access.  A numeric value needs only the values of the aux-coefficients
 c_m(a), so `NumericForm` stacks the distinct covariants of a recipe into
-one split form whose right parts are the (covariant, aux monomial) slots,
+one form whose slots are the (covariant, aux monomial) pairs,
 takes all slot values with one kernel call, and evaluates the recipe as a
 polynomial in the pairings: the 47 named invariants of the CLI at k = 3
 and 4 rest on about 3,100 covariant terms, against 66,764 expanded.
@@ -282,9 +282,9 @@ class NumericForm:
     P_j = <A_j|B_j> = sum_m w(m) c_m conj(d_m), with c_m and d_m the
     aux-coefficients of the covariants A_j and B_j (a plain polynomial P is
     the leaf <P|1>).  The distinct covariants of all leaves are stacked
-    into one split form (`Polynomial.stack`) whose right parts are the
-    (covariant, aux monomial) slots, so one `Polynomial._kernel` call in
-    its `by_right` mode gives every slot value U.  Then
+    into one form (`Polynomial.stack`) whose slots are the
+    (covariant, aux monomial) pairs, so one `Polynomial._kernel` call
+    gives every slot value U.  Then
     P_j = sum_m w(m) U[A_j, m] conj(U[B_j, m]), and the outputs are the
     small top polynomials in the P_j.
 
@@ -352,7 +352,7 @@ class NumericForm:
     def values(self, amplitudes: np.ndarray) -> np.ndarray:
         """The (outputs, n) values at the rows of an (n, 2^k) complex
         amplitude array: one kernel call, then the leaves and the tops."""
-        u = Polynomial._kernel(self._form, amplitudes, by_right=True)
+        u = Polynomial._kernel(self._form, amplitudes)
         with np.errstate(over="ignore", invalid="ignore"):
             p = u[self._pa]
             p *= np.conjugate(u[self._pb])

@@ -17,13 +17,6 @@ from math import gcd, lcm
 from .gaussian import GR_ZERO, GaussianRational
 
 
-def polys_to_rows(polys):
-    """Sparse coefficient rows of a polynomial family, one per polynomial:
-    packed monomial -> Gaussian-integer numerator (the polynomial times its
-    denominator)."""
-    return [p.packed for p in polys]
-
-
 def _scaled_row(row) -> tuple:
     """(den, sparse Gaussian-integer row): a row of exact scalars times den,
     the lcm of its denominators."""
@@ -75,8 +68,9 @@ def independent_rows(rows):
 
 
 def independent_subset(polys):
-    """Indices of a maximal linearly independent subset, greedy in input order."""
-    return independent_rows(polys_to_rows(polys))
+    """Indices of a maximal linearly independent subset, greedy in input
+    order; a polynomial's row is its packed dict of numerators."""
+    return independent_rows([p.packed for p in polys])
 
 
 def rank(polys) -> int:

@@ -37,23 +37,19 @@ field.
 At the boundary a monomial is a sorted tuple of (variable, exponent) pairs
 with positive exponents and a coefficient is a GaussianRational: the
 constructor takes that form, validated, and `terms` gives it back.
-Numeric evaluation, scalar and batched, runs one kernel on one compiled
-form per polynomial, built from the packed keys on first use.  The form
-is split (sesquilinear): each key is cut into its amplitude part and the
-rest (conjugates and auxiliaries), the distinct parts are numbered, and
-each term keeps (coefficient, left part, right part).  A pairing <Phi|Psi>
-has far fewer distinct parts than terms (f7: 8,412 terms over 504 + 504
-parts), so the kernel takes the value of every part once, from a table of
-powers, and then sums c * left * right over the terms, in blocks of a
-fixed number of elements so that its temporaries stay small.
-
-The same kernel evaluates pairings without expanding them.  A stacked
-form (`Polynomial.stack`) of several covariants cuts each key into its
-auxiliary part and the rest instead; its right parts are the (covariant,
-aux monomial) slots, and in its per-right-part mode (`by_right`) the
-kernel returns the value of every slot, that is of every aux-coefficient
-c_m(a) of every covariant, from which `invariants.NumericForm` forms the
-pairings sum_m w(m) c_m conj(d_m).
+Numeric evaluation, scalar and batched, runs one kernel on one form
+(`Polynomial.stack`), built from the packed keys on first use.  Each key
+is cut into its amplitude, conjugate and auxiliary parts; the distinct
+amplitude and conjugate parts are numbered together and valued once from a
+table of powers, and each term adds c * V[amplitude part] * V[conjugate
+part] to its (polynomial, aux monomial) slot.  So the kernel gives the
+value of every aux-coefficient c_m(a, abar) of every polynomial in the
+form: `evaluate` multiplies each by the value of its aux monomial, and
+`invariants.NumericForm` forms the pairings sum_m w(m) c_m conj(d_m)
+without expanding them.  A pairing has far fewer distinct parts than terms
+(expanded f7: 8,412 terms over 504 + 504 parts), and the terms are walked
+in blocks of a fixed number of elements so that the temporaries stay
+small.
 """
 
 from __future__ import annotations
@@ -93,52 +89,23 @@ def aux(slot: int, comp: int) -> tuple:
     return ("x", slot, comp, 0)
 
 
-def mono_mul(m1: tuple, m2: tuple) -> tuple:
-    """Merge two sorted monomials, adding exponents."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        v1, e1 = m1[i]
-        v2, e2 = m2[j]
-        if v1 == v2:
-            out.append((v1, e1 + e2))
-            i += 1
-            j += 1
-        elif v1 < v2:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
-
-
 class EvaluationError(KeyError):
     """A variable could not be resolved during numeric evaluation."""
 
 
 class _Compiled(NamedTuple):
-    """The split form of a polynomial (see `Polynomial._compile`)."""
+    """The numeric form of one or more polynomials (see `Polynomial.stack`)."""
 
     coeffs: np.ndarray    # complex coefficient per term
     left: np.ndarray      # per term, the number of its amplitude part
-    right: np.ndarray     # per term, the number of its other part
+    right: np.ndarray     # per term, the number of its conjugate part
+    slot: np.ndarray      # per term, its (polynomial, aux monomial) slot
+    starts: np.ndarray    # the first term of each slot
     index: np.ndarray     # width-by-part rows of the power table whose
                           # product is each part's value; row 0 pads
-    sources: np.ndarray   # the amplitude of each used amplitude or
-                          # conjugate field
+    sources: np.ndarray   # the amplitude of each used field
     conj: int             # how many of those are amplitudes, not conjugates
-    aux_vars: tuple       # the variable of each used auxiliary field
     top: int              # the largest exponent
-    starts: np.ndarray | None  # stacked forms: the first term of each
-                               # right part
 
 
 class Layout:
@@ -452,57 +419,94 @@ class Polynomial:
 
     # -- numeric evaluation -----------------------------------------------
 
-    def _compile(self) -> "_Compiled":
-        """The split form shared by `evaluate` and `batch_evaluator`, built
-        from the packed keys on first use (see `_split_form`)."""
+    def _compile(self) -> tuple:
+        """This polynomial's numeric form and slots (see `stack`), shared
+        by `evaluate` and `batch_evaluator` and built on first use."""
         if self._compiled is None:
-            self._compiled = _split_form(self.k, (self,), stacked=False)[0]
+            self._compiled = Polynomial.stack(self.k, (self,))
         return self._compiled
 
     @staticmethod
     def stack(k: int, polys) -> tuple:
-        """The stacked split form of several polynomials, and the output
-        row of each of their coefficients in the kernel's `by_right` mode.
+        """The numeric form of several polynomials, and the kernel's output
+        row of each of their aux-coefficients.
 
-        The right parts of the stacked form are the (polynomial, auxiliary
-        monomial) slots, so for each polynomial sum_m c_m(a, abar) m(x)
-        the kernel gives the value of every coefficient c_m.  Returns
-        (form, slots), with slots[i] the dict auxiliary part of a packed
-        key -> output row, for polys[i].
+        Each packed key is cut into its amplitude, conjugate and auxiliary
+        parts.  The terms are grouped by (polynomial, auxiliary part) slot,
+        so that the terms of one slot are adjacent and `starts` holds the
+        first of each, and the amplitude and conjugate parts of all terms
+        are numbered together.  The fields of `_Compiled` say what each
+        array holds.  The power table has a row of ones, then row
+        1 + (e - 1) * fields + u holds the e-th power of the u-th used
+        field.  Each distinct coefficient of a polynomial is converted to
+        complex once.  Returns (form, slots), with slots[i] the dict
+        auxiliary part of a packed key -> output row, for polys[i].
         """
-        form, highs = _split_form(k, polys, stacked=True)
-        slots: list = [{} for _ in polys]
-        for (i, m), row in highs.items():
-            slots[i][m] = row
+        lay = layout(k)
+        aux_mask = -1 << lay.aux_shift
+        keys, coeffs, starts, slots = [], [], [], []
+        for p in polys:
+            packed, den = p.packed, p.den
+            as_complex = {c: complex(c[0] / den, c[1] / den)
+                          for c in set(packed.values())}
+            groups: dict = {}
+            for key in packed:
+                groups.setdefault(key & aux_mask, []).append(key)
+            rows = {}
+            for m, group in groups.items():
+                rows[m] = len(starts)
+                starts.append(len(keys))
+                keys += group
+                coeffs += [as_complex[packed[key]] for key in group]
+            slots.append(rows)
+        parts: dict = {}
+        left = [parts.setdefault(key & lay.amp_mask, len(parts))
+                for key in keys]
+        right = [parts.setdefault(key & lay.conj_mask, len(parts))
+                 for key in keys]
+        exps = lay.exponent_matrix(list(parts))
+        used = np.flatnonzero(exps.any(axis=0))
+        exps = exps[:, used]
+        rows, cols = np.nonzero(exps)
+        counts = np.count_nonzero(exps, axis=1)
+        index = np.zeros((int(counts.max(initial=1)), len(exps)), dtype=np.intp)
+        # np.nonzero walks the parts in order, so a factor's rank within its
+        # part is its position minus the part's first position.  The exponents
+        # are uint8: widen them before the row arithmetic.
+        index[np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows],
+              rows] = (1 + (exps[rows, cols].astype(np.intp) - 1) * len(used)
+                       + cols)
+        form = _Compiled(
+            coeffs=np.array(coeffs, dtype=complex),
+            left=np.array(left, dtype=np.intp),
+            right=np.array(right, dtype=np.intp),
+            slot=np.repeat(np.arange(len(starts)),
+                           np.diff(starts + [len(keys)])),
+            starts=np.array(starts, dtype=np.intp),
+            index=index,
+            sources=used % lay.n,
+            conj=int(np.count_nonzero(used < lay.n)),
+            top=int(exps.max(initial=0)),
+        )
         return form, slots
 
     @staticmethod
-    def _kernel(form: "_Compiled", amplitudes: np.ndarray, aux_assignment=None,
-                by_right: bool = False) -> np.ndarray:
-        """Values of a split form at the rows of an (n, 2^k) complex
-        amplitude array, with one aux assignment for every row.
+    def _kernel(form: "_Compiled", amplitudes: np.ndarray) -> np.ndarray:
+        """The values of every slot of a numeric form at the rows of an
+        (n, 2^k) complex amplitude array: the (slots, n) array whose row r
+        is sum_t c_t V[left_t] V[right_t] over the terms t of slot r.
 
-        By default the result is the n-vector sum_t c_t L_t R_t.  With
-        `by_right`, for a stacked form, it is the (right parts, n) array
-        whose row r is sum_t c_t L_t over the terms t of right part r.
         Parts and terms are walked in blocks of at most _BLOCK elements per
         temporary array.  Overflow gives inf or nan without a warning:
         callers check finiteness."""
         n = len(amplitudes)
-        amps = len(form.sources)
-        fields = amps + len(form.aux_vars)
+        fields = len(form.sources)
         top = form.top
         table = np.empty((1 + top * fields, n), dtype=complex)
         table[0] = 1
         x = table[1:1 + fields]
-        x[:amps] = amplitudes.T[form.sources]
-        np.conjugate(x[form.conj:amps], out=x[form.conj:amps])
-        for row, v in enumerate(form.aux_vars, amps):
-            try:
-                x[row] = aux_assignment[v[1:3]]
-            except (KeyError, TypeError):
-                raise EvaluationError(
-                    f"unresolved auxiliary variable {v}") from None
+        x[:] = amplitudes.T[form.sources]
+        np.conjugate(x[form.conj:], out=x[form.conj:])
         with np.errstate(over="ignore", invalid="ignore"):
             for e in range(1, top):
                 np.multiply(table[1 + (e - 1) * fields:1 + e * fields], x,
@@ -514,32 +518,47 @@ class Polynomial:
                 np.multiply.reduce(table[form.index[:, s:s + step]], axis=0,
                                    out=values[s:s + step])
             coeffs, left, right = form.coeffs, form.left, form.right
+            slot, starts = form.slot, form.starts
+            out = np.zeros((len(starts), n), dtype=complex)
             step = max(_BLOCK // max(n, 1), 1)
-            if by_right:
-                starts = form.starts
-                out = np.zeros((len(starts), n), dtype=complex)
-                for s in range(0, len(coeffs), step):
-                    # The right parts whose runs of terms meet this block;
-                    # the first may have begun in an earlier block.
-                    e = min(s + step, len(coeffs))
-                    lo, hi = right[s], right[e - 1] + 1
-                    runs = starts[lo:hi] - s
-                    runs[0] = 0
-                    out[lo:hi] += np.add.reduceat(
-                        coeffs[s:e, None] * values[left[s:e]], runs, axis=0)
-                return out
-            out = np.zeros(n, dtype=complex)
             for s in range(0, len(coeffs), step):
-                out += coeffs[s:s + step] @ (values[left[s:s + step]]
-                                             * values[right[s:s + step]])
+                # The slots whose runs of terms meet this block; the first
+                # may have begun in an earlier block.
+                e = min(s + step, len(coeffs))
+                lo, hi = slot[s], slot[e - 1] + 1
+                runs = starts[lo:hi] - s
+                runs[0] = 0
+                terms = values[left[s:e]]
+                terms *= values[right[s:e]]
+                terms *= coeffs[s:e, None]
+                out[lo:hi] += np.add.reduceat(terms, runs, axis=0)
             return out
 
     def evaluate(self, state: "State", aux_assignment: Mapping | None = None) -> complex:
-        """Evaluate at a numeric state; aux_assignment maps (slot, comp) -> complex."""
+        """Evaluate at a numeric state; aux_assignment maps (slot, comp) ->
+        complex.  The value is the sum of the aux-coefficients' values,
+        each times the value of its aux monomial."""
         if state.k != self.k:
             raise DimensionError(f"ambient k mismatch: {self.k} vs {state.k}")
+        form, (slots,) = self._compile()
         a = np.asarray(state.amplitudes, dtype=complex)[None, :]
-        return complex(self._kernel(self._compile(), a, aux_assignment)[0])
+        u = self._kernel(form, a)[:, 0].tolist()
+        var = layout(self.k).var
+        total = 0j
+        for m, row in slots.items():
+            value = u[row]
+            for f, e in exponents(m):
+                v = var[f]
+                try:
+                    x = complex(aux_assignment[v[1:3]])
+                except (KeyError, TypeError):
+                    raise EvaluationError(
+                        f"unresolved auxiliary variable {v}") from None
+                # A product gives inf where complex ** raises OverflowError.
+                for _ in range(e):
+                    value *= x
+            total += value
+        return total
 
     def batch_evaluator(self):
         """Compile an auxiliary-free polynomial into a vectorized evaluator.
@@ -548,12 +567,13 @@ class Polynomial:
         n-vector of values (a (2^k,) array to one value); the same kernel
         as `evaluate`, run on all rows at once.
         """
-        form = self._compile()
-        if form.aux_vars:
+        form, (slots,) = self._compile()
+        if any(slots):
             raise EvaluationError(
                 "batch evaluation requires an auxiliary-free polynomial"
             )
-        return batch_runner(self.k, lambda a: self._kernel(form, a))
+        return batch_runner(self.k,
+                            lambda a: self._kernel(form, a).sum(axis=0))
 
     # -- printing ---------------------------------------------------------
 
@@ -612,78 +632,6 @@ def batch_runner(k: int, values):
         return out[0] if single else out
 
     return run
-
-
-def _split_form(k: int, polys, stacked: bool) -> tuple:
-    """The split form of one polynomial, or the stacked form of several,
-    and the numbering of its right parts.
-
-    Unstacked, each key is cut into its amplitude part (the low 2^k
-    fields) and the rest (conjugate and auxiliary fields), and the
-    distinct parts of both sides are numbered together, amplitude parts
-    first.  With v the values of the parts the polynomial is
-    sum_t coeffs[t] * v[left[t]] * v[right[t]].
-
-    Stacked, each key is cut into its auxiliary part and the rest, only
-    the rest is given a value, and right[t] numbers the (polynomial,
-    auxiliary part) slot of term t.  The terms of one slot are adjacent and
-    `starts` holds the first term of each, so the kernel's `by_right` mode
-    sums each slot with one `np.add.reduceat`.
-
-    The fields of `_Compiled` say what each array holds.  The power table
-    has a row of ones, then row 1 + (e - 1) * fields + u holds the e-th
-    power of the u-th used field.  Each distinct coefficient of a
-    polynomial is converted to complex once.
-    """
-    lay = layout(k)
-    cut = (1 << lay.aux_shift) - 1 if stacked else lay.amp_mask
-    lows: dict = {}
-    highs: dict = {}
-    coeffs, left, right = [], [], []
-    for i, p in enumerate(polys):
-        den = p.den
-        as_complex = {c: complex(c[0] / den, c[1] / den)
-                      for c in set(p.packed.values())}
-        items = p.packed.items()
-        if stacked:
-            slots: dict = {}
-            for key, c in items:
-                slots.setdefault(key & ~cut, []).append((key, c))
-            items = chain.from_iterable(slots.values())
-        for key, c in items:
-            low = key & cut
-            left.append(lows.setdefault(low, len(lows)))
-            high = (i, key - low) if stacked else key - low
-            right.append(highs.setdefault(high, len(highs)))
-            coeffs.append(as_complex[c])
-    exps = lay.exponent_matrix(list(lows) if stacked
-                               else list(lows) + list(highs))
-    used = np.flatnonzero(exps.any(axis=0))
-    exps = exps[:, used]
-    rows, cols = np.nonzero(exps)
-    counts = np.count_nonzero(exps, axis=1)
-    index = np.zeros((int(counts.max(initial=1)), len(exps)), dtype=np.intp)
-    # np.nonzero walks the parts in order, so a factor's rank within its
-    # part is its position minus the part's first position.  The exponents
-    # are uint8: widen them before the row arithmetic.
-    index[np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows],
-          rows] = (1 + (exps[rows, cols].astype(np.intp) - 1) * len(used)
-                   + cols)
-    right = np.array(right, dtype=np.intp)
-    n = lay.n
-    form = _Compiled(
-        coeffs=np.array(coeffs, dtype=complex),
-        left=np.array(left, dtype=np.intp),
-        right=right if stacked else right + len(lows),
-        index=index,
-        sources=used[used < 2 * n] % n,
-        conj=int(np.count_nonzero(used < n)),
-        aux_vars=tuple(lay.var[f] for f in used[used >= 2 * n]),
-        top=int(exps.max(initial=0)),
-        starts=(np.flatnonzero(np.diff(right, prepend=-1)) if stacked
-                else None),
-    )
-    return form, highs
 
 
 def _parts(packed: dict) -> tuple:

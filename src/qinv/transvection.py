@@ -90,9 +90,6 @@ class Covariant:
     def evaluate(self, state: State, aux_assignment=None) -> complex:
         return self.poly.evaluate(state, aux_assignment)
 
-    def is_invariant(self) -> bool:
-        return all(a == 0 for a in self.multidegree)
-
 
 def unchecked(cls, *values):
     """An instance of a frozen dataclass built from `values` in field order,
@@ -200,33 +197,6 @@ def act_on_state_batch(gs, s: State) -> np.ndarray:
         arr = np.einsum("nab,nxby->nxay", inv_t[:, j],
                         arr.reshape(n, 2 ** j, 2, -1))
     return arr.reshape(n, 2 ** k)
-
-
-def transformed_aux(g, vectors) -> dict:
-    """Aux assignment x^(j) <- (g^(j))^-1 v^(j), matching act_on_state.
-
-    With this substitution, evaluate(Phi, g.s, v) == evaluate(Phi, s, g^-1 v)
-    for every covariant Phi and det-1 tuples g.
-    """
-    out = {}
-    for j, (m, v) in enumerate(zip(g, vectors), start=1):
-        w = np.linalg.inv(np.asarray(m, dtype=complex)) @ np.asarray(v, dtype=complex)
-        out[(j, 0)] = complex(w[0])
-        out[(j, 1)] = complex(w[1])
-    return out
-
-
-def plain_aux(vectors) -> dict:
-    """Aux assignment from a list of k 2-vectors."""
-    out = {}
-    for j, v in enumerate(vectors, start=1):
-        out[(j, 0)] = complex(v[0])
-        out[(j, 1)] = complex(v[1])
-    return out
-
-
-def all_ones_aux(k: int) -> dict:
-    return {(j, b): 1.0 + 0j for j in range(1, k + 1) for b in (0, 1)}
 
 
 def random_sl2(rng: np.random.Generator):

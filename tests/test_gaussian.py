@@ -65,3 +65,24 @@ def test_exact_fractions():
     x = GaussianRational(Fraction(1, 3), Fraction(1, 7))
     y = x * 21
     assert y == GaussianRational(7, 3)
+
+
+def test_reflected_arithmetic_with_polynomials_and_invariants():
+    # A GaussianRational on the left hands an operand it does not know to
+    # that operand's reflected method.
+    from qinv.invariants import norm_invariant
+    from qinv.poly import Polynomial, amp, amp_conj
+
+    half = GaussianRational(1, 2)
+    p = Polynomial.variable(2, amp(0)) + Polynomial.variable(2, amp_conj(1))
+    c = Polynomial.constant(2, half)
+    assert half + p == p + half == c + p
+    assert half - p == c - p
+    assert p - half == p - c
+    assert half * p == p * half == c * p
+    expr = norm_invariant(3)
+    assert (half * expr).poly == (expr * half).poly == expr.poly * half
+    with pytest.raises(TypeError):
+        GaussianRational(1) * "x"
+    with pytest.raises(TypeError):
+        "x" * GaussianRational(1)

@@ -17,7 +17,6 @@ from qinv.poly import (
     aux,
     basis_state,
     ghz,
-    mono_mul,
     random_state,
     w_state,
 )
@@ -185,6 +184,26 @@ def test_product_past_field_width_raises():
         big * (x ** 56)
     with pytest.raises(OverflowError):
         Polynomial(K, {((amp(0), 200), (amp(1), 100)): GaussianRational(1)})
+
+
+def mono_mul(m1: tuple, m2: tuple) -> tuple:
+    """Merge two sorted monomials, adding exponents: the reference product
+    of two tuple monomials."""
+    out = []
+    i = j = 0
+    while i < len(m1) and j < len(m2):
+        (v1, e1), (v2, e2) = m1[i], m2[j]
+        if v1 == v2:
+            out.append((v1, e1 + e2))
+            i += 1
+            j += 1
+        elif v1 < v2:
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    return tuple(out) + m1[i:] + m2[j:]
 
 
 def _reference_sum_of_products(summands):
@@ -484,16 +503,28 @@ def test_power_table_rows_past_a_byte(k, power):
         assert abs(p.evaluate(s) - want) <= 1e-12 * abs(want)
 
 
-def test_batch_evaluation_memory_is_bounded():
-    # f7 has 8,412 terms; evaluated on 101 rows, three full rows-by-terms
-    # temporaries would be about 13.6 MB each.
+def _memory_case(name):
+    from qinv.invariants import degree6_invariant_4, lut3_generator
+
+    if name == "f7-expanded":
+        return 3, lut3_generator(7).poly
+    if name == "f7-numeric":
+        return 3, lut3_generator(7).numeric()
+    return 4, degree6_invariant_4("<C_3111|C_3111>").numeric()
+
+
+@pytest.mark.parametrize("name", ["f7-expanded", "f7-numeric",
+                                  "C_3111-numeric"])
+def test_batch_evaluation_memory_is_bounded(name):
+    # Expanded f7 has 8,412 terms; evaluated on 101 rows, three full
+    # rows-by-terms temporaries would be about 13.6 MB each.  The numeric
+    # forms run the same kernel over their covariants' terms.
     import tracemalloc
 
-    from qinv.invariants import lut3_generator
-
+    k, form = _memory_case(name)
     gen = np.random.default_rng(6)
-    rows = np.array([random_state(3, gen).amplitudes for _ in range(101)])
-    run = lut3_generator(7).poly.batch_evaluator()
+    rows = np.array([random_state(k, gen).amplitudes for _ in range(101)])
+    run = form.batch_evaluator()
     tracemalloc.start()
     try:
         run(rows)

@@ -12,11 +12,8 @@ from qinv.transvection import (
     Covariant,
     act_on_state,
     act_on_state_batch,
-    all_ones_aux,
-    plain_aux,
     random_sl2,
     random_tuple,
-    transformed_aux,
     transvect,
 )
 
@@ -176,6 +173,23 @@ def test_inadmissible_epsilon_rejected():
         transvect(f, f, (2, 0))
 
 
+def plain_aux(vectors) -> dict:
+    """Aux assignment from a list of k 2-vectors."""
+    return {(j, b): complex(v[b]) for j, v in enumerate(vectors, start=1)
+            for b in (0, 1)}
+
+
+def transformed_aux(g, vectors) -> dict:
+    """Aux assignment x^(j) <- (g^(j))^-1 v^(j), matching act_on_state.
+
+    With this substitution, evaluate(Phi, g.s, v) == evaluate(Phi, s, g^-1 v)
+    for every covariant Phi and det-1 tuples g.
+    """
+    return plain_aux([np.linalg.inv(np.asarray(m, dtype=complex))
+                      @ np.asarray(v, dtype=complex)
+                      for m, v in zip(g, vectors)])
+
+
 def test_equivariance_under_local_action(rng):
     """evaluate(Phi, g.s, v) == evaluate(Phi, s, g^-1 v) for det-1 g."""
     from qinv.catalog import catalog_3
@@ -233,10 +247,6 @@ def test_covariant_validation():
         Covariant(p, 2, (0, 0))  # wrong amplitude degree
     with pytest.raises(Exception):
         Covariant(p, 1, (0,))  # multidegree length mismatch
-
-
-def test_all_ones_aux_shape():
-    assert set(all_ones_aux(2)) == {(1, 0), (1, 1), (2, 0), (2, 1)}
 
 
 def test_random_sl2_determinant(rng):
