@@ -7,8 +7,10 @@ state whose squared norm overflows and a result that is not finite, prints
 {"error": message}.
 
 The commands that build covariants for a given k accept k up to `MAX_K`:
-7 for `eval`, 6 for `measure --route covariant` and 8 for `covariant`.
-`hilbert` accepts the sizes in `HILBERT_MAX`.
+7 for `eval`, 6 for `measure --route covariant` and for `verify --suite
+invariance` (which needs k >= 2), and 8 for `covariant`.  `verify` accepts
+up to `MAX_TRIALS` trials and a non-negative seed, and `hilbert` the sizes
+in `HILBERT_MAX`.
 
 Each subcommand imports the layers it runs inside its handler, after its
 state file (if any) has loaded, so `hilbert`, `measure --route direct`,
@@ -38,8 +40,17 @@ SUITE_NAMES = ("classification", "hilbert", "identities", "invariance")
 # `measure --route covariant` took 0.37 s at k=6 and 0.75 s (72 MB) at k=7;
 # `eval --invariant B_2...2` took 0.36 s at k=7 and 0.86 s (122 MB) at k=8;
 # `covariant --name B_2...2 --print` took 1.7 s at k=8 and 12 s (2.8 GB) at
-# k=9.
-MAX_K = {"eval": 7, "measure --route covariant": 6, "covariant": 8}
+# k=9; `verify --suite invariance --trials 3` took 3.9 s (102 MB) at k=6 and
+# 134 s (1.0 GB) at k=7.
+MAX_K = {"eval": 7, "measure --route covariant": 6, "covariant": 8,
+         "verify --suite invariance": 6}
+
+# The largest `verify --trials`.  The suites draw the trials' group elements
+# one by one and stack (trials + 1) x 2^k amplitude arrays.  At 10,000
+# trials, wall time and peak memory on a 2-vCPU host: `--suite invariance`
+# 1.9 s (159 MB) at k=3, 3.6 s (103 MB) at k=4 and 17 s (443 MB) at k=6,
+# the costliest allowed call; `--suite classification` 4.9 s (123 MB).
+MAX_TRIALS = 10_000
 
 # The largest k and degree of `qinv hilbert` per (group, method), checked
 # before any work; for lsut the degree bound holds for both degrees.  The
@@ -105,11 +116,10 @@ class _Registry(Mapping):
     def __getitem__(self, name):
         fn = self._built.get(name)
         if fn is None:
-            obj = self._builders[name]()
             # Bound to the numeric form, not the InvariantExpr: a caller
             # that reads `fn.__self__.poly` would expand the pairings.
-            numeric = getattr(obj, "numeric", None)
-            fn = self._built[name] = (numeric() if numeric else obj).evaluate
+            form = self._builders[name]().numeric()
+            fn = self._built[name] = form.evaluate
         return fn
 
     def __contains__(self, name):
@@ -127,6 +137,7 @@ def invariant_registry(k: int) -> Mapping:
     from .catalog import b_multidegrees, cayley_hyperdet
     from .invariants import (
         DEGREE6_NAMES_4,
+        InvariantExpr,
         b_pairing,
         degree6_invariant_4,
         delta_invariant,
@@ -146,7 +157,7 @@ def invariant_registry(k: int) -> Mapping:
             reg[name] = partial(lut3_pairing, name)
         reg["s2"] = s2_invariant
         reg["Delta"] = delta_invariant
-        reg["Det"] = cayley_hyperdet
+        reg["Det"] = lambda: InvariantExpr(cayley_hyperdet(), (4, 0), "Det")
     if k == 4:
         for name in DEGREE6_NAMES_4:
             reg[name] = partial(degree6_invariant_4, name)
@@ -260,14 +271,24 @@ def cmd_covariant(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    from .verify import SUITES
-
     if args.k < 1:
         raise CliError(f"--k must be at least 1, got {args.k}")
+    if args.suite == "invariance":
+        # The SLOCC half of the suite needs the degree-4 family, k >= 2.
+        if args.k < 2:
+            raise CliError(
+                f"verify --suite invariance needs k >= 2, got k={args.k}")
+        _check_k("verify --suite invariance", args.k)
     if args.trials < 1:
         raise CliError(f"--trials must be at least 1, got {args.trials}")
-    suite = SUITES[args.suite]
-    return suite(k=args.k, trials=args.trials, seed=args.seed)
+    if args.trials > MAX_TRIALS:
+        raise CliError(
+            f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
+    if args.seed < 0:
+        raise CliError(f"--seed must be non-negative, got {args.seed}")
+    from .verify import SUITES
+
+    return SUITES[args.suite](k=args.k, trials=args.trials, seed=args.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:

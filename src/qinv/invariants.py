@@ -10,12 +10,13 @@ the weight being the permanent of the Gram matrix of the monomial under
 <x_i|y_j> = delta.  The first argument stays holomorphic, the second is
 conjugated, so the result has bidegree (deg phi, deg psi).
 
-An `InvariantExpr` is the recipe of pairings, plain polynomials, sums,
-products and powers it was built by; its exact polynomial is expanded only
-on access.  A numeric value needs only the values of the aux-coefficients
-c_m(a), so `NumericForm` stacks the distinct covariants of a recipe into
-one form whose slots are the (covariant, aux monomial) pairs,
-takes all slot values with one kernel call, and evaluates the recipe as a
+An `InvariantExpr` stores the polynomial in pairings it is built as: exact
+coefficients on products of leaves, where a leaf is a pairing <Phi|Psi> or a
+plain polynomial.  Its exact polynomial is formed from the leaf expansions
+on first access.  A numeric value needs only the values of the
+aux-coefficients c_m(a), so `NumericForm` stacks the distinct covariants of
+the leaves into one form whose slots are the (covariant, aux monomial)
+pairs, takes all slot values with one kernel call, and evaluates the stored
 polynomial in the pairings: the 47 named invariants of the CLI at k = 3
 and 4 rest on about 3,100 covariant terms, against 66,764 expanded.
 """
@@ -25,7 +26,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 from math import factorial, lcm
 
 import numpy as np
@@ -45,32 +46,90 @@ from .poly import (DimensionError, Polynomial, amp, amp_conj, batch_runner,
                    exponents, layout)
 from .transvection import Covariant
 
+_CREATED = count()
+
+
+class _Leaf:
+    """The pairing <a|b> of two polynomials, one factor of a stored
+    invariant; None stands for the constant 1, so a plain polynomial P is
+    the leaf <P|1> = P and its conjugate the leaf <1|P>.
+
+    Leaves sort by creation, so a product of leaves is a tuple whose order
+    does not depend on memory addresses.  The conjugate is the swapped
+    leaf, made once; it expands as the conjugate of this leaf's expansion.
+    A leaf expands on first access and keeps the result.
+    """
+
+    __slots__ = ("a", "b", "order", "_poly", "_conj")
+
+    def __init__(self, a, b, poly=None):
+        self.a, self.b, self._poly = a, b, poly
+        self.order = next(_CREATED)
+        self._conj = None
+
+    def __lt__(self, other):
+        return self.order < other.order
+
+    def conjugate(self) -> "_Leaf":
+        if self._conj is None:
+            self._conj = _Leaf(self.b, self.a)
+            self._conj._conj = self
+        return self._conj
+
+    @property
+    def poly(self) -> Polynomial:
+        if self._poly is None:
+            twin = self._conj
+            if twin is not None and twin < self:
+                self._poly = twin.poly.conjugate()
+            else:
+                self._poly = _pairing_poly(self.a, self.b)
+        return self._poly
+
+
+def _combine(summands) -> dict:
+    """The stored form of sum c * X_1 * ... * X_m over the (c, (X_1, ...,
+    X_m)) summands of invariants: {sorted tuple of leaves: exact
+    coefficient}, without zero entries."""
+    out: dict = {}
+    for c, xs in summands:
+        term = {(): c}
+        for x in xs:
+            times: dict = {}
+            for m1, c1 in term.items():
+                for m2, c2 in x.top.items():
+                    m = tuple(sorted(m1 + m2))
+                    times[m] = times.get(m, 0) + c1 * c2
+            term = times
+        for m, c1 in term.items():
+            out[m] = out.get(m, 0) + c1
+    return {m: c for m, c in out.items() if c}
+
 
 class InvariantExpr:
     """A polynomial in amplitudes and conjugate amplitudes with fixed
-    bidegree, kept as the recipe it was built by.
+    bidegree, stored as a polynomial in pairings.
 
-    A leaf is a plain polynomial, validated by the constructor, or a
-    pairing <Phi|Psi> of two covariants.  `+`, `-`, `*` by a scalar, `*`,
-    `**`, `conjugate` and `sum_of_products` make nodes that keep their
-    operands and take their bidegree from them.
+    `top` maps each product of leaves (`_Leaf`, a tuple in creation order)
+    to its exact coefficient.  The constructor takes a plain polynomial,
+    validated, as one leaf; `pairing` makes the leaf <Phi|Psi>.  `+`, `-`,
+    `*` by a scalar, `*`, `**`, `conjugate` and `sum_of_products` multiply
+    and add the stored forms of their operands.
 
-    The exact polynomial `poly` is expanded on first access, by the same
-    `Polynomial` operations in the same order as the recipe was written.
-    A pairing or a named node keeps its expansion; an anonymous node
-    expanded on the way to another is expanded once per access and then
-    dropped, so intermediate results do not stay in memory.
-
-    Numeric evaluation never expands: `numeric()` evaluates the recipe
+    The exact polynomial `poly` is formed on first access and kept: one
+    `Polynomial.sum_of_products` over the products of the leaf expansions,
+    or the expansion itself of a single leaf with coefficient 1.  Numeric
+    evaluation expands no leaf: `numeric()` evaluates the stored form
     through its covariants (`NumericForm`).  Equality and hashing compare
     (poly, bidegree, name), so they expand.
     """
 
-    __slots__ = ("k", "bidegree", "name", "_op", "_args", "_poly",
-                 "_numeric")
+    __slots__ = ("k", "bidegree", "name", "top", "_poly", "_numeric")
 
     def __init__(self, poly: Polynomial, bidegree: tuple, name: str = ""):
-        self._init(poly.k, bidegree, name, "poly", (), poly)
+        self.k, self.bidegree, self.name = poly.k, tuple(bidegree), name
+        self.top = {(_Leaf(poly, None, poly),): 1} if poly else {}
+        self._poly, self._numeric = poly, None
         self.__post_init__()
 
     def __post_init__(self):
@@ -89,22 +148,17 @@ class InvariantExpr:
                     f"bidegree {self.bidegree}"
                 )
 
-    def _init(self, k, bidegree, name, op, args, poly=None):
-        self.k, self.bidegree, self.name = k, tuple(bidegree), name
-        self._op, self._args, self._poly = op, args, poly
-        self._numeric = None
-
     @classmethod
-    def _node(cls, k, bidegree, op, args, name="", poly=None):
-        """A node without validation."""
+    def _stored(cls, k, bidegree, top, name="", poly=None):
+        """The invariant of a stored form, without validation."""
         x = object.__new__(cls)
-        x._init(k, bidegree, name, op, args, poly)
+        x.k, x.bidegree, x.name, x.top = k, tuple(bidegree), name, top
+        x._poly, x._numeric = poly, None
         return x
 
     def named(self, name: str) -> "InvariantExpr":
-        """The same recipe under another name."""
-        return self._node(self.k, self.bidegree, self._op, self._args, name,
-                          self._poly)
+        """The same stored form under another name."""
+        return self._stored(self.k, self.bidegree, self.top, name, self._poly)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -116,40 +170,20 @@ class InvariantExpr:
         return hash((self.poly, self.bidegree, self.name))
 
     def __repr__(self):
-        return (f"InvariantExpr({self.name or self._op!r}, k={self.k}, "
+        return (f"InvariantExpr({self.name!r}, k={self.k}, "
                 f"bidegree={self.bidegree})")
-
-    # -- the exact polynomial ---------------------------------------------
 
     @property
     def poly(self) -> Polynomial:
         if self._poly is None:
-            self._poly = self._expand({})
-        return self._poly
-
-    def _expand(self, memo: dict) -> Polynomial:
-        """The polynomial of this node.  Anonymous nodes met more than once
-        in one expansion are expanded once, through `memo`."""
-        if self._poly is not None:
-            return self._poly
-        op, args = self._op, self._args
-        if op == "pairing":
-            self._poly = _pairing_poly(*args)
-            return self._poly
-        p = memo.get(id(self))
-        if p is None:
-            if op == "conj":
-                p = args[0]._expand(memo).conjugate()
-            elif op == "pow":
-                p = args[0]._expand(memo) ** args[1]
+            top = self.top
+            if list(top.values()) == [1] and len(m := next(iter(top))) == 1:
+                self._poly = m[0].poly
             else:
-                p = Polynomial.sum_of_products(self.k, [
-                    (c, tuple(x._expand(memo) for x in xs))
-                    for c, xs in args])
-            if self.name:
-                self._poly = p
-            memo[id(self)] = p
-        return p
+                self._poly = Polynomial.sum_of_products(self.k, [
+                    (c, tuple(leaf.poly for leaf in m))
+                    for m, c in top.items()])
+        return self._poly
 
     # -- arithmetic -------------------------------------------------------
 
@@ -162,8 +196,8 @@ class InvariantExpr:
                 raise ValueError(
                     "cannot add invariants of different bidegrees")
             bidegree = self.bidegree if self.poly else other.bidegree
-        return self._node(self.k, bidegree, "sum",
-                          ((1, (self,)), (sign, (other,))))
+        return self._stored(self.k, bidegree,
+                            _combine([(1, (self,)), (sign, (other,))]))
 
     def __add__(self, other):
         if isinstance(other, InvariantExpr):
@@ -177,14 +211,9 @@ class InvariantExpr:
 
     def __mul__(self, other):
         if isinstance(other, InvariantExpr):
-            return self._node(
-                self.k,
-                (self.bidegree[0] + other.bidegree[0],
-                 self.bidegree[1] + other.bidegree[1]),
-                "sum", ((1, (self, other)),))
+            return self.sum_of_products([(1, (self, other))])
         if isinstance(other, (int, Fraction, GaussianRational)):
-            return self._node(self.k, self.bidegree, "sum",
-                              ((other, (self,)),))
+            return self.sum_of_products([(other, (self,))])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -192,32 +221,30 @@ class InvariantExpr:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        return self._node(self.k, (self.bidegree[0] * n, self.bidegree[1] * n),
-                          "pow", (self, n))
+        return self._stored(self.k,
+                            (self.bidegree[0] * n, self.bidegree[1] * n),
+                            _combine([(1, (self,) * n)]))
 
     @classmethod
     def sum_of_products(cls, summands) -> "InvariantExpr":
-        """sum c * X_1 * ... * X_m over the (c, (X_1, ..., X_m)) summands,
-        expanded as one `Polynomial.sum_of_products`; the bidegree is that
-        of the first summand's product."""
-        summands = tuple((c, tuple(xs)) for c, xs in summands)
+        """sum c * X_1 * ... * X_m over the (c, (X_1, ..., X_m)) summands;
+        the bidegree is that of the first summand's product."""
+        summands = [(c, tuple(xs)) for c, xs in summands]
         first = summands[0][1]
-        return cls._node(first[0].k,
-                         tuple(map(sum, zip(*(x.bidegree for x in first)))),
-                         "sum", summands)
+        return cls._stored(first[0].k,
+                           tuple(map(sum, zip(*(x.bidegree for x in first)))),
+                           _combine(summands))
 
     def conjugate(self) -> "InvariantExpr":
-        return self._node(self.k, (self.bidegree[1], self.bidegree[0]),
-                          "conj", (self,), self.name)
+        top = {tuple(sorted(leaf.conjugate() for leaf in m)): c.conjugate()
+               for m, c in self.top.items()}
+        return self._stored(self.k, (self.bidegree[1], self.bidegree[0]),
+                            top, self.name)
 
     # -- numeric evaluation -----------------------------------------------
 
-    def numeric(self):
-        """The numeric form, built once: a plain polynomial leaf is its own,
-        any other node a one-output `NumericForm`.  Both have `evaluate`
-        and `batch_evaluator`."""
-        if self._op == "poly":
-            return self._poly
+    def numeric(self) -> "NumericForm":
+        """The one-output `NumericForm`, built once."""
         if self._numeric is None:
             self._numeric = NumericForm((self,))
         return self._numeric
@@ -228,63 +255,17 @@ class InvariantExpr:
     def is_zero(self) -> bool:
         return not self.poly
 
-    def _flatten(self, conj: bool, leaf, memo: dict) -> dict:
-        """This node, conjugated if `conj`, as a polynomial in pairing
-        leaves: {sorted tuple of leaf numbers: complex coefficient}, where
-        leaf(A, B) numbers the leaf sum_m w(m) c_m conj(d_m) of the
-        aux-coefficients c_m of A and d_m of B.  A plain polynomial P is
-        the leaf (P, None): None stands for the constant 1."""
-        key = (id(self), conj)
-        out = memo.get(key)
-        if out is not None:
-            return out
-        op, args = self._op, self._args
-        if op == "pairing":
-            a, b = args[0].poly, args[1].poly
-            out = {(leaf(b, a) if conj else leaf(a, b),): 1}
-        elif op == "poly":
-            a = self._poly
-            out = {(leaf(None, a) if conj else leaf(a, None),): 1} if a else {}
-        elif op == "conj":
-            out = args[0]._flatten(not conj, leaf, memo)
-        elif op == "pow":
-            base = args[0]._flatten(conj, leaf, memo)
-            out = {(): 1}
-            for _ in range(args[1]):
-                out = _leaf_product(out, base)
-        else:
-            out = {}
-            for c, xs in args:
-                c = complex(c)
-                term = {(): c.conjugate() if conj else c}
-                for x in xs:
-                    term = _leaf_product(term, x._flatten(conj, leaf, memo))
-                for m, v in term.items():
-                    out[m] = out.get(m, 0) + v
-        memo[key] = out
-        return out
-
-
-def _leaf_product(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = tuple(sorted(m1 + m2))
-            out[m] = out.get(m, 0) + c1 * c2
-    return out
-
 
 class NumericForm:
     """Invariants evaluated through their covariants, without expanding a
     pairing: the numeric form of one or more `InvariantExpr`.
 
-    Each recipe is flattened to sum_q g_q prod_j P_j over pairing leaves
+    Each stored form is sum_q g_q prod_j P_j over leaves
     P_j = <A_j|B_j> = sum_m w(m) c_m conj(d_m), with c_m and d_m the
-    aux-coefficients of the covariants A_j and B_j (a plain polynomial P is
-    the leaf <P|1>).  The distinct covariants of all leaves are stacked
-    into one form (`Polynomial.stack`) whose slots are the
-    (covariant, aux monomial) pairs, so one `Polynomial._kernel` call
-    gives every slot value U.  Then
+    aux-coefficients of A_j and B_j (1 for a missing side).  The distinct
+    polynomials of all leaves are stacked into one form
+    (`Polynomial.stack`) whose slots are the (polynomial, aux monomial)
+    pairs, so one `Polynomial._kernel` call gives every slot value U.  Then
     P_j = sum_m w(m) U[A_j, m] conj(U[B_j, m]), and the outputs are the
     small top polynomials in the P_j.
 
@@ -302,13 +283,14 @@ class NumericForm:
             """The number of the leaf <a|b>; None stands for 1."""
             return sides.setdefault((id(a), id(b)), (len(sides), a, b))[0]
 
-        memo: dict = {}
-        tops = [e._flatten(False, leaf, memo) for e in self.exprs]
+        products = [(i, [leaf(x.a, x.b) for x in m], c)
+                    for i, e in enumerate(self.exprs)
+                    for m, c in e.top.items()]
         # <1|1> = 1 pads the products of fewer leaves than the widest (at
         # least one leaf wide).
-        width = max([1] + [len(m) for top in tops for m in top])
+        width = max([1] + [len(m) for _, m, _ in products])
         one = None
-        if any(len(m) < width for top in tops for m in top):
+        if any(len(m) < width for _, m, _ in products):
             one = leaf(None, None)
         unit = Polynomial.constant(k, 1)
         polys: dict = {}
@@ -339,11 +321,10 @@ class NumericForm:
         # `_index` the rows of its leaves, padded with the row of <1|1>.
         cols: dict = {}
         entries = [(i, cols.setdefault(tuple(row[j] for j in m), len(cols)), c)
-                   for i, top in enumerate(tops) for m, c in top.items()
-                   if c and all(j in row for j in m)]
-        self._gamma = np.zeros((len(tops), len(cols)), dtype=complex)
+                   for i, m, c in products if all(j in row for j in m)]
+        self._gamma = np.zeros((len(self.exprs), len(cols)), dtype=complex)
         for i, q, c in entries:
-            self._gamma[i, q] += c
+            self._gamma[i, q] += complex(c)
         pad = [row[one]] if one in row else []
         self._index = np.array(
             [list(m) + pad * (width - len(m)) for m in cols],
@@ -398,22 +379,22 @@ def _weight(aux_key: int) -> int:
 
 def pairing(phi: Covariant, psi: Covariant, name: str = "") -> InvariantExpr:
     """Hermitian scalar product over the auxiliary variables, kept
-    unexpanded.
+    unexpanded: the invariant of one leaf.
 
     Mismatched multidegrees are legal and give the zero invariant.
     """
-    bidegree = (phi.amp_degree, psi.amp_degree)
-    if phi.multidegree != psi.multidegree:
-        return InvariantExpr._node(phi.k, bidegree, "poly", (), name,
-                                   Polynomial.zero(phi.k))
-    return InvariantExpr._node(phi.k, bidegree, "pairing", (phi, psi), name)
+    top = {}
+    if phi.multidegree == psi.multidegree:
+        top = {(_Leaf(phi.poly, psi.poly),): 1}
+    return InvariantExpr._stored(phi.k, (phi.amp_degree, psi.amp_degree),
+                                 top, name)
 
 
-def _pairing_poly(phi: Covariant, psi: Covariant) -> Polynomial:
-    """The expanded pairing, as one `Polynomial.sum_of_products`."""
-    left = aux_decompose(phi.poly)
-    right = aux_decompose(psi.poly)
-    return Polynomial.sum_of_products(phi.k, [
+def _pairing_poly(a: Polynomial, b: Polynomial) -> Polynomial:
+    """The expanded pairing <a|b>, as one `Polynomial.sum_of_products`."""
+    left = aux_decompose(a)
+    right = aux_decompose(b)
+    return Polynomial.sum_of_products(a.k, [
         (_weight(m), (cpoly, right[m].conjugate()))
         for m, cpoly in left.items() if m in right
     ])
@@ -525,15 +506,10 @@ def lut3_generator(i: int) -> InvariantExpr:
             - Fraction(3, 2) * (a * (b200 + b020 + b002))
         )
     else:
-        # The inner sum stays one factor: spread over its four products,
-        # d000 would be multiplied four times.
         inner = Fraction(3, 2) * (b200 + b020 + b002) - a * a
-        expr = InvariantExpr.sum_of_products([
-            (Fraction(1, 2), (lut3_pairing("D_000"), inner)),
-            (2, (c111, c111)),
-            (-4, (b200, b020, b002)),
-            (Fraction(1, 8), (lut3_pairing("F_222"),)),
-        ])
+        expr = (Fraction(1, 2) * lut3_pairing("D_000") * inner
+                + 2 * c111 * c111 - 4 * b200 * b020 * b002
+                + Fraction(1, 8) * lut3_pairing("F_222"))
     return expr.named(f"f{i}")
 
 
@@ -658,16 +634,9 @@ def f7_check() -> dict:
         for n in ("B_200", "B_020", "B_002", "C_111", "D_000", "F_222"))
     f7 = lut3_generator(7)
     inner = Fraction(3, 2) * (b200 + b020 + b002) - a * a
-    decomposition = InvariantExpr.sum_of_products([
-        (1, (lhs,)),
-        (Fraction(1, 2), (d000, inner)),
-        (-2, (c111, c111)),
-        (4, (b200, b020, b002)),
-        (Fraction(1, 8), (f222,)),
-    ]).poly
-    printed_gap = InvariantExpr.sum_of_products([
-        (1, (f7,)), (1, (lhs,)), (-4, (c111, c111)), (8, (b200, b020, b002)),
-    ]).poly
+    decomposition = (lhs + Fraction(1, 2) * d000 * inner - 2 * c111 * c111
+                     + 4 * b200 * b020 * b002 + Fraction(1, 8) * f222).poly
+    printed_gap = (f7 + lhs - 4 * c111 * c111 + 8 * b200 * b020 * b002).poly
     literal_residual = Polynomial.sum_of_products(3, [
         (1, (s_literal, s_literal, delta.conjugate().poly)), (-1, (f7.poly,)),
     ])
@@ -749,9 +718,7 @@ def syzygy_residuals():
         (30, (f3, f2, f1sq)), (-36, (mod_s2, f4)), (3, (f2, f2, f1sq)),
         (-3, (mod_delta, f1sq)), (16, (f5, f5)),
     ])
-    # One expansion for both, so the shared products are formed once.
-    memo: dict = {}
-    return r1._expand(memo), r2._expand(memo)
+    return r1.poly, r2.poly
 
 
 def syzygy_checks():

@@ -179,6 +179,22 @@ def test_verify_suite_passes_and_is_deterministic(capsys):
                                       "--k", "2", "--trials", "20",
                                       "--seed", "7"])
     assert first == second
+    # Across processes the stdout is the same bytes: nothing in it depends
+    # on memory addresses.
+    argv = ["verify", "--suite", "invariance", "--k", "3", "--seed", "7"]
+    fresh = [_run_fresh_cli(argv) for _ in range(2)]
+    assert fresh[0].returncode == 0
+    assert fresh[0].stdout == fresh[1].stdout
+
+
+def _run_fresh_cli(argv):
+    """`python -m qinv argv` in a fresh interpreter on this source tree."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "qinv", *argv],
+                          capture_output=True, env=env, check=False)
 
 
 def test_verify_hilbert_suite(capsys):
@@ -394,6 +410,27 @@ def test_covariant_caps_k(capsys):
     assert doc == {"error": "covariant supports k <= 8, got k=9"}
 
 
+def test_verify_caps_k_and_trials(capsys):
+    from qinv.cli import MAX_K, MAX_TRIALS
+
+    assert MAX_K["verify --suite invariance"] == 6
+    assert MAX_TRIALS == 10_000
+    code, doc = _run_json(capsys, ["verify", "--suite", "invariance",
+                                   "--k", "7"])
+    assert code == 1
+    assert doc == {"error": "verify --suite invariance supports k <= 6, "
+                            "got k=7"}
+    code, doc = _run_json(capsys, ["verify", "--suite", "invariance",
+                                   "--k", "1"])
+    assert code == 1
+    assert doc == {"error": "verify --suite invariance needs k >= 2, got k=1"}
+    for suite in ("invariance", "classification"):
+        code, doc = _run_json(capsys, ["verify", "--suite", suite,
+                                       "--trials", "10001"])
+        assert code == 1
+        assert doc == {"error": "--trials must be at most 10000, got 10001"}
+
+
 def test_state_round_trip_through_cli_inputs(tmp_path):
     s = State(3, tuple(complex(i, 7 - i) / 11 for i in range(8)))
     path = tmp_path / "s.json"
@@ -421,6 +458,8 @@ def test_bad_sizes_and_names_give_json_error(capsys, argv):
     ["verify", "--suite", "invariance", "--trials", "0"],
     ["verify", "--suite", "invariance", "--trials", "-1"],
     ["verify", "--suite", "classification", "--trials", "0"],
+    ["verify", "--suite", "invariance", "--seed", "-1"],
+    ["verify", "--suite", "classification", "--seed", "-5"],
 ])
 def test_verify_rejects_sizes_below_one(capsys, argv):
     code, doc = _run_json(capsys, argv)
@@ -439,14 +478,8 @@ def test_non_finite_state_is_rejected(capsys, tmp_path):
 
 
 def test_python_dash_m_runs_the_cli():
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-m", "qinv", "hilbert", "--group", "lut", "--k",
-         "3", "--max-degree", "6", "--method", "closed-form"],
-        capture_output=True, text=True, env=env, check=False)
+    out = _run_fresh_cli(["hilbert", "--group", "lut", "--k", "3",
+                          "--max-degree", "6", "--method", "closed-form"])
     assert out.returncode == 0
     assert json.loads(out.stdout)["coefficients"] == [1, 0, 1, 0, 4, 0, 5]
 
@@ -587,6 +620,9 @@ def test_direct_measure_and_hilbert_suite_do_not_import_numpy(tmp_path):
                     ["measure", "--route", "covariant"]):
         argvs.append(command[:1] + ["--state", overflow] + command[1:])
     argvs.append(["covariant", "--k", "9", "--name", "f"])
+    argvs.append(["verify", "--suite", "invariance", "--k", "7"])
+    argvs.append(["verify", "--suite", "invariance", "--trials", "10001"])
+    argvs.append(["verify", "--suite", "classification", "--seed", "-1"])
     assert _numpy_importers(argvs) == []
 
 

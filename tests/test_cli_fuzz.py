@@ -82,6 +82,17 @@ other_commands = st.one_of(
              max_size=3),
 )
 
+# Accepted draws stay cheap: the hilbert suite, or invariance at k <= 2
+# with at most 2 trials; larger k and trials are past the bounds.
+verify_commands = st.tuples(
+    st.just("verify"), st.just("--suite"),
+    st.sampled_from(["hilbert", "invariance", "nope"]),
+    st.just("--k"), st.sampled_from(["-1", "0", "1", "2", "7", "x", "2.5"]),
+    st.just("--trials"),
+    st.sampled_from(["-1", "0", "1", "2", "10001", "x", "1.5"]),
+    st.just("--seed"), st.sampled_from(["-5", "-1", "0", "7", "x", "0.5"]),
+).map(list)
+
 
 def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
@@ -101,6 +112,12 @@ def test_state_commands_end_in_one_json_document(command, text, missing):
 @given(argv=other_commands)
 @settings(max_examples=60, deadline=None)
 def test_other_commands_end_in_one_json_document(argv):
+    _check(argv)
+
+
+@given(argv=verify_commands)
+@settings(max_examples=60, deadline=None)
+def test_verify_commands_end_in_one_json_document(argv):
     _check(argv)
 
 

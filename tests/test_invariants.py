@@ -248,11 +248,15 @@ for k in (3, 4):
     meyer_wallach(s, "covariant")
 classify3(random_state(3, rng))
 suite_invariance(k=3)
-nodes = [x for x in gc.get_objects() if isinstance(x, InvariantExpr)]
+# Every leaf of every invariant alive; only a plain polynomial's own leaf
+# <P|1> is made with its expansion.
+leaves = {leaf for x in gc.get_objects() if isinstance(x, InvariantExpr)
+          for m in x.top for leaf in m}
 print(json.dumps({
-    "pairings": sum(x._op == "pairing" for x in nodes),
-    "expanded": sorted(repr(x) for x in nodes
-                       if x._op != "poly" and x._poly is not None),
+    "pairings": sum(leaf.a is not None and leaf.b is not None
+                    for leaf in leaves),
+    "expanded": sorted(leaf.order for leaf in leaves
+                       if leaf.b is not None and leaf._poly is not None),
 }))
 """
 
@@ -336,6 +340,7 @@ def test_numeric_form_matches_the_expansion_on_every_node_kind(rng):
         s2.conjugate(), delta.conjugate() * s2 * s2, a ** 0, a ** 3,
         mixed * a - Fraction(1, 3) * (a * mixed), (mixed * s2).conjugate(),
         zero + zero, zero * a, zero ** 0, s2 * GaussianRational(1, 2) - s2,
+        (s2 * GaussianRational(1, 2)).conjugate(),
     ]
     rows = np.array([random_state(3, rng).amplitudes for _ in range(5)])
     together = NumericForm(exprs).values(rows)
@@ -347,7 +352,7 @@ def test_numeric_form_matches_the_expansion_on_every_node_kind(rng):
 
 
 def test_invariants_compare_and_hash_by_value():
-    # Two separately built recipes of one polynomial are equal and hash
+    # Two separately built invariants of one polynomial are equal and hash
     # alike; the name takes part in both.
     f = ground_form(3)
     x, y = pairing(f, f, "A"), pairing(f, f, "A")
