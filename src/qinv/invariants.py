@@ -14,11 +14,11 @@ An `InvariantExpr` stores the polynomial in pairings it is built as: exact
 coefficients on products of leaves, where a leaf is a pairing <Phi|Psi> or a
 plain polynomial.  Its exact polynomial is formed from the leaf expansions
 on first access.  A numeric value needs only the values of the
-aux-coefficients c_m(a), so `NumericForm` stacks the distinct covariants of
-the leaves into one form whose slots are the (covariant, aux monomial)
-pairs, takes all slot values with one kernel call, and evaluates the stored
-polynomial in the pairings: the 47 named invariants of the CLI at k = 3
-and 4 rest on about 3,100 covariant terms, against 66,764 expanded.
+aux-coefficients c_m(a), so `numeric_form` hands the stored forms to
+`poly.NumericForm`, which stacks the distinct covariants of the leaves into
+one kernel call and evaluates the stored polynomials in the pairings: the
+47 named invariants of the CLI at k = 3 and 4 rest on about 3,100 covariant
+terms, against 66,764 expanded.
 """
 
 from __future__ import annotations
@@ -27,9 +27,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
-from math import factorial, lcm
-
-import numpy as np
+from math import lcm
 
 from .catalog import (
     b_family,
@@ -42,8 +40,7 @@ from .catalog import (
 )
 from .gaussian import GaussianRational
 from .linalg import det, independent_rows, matrix_rows
-from .poly import (DimensionError, Polynomial, amp, amp_conj, batch_runner,
-                   exponents, layout)
+from .poly import Polynomial, _weight, amp, amp_conj, exponents, layout
 from .transvection import Covariant
 
 _CREATED = count()
@@ -57,7 +54,8 @@ class _Leaf:
     Leaves sort by creation, so a product of leaves is a tuple whose order
     does not depend on memory addresses.  The conjugate is the swapped
     leaf, made once; it expands as the conjugate of this leaf's expansion.
-    A leaf expands on first access and keeps the result.
+    A leaf expands on first access and keeps the result.  It unpacks as
+    (a, b), the leaf that `poly.NumericForm` reads.
     """
 
     __slots__ = ("a", "b", "order", "_poly", "_conj")
@@ -69,6 +67,9 @@ class _Leaf:
 
     def __lt__(self, other):
         return self.order < other.order
+
+    def __iter__(self):
+        return iter((self.a, self.b))
 
     def conjugate(self) -> "_Leaf":
         if self._conj is None:
@@ -120,8 +121,8 @@ class InvariantExpr:
     `Polynomial.sum_of_products` over the products of the leaf expansions,
     or the expansion itself of a single leaf with coefficient 1.  Numeric
     evaluation expands no leaf: `numeric()` evaluates the stored form
-    through its covariants (`NumericForm`).  Equality and hashing compare
-    (poly, bidegree, name), so they expand.
+    through its covariants (`poly.NumericForm`).  Equality and hashing
+    compare (poly, bidegree, name), so they expand.
     """
 
     __slots__ = ("k", "bidegree", "name", "top", "_poly", "_numeric")
@@ -244,9 +245,9 @@ class InvariantExpr:
     # -- numeric evaluation -----------------------------------------------
 
     def numeric(self) -> "NumericForm":
-        """The one-output `NumericForm`, built once."""
+        """The one-output numeric form, built once."""
         if self._numeric is None:
-            self._numeric = NumericForm((self,))
+            self._numeric = numeric_form((self,))
         return self._numeric
 
     def evaluate(self, state) -> complex:
@@ -256,105 +257,12 @@ class InvariantExpr:
         return not self.poly
 
 
-class NumericForm:
-    """Invariants evaluated through their covariants, without expanding a
-    pairing: the numeric form of one or more `InvariantExpr`.
+def numeric_form(exprs) -> "NumericForm":
+    """One `poly.NumericForm` whose outputs are the stored forms of the
+    given invariants (a leaf unpacks as its two sides)."""
+    from .poly import NumericForm
 
-    Each stored form is sum_q g_q prod_j P_j over leaves
-    P_j = <A_j|B_j> = sum_m w(m) c_m conj(d_m), with c_m and d_m the
-    aux-coefficients of A_j and B_j (1 for a missing side).  The distinct
-    polynomials of all leaves are stacked into one form
-    (`Polynomial.stack`) whose slots are the (polynomial, aux monomial)
-    pairs, so one `Polynomial._kernel` call gives every slot value U.  Then
-    P_j = sum_m w(m) U[A_j, m] conj(U[B_j, m]), and the outputs are the
-    small top polynomials in the P_j.
-
-    `values` maps an (n, 2^k) amplitude array to the (outputs, n) array of
-    values; `evaluate` and `batch_evaluator` give the first output, as
-    `Polynomial` does.
-    """
-
-    def __init__(self, exprs):
-        self.exprs = tuple(exprs)
-        k = self.k = self.exprs[0].k
-        sides: dict = {}
-
-        def leaf(a, b):
-            """The number of the leaf <a|b>; None stands for 1."""
-            return sides.setdefault((id(a), id(b)), (len(sides), a, b))[0]
-
-        products = [(i, [leaf(x.a, x.b) for x in m], c)
-                    for i, e in enumerate(self.exprs)
-                    for m, c in e.top.items()]
-        # <1|1> = 1 pads the products of fewer leaves than the widest (at
-        # least one leaf wide).
-        width = max([1] + [len(m) for _, m, _ in products])
-        one = None
-        if any(len(m) < width for _, m, _ in products):
-            one = leaf(None, None)
-        unit = Polynomial.constant(k, 1)
-        polys: dict = {}
-        for _, a, b in sides.values():
-            for p in (a, b):
-                polys.setdefault(id(p), unit if p is None else p)
-        self._form, slots = Polynomial.stack(k, list(polys.values()))
-        slots = dict(zip(polys, slots))
-        # The (weight, slot in A, slot in B) pairs of each leaf, leaf after
-        # leaf, and the first pair of each; a leaf whose two sides share no
-        # aux monomial is zero and gets no row.
-        pairs, starts, row = [], [], {}
-        for j, a, b in sides.values():
-            sa, sb = slots[id(a)], slots[id(b)]
-            common = [(_weight(m), r, sb[m]) for m, r in sa.items()
-                      if m in sb]
-            if common:
-                row[j] = len(starts)
-                starts.append(len(pairs))
-                pairs += common
-        self._weights = np.array([w for w, _, _ in pairs],
-                                 dtype=float)[:, None]
-        self._pa = np.array([r for _, r, _ in pairs], dtype=np.intp)
-        self._pb = np.array([r for _, _, r in pairs], dtype=np.intp)
-        self._starts = np.array(starts, dtype=np.intp)
-        # The top polynomials: column q of gamma holds the coefficients of
-        # the q-th product of leaves in each output, and column q of
-        # `_index` the rows of its leaves, padded with the row of <1|1>.
-        cols: dict = {}
-        entries = [(i, cols.setdefault(tuple(row[j] for j in m), len(cols)), c)
-                   for i, m, c in products if all(j in row for j in m)]
-        self._gamma = np.zeros((len(self.exprs), len(cols)), dtype=complex)
-        for i, q, c in entries:
-            self._gamma[i, q] += complex(c)
-        pad = [row[one]] if one in row else []
-        self._index = np.array(
-            [list(m) + pad * (width - len(m)) for m in cols],
-            dtype=np.intp).reshape(len(cols), width).T
-
-    def values(self, amplitudes: np.ndarray) -> np.ndarray:
-        """The (outputs, n) values at the rows of an (n, 2^k) complex
-        amplitude array: one kernel call, then the leaves and the tops."""
-        u = Polynomial._kernel(self._form, amplitudes)
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = u[self._pa]
-            p *= np.conjugate(u[self._pb])
-            p *= self._weights
-            if len(self._starts):
-                p = np.add.reduceat(p, self._starts, axis=0)
-            prod = p[self._index[0]]
-            for rows in self._index[1:]:
-                prod *= p[rows]
-            return self._gamma @ prod
-
-    def evaluate(self, state) -> complex:
-        if state.k != self.k:
-            raise DimensionError(f"ambient k mismatch: {self.k} vs {state.k}")
-        a = np.asarray(state.amplitudes, dtype=complex)[None, :]
-        return complex(self.values(a)[0, 0])
-
-    def batch_evaluator(self):
-        """The vectorized evaluator of the first output (see
-        `poly.batch_runner`)."""
-        return batch_runner(self.k, lambda a: self.values(a)[0])
+    return NumericForm(exprs[0].k, [x.top for x in exprs])
 
 
 def aux_decompose(poly: Polynomial) -> dict:
@@ -368,13 +276,6 @@ def aux_decompose(poly: Polynomial) -> dict:
         m: Polynomial.from_packed(poly.k, bucket, poly.den, poly.degree_bound)
         for m, bucket in buckets.items()
     }
-
-
-def _weight(aux_key: int) -> int:
-    w = 1
-    for _f, e in exponents(aux_key):
-        w *= factorial(e)
-    return w
 
 
 def pairing(phi: Covariant, psi: Covariant, name: str = "") -> InvariantExpr:

@@ -83,10 +83,10 @@ def _halves(k: int, i: int) -> tuple:
 def _b_pairings(k: int) -> tuple:
     """The B_d multidegrees and one numeric form of all the <B_d|B_d>."""
     from .catalog import b_multidegrees
-    from .invariants import NumericForm, b_pairing
+    from .invariants import b_pairing, numeric_form
 
     degrees = tuple(b_multidegrees(k))
-    return degrees, NumericForm([b_pairing(k, d) for d in degrees])
+    return degrees, numeric_form([b_pairing(k, d) for d in degrees])
 
 
 @dataclass(frozen=True)
@@ -207,8 +207,8 @@ _CLASSIFIER_NAMES = ("B_200", "B_020", "B_002", "D_000")
 @lru_cache(maxsize=None)
 def _classifier_form():
     """One numeric form of B_200, B_020, B_002 and Delta."""
-    from .invariants import NumericForm, b_pairing, delta_invariant
+    from .invariants import b_pairing, delta_invariant, numeric_form
 
-    return NumericForm([b_pairing(3, d) for d in
-                        ((2, 0, 0), (0, 2, 0), (0, 0, 2))]
-                       + [delta_invariant()])
+    return numeric_form([b_pairing(3, d) for d in
+                         ((2, 0, 0), (0, 2, 0), (0, 0, 2))]
+                        + [delta_invariant()])

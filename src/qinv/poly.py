@@ -37,19 +37,22 @@ field.
 At the boundary a monomial is a sorted tuple of (variable, exponent) pairs
 with positive exponents and a coefficient is a GaussianRational: the
 constructor takes that form, validated, and `terms` gives it back.
-Numeric evaluation, scalar and batched, runs one kernel on one form
-(`Polynomial.stack`), built from the packed keys on first use.  Each key
-is cut into its amplitude, conjugate and auxiliary parts; the distinct
-amplitude and conjugate parts are numbered together and valued once from a
-table of powers, and each term adds c * V[amplitude part] * V[conjugate
-part] to its (polynomial, aux monomial) slot.  So the kernel gives the
-value of every aux-coefficient c_m(a, abar) of every polynomial in the
-form: `evaluate` multiplies each by the value of its aux monomial, and
-`invariants.NumericForm` forms the pairings sum_m w(m) c_m conj(d_m)
-without expanding them.  A pairing has far fewer distinct parts than terms
-(expanded f7: 8,412 terms over 504 + 504 parts), and the terms are walked
-in blocks of a fixed number of elements so that the temporaries stay
-small.
+Numeric evaluation, scalar and batched, runs through one class,
+`NumericForm`: polynomials in pairings <A|B> of polynomials, where a plain
+polynomial P is the one leaf <P|1> (`Polynomial.numeric`).  The form
+stacks the distinct polynomials of its leaves into one set of term arrays
+and runs one kernel on them.  Each key is cut into its amplitude,
+conjugate and auxiliary parts; the distinct amplitude and conjugate parts
+are numbered together and valued once from a table of powers, and each
+term adds c * V[amplitude part] * V[conjugate part] to its (polynomial, aux
+monomial) slot.  So the kernel gives the value of every aux-coefficient
+c_m(a, abar) of every stacked polynomial: a pairing is
+sum_m w(m) c_m conj(d_m) over them, formed without expanding it, a plain
+leaf <P|1> is P's aux-free slot, and `Polynomial.evaluate` multiplies each
+slot by the value of its aux monomial.  A pairing has far fewer distinct
+parts than terms (expanded f7: 8,412 terms over 504 + 504 parts), and the
+terms are walked in blocks of a fixed number of elements so that the
+temporaries stay small.
 """
 
 from __future__ import annotations
@@ -58,9 +61,8 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import mul
-from typing import NamedTuple
 
 import numpy as np
 
@@ -91,21 +93,6 @@ def aux(slot: int, comp: int) -> tuple:
 
 class EvaluationError(KeyError):
     """A variable could not be resolved during numeric evaluation."""
-
-
-class _Compiled(NamedTuple):
-    """The numeric form of one or more polynomials (see `Polynomial.stack`)."""
-
-    coeffs: np.ndarray    # complex coefficient per term
-    left: np.ndarray      # per term, the number of its amplitude part
-    right: np.ndarray     # per term, the number of its conjugate part
-    slot: np.ndarray      # per term, its (polynomial, aux monomial) slot
-    starts: np.ndarray    # the first term of each slot
-    index: np.ndarray     # width-by-part rows of the power table whose
-                          # product is each part's value; row 0 pads
-    sources: np.ndarray   # the amplitude of each used field
-    conj: int             # how many of those are amplitudes, not conjugates
-    top: int              # the largest exponent
 
 
 class Layout:
@@ -201,7 +188,7 @@ _SCALARS = (int, Fraction, GaussianRational)
 class Polynomial:
     """Exact sparse polynomial in packed form; immutable."""
 
-    __slots__ = ("k", "packed", "den", "degree_bound", "_terms", "_compiled")
+    __slots__ = ("k", "packed", "den", "degree_bound", "_terms", "_numeric")
 
     def __init__(self, k: int, terms: Mapping | None = None):
         """Build from {tuple monomial: coefficient}, validating both."""
@@ -232,7 +219,7 @@ class Polynomial:
         self.packed = packed
         self.den = den
         self.degree_bound = degree_bound if packed else 0
-        self._terms = self._compiled = None
+        self._terms = self._numeric = None
 
     @classmethod
     def from_packed(cls, k: int, packed: dict, den: int = 1,
@@ -419,130 +406,22 @@ class Polynomial:
 
     # -- numeric evaluation -----------------------------------------------
 
-    def _compile(self) -> tuple:
-        """This polynomial's numeric form and slots (see `stack`), shared
-        by `evaluate` and `batch_evaluator` and built on first use."""
-        if self._compiled is None:
-            self._compiled = Polynomial.stack(self.k, (self,))
-        return self._compiled
-
-    @staticmethod
-    def stack(k: int, polys) -> tuple:
-        """The numeric form of several polynomials, and the kernel's output
-        row of each of their aux-coefficients.
-
-        Each packed key is cut into its amplitude, conjugate and auxiliary
-        parts.  The terms are grouped by (polynomial, auxiliary part) slot,
-        so that the terms of one slot are adjacent and `starts` holds the
-        first of each, and the amplitude and conjugate parts of all terms
-        are numbered together.  The fields of `_Compiled` say what each
-        array holds.  The power table has a row of ones, then row
-        1 + (e - 1) * fields + u holds the e-th power of the u-th used
-        field.  Each distinct coefficient of a polynomial is converted to
-        complex once.  Returns (form, slots), with slots[i] the dict
-        auxiliary part of a packed key -> output row, for polys[i].
-        """
-        lay = layout(k)
-        aux_mask = -1 << lay.aux_shift
-        keys, coeffs, starts, slots = [], [], [], []
-        for p in polys:
-            packed, den = p.packed, p.den
-            as_complex = {c: complex(c[0] / den, c[1] / den)
-                          for c in set(packed.values())}
-            groups: dict = {}
-            for key in packed:
-                groups.setdefault(key & aux_mask, []).append(key)
-            rows = {}
-            for m, group in groups.items():
-                rows[m] = len(starts)
-                starts.append(len(keys))
-                keys += group
-                coeffs += [as_complex[packed[key]] for key in group]
-            slots.append(rows)
-        parts: dict = {}
-        left = [parts.setdefault(key & lay.amp_mask, len(parts))
-                for key in keys]
-        right = [parts.setdefault(key & lay.conj_mask, len(parts))
-                 for key in keys]
-        exps = lay.exponent_matrix(list(parts))
-        used = np.flatnonzero(exps.any(axis=0))
-        exps = exps[:, used]
-        rows, cols = np.nonzero(exps)
-        counts = np.count_nonzero(exps, axis=1)
-        index = np.zeros((int(counts.max(initial=1)), len(exps)), dtype=np.intp)
-        # np.nonzero walks the parts in order, so a factor's rank within its
-        # part is its position minus the part's first position.  The exponents
-        # are uint8: widen them before the row arithmetic.
-        index[np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows],
-              rows] = (1 + (exps[rows, cols].astype(np.intp) - 1) * len(used)
-                       + cols)
-        form = _Compiled(
-            coeffs=np.array(coeffs, dtype=complex),
-            left=np.array(left, dtype=np.intp),
-            right=np.array(right, dtype=np.intp),
-            slot=np.repeat(np.arange(len(starts)),
-                           np.diff(starts + [len(keys)])),
-            starts=np.array(starts, dtype=np.intp),
-            index=index,
-            sources=used % lay.n,
-            conj=int(np.count_nonzero(used < lay.n)),
-            top=int(exps.max(initial=0)),
-        )
-        return form, slots
-
-    @staticmethod
-    def _kernel(form: "_Compiled", amplitudes: np.ndarray) -> np.ndarray:
-        """The values of every slot of a numeric form at the rows of an
-        (n, 2^k) complex amplitude array: the (slots, n) array whose row r
-        is sum_t c_t V[left_t] V[right_t] over the terms t of slot r.
-
-        Parts and terms are walked in blocks of at most _BLOCK elements per
-        temporary array.  Overflow gives inf or nan without a warning:
-        callers check finiteness."""
-        n = len(amplitudes)
-        fields = len(form.sources)
-        top = form.top
-        table = np.empty((1 + top * fields, n), dtype=complex)
-        table[0] = 1
-        x = table[1:1 + fields]
-        x[:] = amplitudes.T[form.sources]
-        np.conjugate(x[form.conj:], out=x[form.conj:])
-        with np.errstate(over="ignore", invalid="ignore"):
-            for e in range(1, top):
-                np.multiply(table[1 + (e - 1) * fields:1 + e * fields], x,
-                            out=table[1 + e * fields:1 + (e + 1) * fields])
-            width, parts = form.index.shape
-            values = np.empty((parts, n), dtype=complex)
-            step = max(_BLOCK // max(n * width, 1), 1)
-            for s in range(0, parts, step):
-                np.multiply.reduce(table[form.index[:, s:s + step]], axis=0,
-                                   out=values[s:s + step])
-            coeffs, left, right = form.coeffs, form.left, form.right
-            slot, starts = form.slot, form.starts
-            out = np.zeros((len(starts), n), dtype=complex)
-            step = max(_BLOCK // max(n, 1), 1)
-            for s in range(0, len(coeffs), step):
-                # The slots whose runs of terms meet this block; the first
-                # may have begun in an earlier block.
-                e = min(s + step, len(coeffs))
-                lo, hi = slot[s], slot[e - 1] + 1
-                runs = starts[lo:hi] - s
-                runs[0] = 0
-                terms = values[left[s:e]]
-                terms *= values[right[s:e]]
-                terms *= coeffs[s:e, None]
-                out[lo:hi] += np.add.reduceat(terms, runs, axis=0)
-            return out
+    def numeric(self) -> "NumericForm":
+        """The one-output numeric form {<self|1>: 1}, built once."""
+        if self._numeric is None:
+            self._numeric = NumericForm(self.k, [{((self, None),): 1}])
+        return self._numeric
 
     def evaluate(self, state: "State", aux_assignment: Mapping | None = None) -> complex:
         """Evaluate at a numeric state; aux_assignment maps (slot, comp) ->
-        complex.  The value is the sum of the aux-coefficients' values,
-        each times the value of its aux monomial."""
-        if state.k != self.k:
-            raise DimensionError(f"ambient k mismatch: {self.k} vs {state.k}")
-        form, (slots,) = self._compile()
-        a = np.asarray(state.amplitudes, dtype=complex)[None, :]
-        u = self._kernel(form, a)[:, 0].tolist()
+        complex.  An aux-free polynomial is the one output of its numeric
+        form; otherwise the value is the sum of the aux-coefficients'
+        values, each times the value of its aux monomial."""
+        form = self.numeric()
+        slots = form._slots[id(self)]
+        if not any(slots):
+            return form.evaluate(state)
+        u = form._kernel(form._row(state))[:, 0].tolist()
         var = layout(self.k).var
         total = 0j
         for m, row in slots.items():
@@ -561,19 +440,14 @@ class Polynomial:
         return total
 
     def batch_evaluator(self):
-        """Compile an auxiliary-free polynomial into a vectorized evaluator.
-
-        Returns a callable mapping an (n, 2^k) complex amplitude array to an
-        n-vector of values (a (2^k,) array to one value); the same kernel
-        as `evaluate`, run on all rows at once.
-        """
-        form, (slots,) = self._compile()
-        if any(slots):
+        """The vectorized evaluator of an auxiliary-free polynomial (see
+        `NumericForm.batch_evaluator`)."""
+        form = self.numeric()
+        if any(form._slots[id(self)]):
             raise EvaluationError(
                 "batch evaluation requires an auxiliary-free polynomial"
             )
-        return batch_runner(self.k,
-                            lambda a: self._kernel(form, a).sum(axis=0))
+        return form.batch_evaluator()
 
     # -- printing ---------------------------------------------------------
 
@@ -612,26 +486,6 @@ class Polynomial:
             parts.append(f"({shown[c]})*{'*'.join(factors[start:end]) or '1'}")
             start = end
         return " + ".join(parts)
-
-
-def batch_runner(k: int, values):
-    """The vectorized evaluator over `values`, which maps an (n, 2^k)
-    complex amplitude array to n values: it takes an (n, 2^k) array to an
-    n-vector and a (2^k,) array to one value, and checks the width."""
-    dim = 2 ** k
-
-    def run(amps: np.ndarray) -> np.ndarray:
-        a = np.asarray(amps, dtype=complex)
-        single = a.ndim == 1
-        if single:
-            a = a[None, :]
-        if a.shape[1] != dim:
-            raise DimensionError(
-                f"expected {dim} amplitudes (k={k}), got {a.shape[1]}")
-        out = values(a)
-        return out[0] if single else out
-
-    return run
 
 
 def _parts(packed: dict) -> tuple:
@@ -684,6 +538,248 @@ class _Terms(Mapping):
 
     def __repr__(self):
         return repr(self._decoded())
+
+
+def _weight(aux_key: int) -> int:
+    """w(m) = prod_j p_j! q_j! for the slot-j exponents (p_j, q_j) of an aux
+    monomial: the permanent of its Gram matrix under <x_i|y_j> = delta."""
+    w = 1
+    for _f, e in exponents(aux_key):
+        w *= factorial(e)
+    return w
+
+
+class NumericForm:
+    """The numeric evaluator: polynomials in pairings of polynomials,
+    evaluated without expanding a pairing.
+
+    `outputs` is a list of dicts, each mapping a product of leaves (a tuple
+    of pairs (A, B) of polynomials, None standing for 1 on one side) to an
+    exact coefficient.  With A = sum_m c_m(a) m(x) over aux monomials m, and
+    B likewise with aux-coefficients d_m, a leaf is the pairing
+    <A|B> = sum_m w(m) c_m conj(d_m), so <P|1> is the aux-free part of P.
+    The distinct polynomials of all leaves are stacked, in order of first
+    appearance, into one set of term arrays (`_stack`) whose slots are the
+    (polynomial, aux monomial) pairs, so one `_kernel` call gives every
+    slot value U.  A leaf <A|B> then sums w(m) U[A, m] conj(U[B, m]); a
+    plain leaf <P|1> is the row U[P, 0] itself and <1|P> its conjugate.
+    Each output multiplies the leaf values along its products, padded to
+    one width with a row of ones, and sums them with the coefficients.
+
+    `values` maps an (n, 2^k) amplitude array to the (outputs, n) array of
+    values; `evaluate` and `batch_evaluator` give the first output.
+    """
+
+    def __init__(self, k: int, outputs):
+        self.k = k
+        outputs = list(outputs)
+        sides: dict = {}
+
+        def leaf(a, b):
+            """The number of the leaf <a|b>."""
+            return sides.setdefault((id(a), id(b)), (len(sides), a, b))[0]
+
+        products = [(i, [leaf(a, b) for a, b in m], c)
+                    for i, out in enumerate(outputs) for m, c in out.items()]
+        polys = {id(p): p for _, a, b in sides.values() for p in (a, b)
+                 if p is not None}
+        slots = self._slots = dict(zip(polys, self._stack(polys.values())))
+        # The rows of the leaf values: the pairings, then the plain leaves
+        # <P|1>, then the <1|P>, then (row -1) the row of ones.  The
+        # (weight, slot in A, slot in B) pairs of each pairing lie leaf
+        # after leaf; a leaf whose sides share no aux monomial is zero and
+        # gets no row.
+        pairs, starts, direct, conj, row = [], [], [], [], {}
+        for j, a, b in sides.values():
+            if a is None or b is None:
+                r = slots[id(b if a is None else a)].get(0)
+                if r is not None:
+                    (conj if a is None else direct).append((j, r))
+                continue
+            sa, sb = slots[id(a)], slots[id(b)]
+            common = [(_weight(m), r, sb[m]) for m, r in sa.items()
+                      if m in sb]
+            if common:
+                row[j] = len(starts)
+                starts.append(len(pairs))
+                pairs += common
+        plain = direct + conj
+        row.update((j, len(starts) + i) for i, (j, _) in enumerate(plain))
+        self._weights = np.array([w for w, _, _ in pairs],
+                                 dtype=float)[:, None]
+        self._pa = np.array([r for _, r, _ in pairs], dtype=np.intp)
+        self._pb = np.array([r for _, _, r in pairs], dtype=np.intp)
+        self._starts = np.array(starts, dtype=np.intp)
+        self._plain = np.array([r for _, r in plain], dtype=np.intp)
+        self._direct = len(direct)
+        # Column q of gamma holds the coefficients of the q-th distinct
+        # product of leaves in each output, and column q of `_products` the
+        # rows of its leaves.
+        width = max([1] + [len(m) for _, m, _ in products])
+        cols: dict = {}
+        entries = [(i, cols.setdefault(tuple(row[j] for j in m), len(cols)), c)
+                   for i, m, c in products if all(j in row for j in m)]
+        self._gamma = np.zeros((len(outputs), len(cols)), dtype=complex)
+        for i, q, c in entries:
+            self._gamma[i, q] += complex(c)
+        self._products = np.array(
+            [list(m) + [-1] * (width - len(m)) for m in cols],
+            dtype=np.intp).reshape(len(cols), width).T
+
+    def _stack(self, polys) -> list:
+        """Stack the terms of the polynomials into the kernel's arrays and
+        return, for each polynomial, the dict aux monomial -> slot.
+
+        Each packed key is cut into its amplitude, conjugate and auxiliary
+        parts.  The terms are grouped by (polynomial, aux monomial) slot:
+        `_slot` holds each term's slot and `_slot_starts` the first term of
+        each.  The amplitude and conjugate parts of all terms are numbered
+        together (`_left`, `_right`), and each part's value is the product
+        of the width rows of the power table named by its column of
+        `_factors`.  The table has a row of ones, then row
+        1 + (e - 1) * fields + u holds the e-th power of the u-th used field
+        (`_sources` gives its amplitude; the first `_conj` are amplitudes,
+        the rest conjugates), up to the power `_top`.  Each distinct
+        coefficient of a polynomial is converted to complex once.
+        """
+        lay = layout(self.k)
+        aux_mask = -1 << lay.aux_shift
+        keys, coeffs, starts, slots = [], [], [], []
+        for p in polys:
+            packed, den = p.packed, p.den
+            as_complex = {c: complex(c[0] / den, c[1] / den)
+                          for c in set(packed.values())}
+            groups: dict = {}
+            for key in packed:
+                groups.setdefault(key & aux_mask, []).append(key)
+            rows = {}
+            for m, group in groups.items():
+                rows[m] = len(starts)
+                starts.append(len(keys))
+                keys += group
+                coeffs += [as_complex[packed[key]] for key in group]
+            slots.append(rows)
+        parts: dict = {}
+        left = [parts.setdefault(key & lay.amp_mask, len(parts))
+                for key in keys]
+        right = [parts.setdefault(key & lay.conj_mask, len(parts))
+                 for key in keys]
+        exps = lay.exponent_matrix(list(parts))
+        used = np.flatnonzero(exps.any(axis=0))
+        exps = exps[:, used]
+        rows, cols = np.nonzero(exps)
+        counts = np.count_nonzero(exps, axis=1)
+        factors = np.zeros((int(counts.max(initial=1)), len(exps)),
+                           dtype=np.intp)
+        # np.nonzero walks the parts in order, so a factor's rank within its
+        # part is its position minus the part's first position.  The exponents
+        # are uint8: widen them before the row arithmetic.
+        factors[np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows],
+                rows] = (1 + (exps[rows, cols].astype(np.intp) - 1) * len(used)
+                         + cols)
+        self._coeffs = np.array(coeffs, dtype=complex)
+        self._left = np.array(left, dtype=np.intp)
+        self._right = np.array(right, dtype=np.intp)
+        self._slot = np.repeat(np.arange(len(starts)),
+                               np.diff(starts + [len(keys)]))
+        self._slot_starts = np.array(starts, dtype=np.intp)
+        self._factors = factors
+        self._sources = used % lay.n
+        self._conj = int(np.count_nonzero(used < lay.n))
+        self._top = int(exps.max(initial=0))
+        return slots
+
+    def _kernel(self, amplitudes: np.ndarray) -> np.ndarray:
+        """The values of every slot at the rows of an (n, 2^k) complex
+        amplitude array: the (slots, n) array whose row r is
+        sum_t c_t V[left_t] V[right_t] over the terms t of slot r.
+
+        Parts and terms are walked in blocks of at most _BLOCK elements per
+        temporary array.  Overflow gives inf or nan without a warning:
+        callers check finiteness."""
+        n = len(amplitudes)
+        fields = len(self._sources)
+        top = self._top
+        table = np.empty((1 + top * fields, n), dtype=complex)
+        table[0] = 1
+        x = table[1:1 + fields]
+        x[:] = amplitudes.T[self._sources]
+        np.conjugate(x[self._conj:], out=x[self._conj:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for e in range(1, top):
+                np.multiply(table[1 + (e - 1) * fields:1 + e * fields], x,
+                            out=table[1 + e * fields:1 + (e + 1) * fields])
+            width, parts = self._factors.shape
+            values = np.empty((parts, n), dtype=complex)
+            step = max(_BLOCK // max(n * width, 1), 1)
+            for s in range(0, parts, step):
+                np.multiply.reduce(table[self._factors[:, s:s + step]],
+                                   axis=0, out=values[s:s + step])
+            coeffs, left, right = self._coeffs, self._left, self._right
+            slot, starts = self._slot, self._slot_starts
+            out = np.zeros((len(starts), n), dtype=complex)
+            step = max(_BLOCK // max(n, 1), 1)
+            for s in range(0, len(coeffs), step):
+                # The slots whose runs of terms meet this block; the first
+                # may have begun in an earlier block.
+                e = min(s + step, len(coeffs))
+                lo, hi = slot[s], slot[e - 1] + 1
+                runs = starts[lo:hi] - s
+                runs[0] = 0
+                terms = values[left[s:e]]
+                terms *= values[right[s:e]]
+                terms *= coeffs[s:e, None]
+                out[lo:hi] += np.add.reduceat(terms, runs, axis=0)
+            return out
+
+    def values(self, amplitudes: np.ndarray) -> np.ndarray:
+        """The (outputs, n) values at the rows of an (n, 2^k) complex
+        amplitude array: one kernel call, then the leaves and the tops."""
+        u = self._kernel(amplitudes)
+        pairs = len(self._starts)
+        leaves = np.empty((pairs + len(self._plain) + 1, len(amplitudes)),
+                          dtype=complex)
+        leaves[-1] = 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            if pairs:
+                p = u[self._pa]
+                p *= np.conjugate(u[self._pb])
+                p *= self._weights
+                np.add.reduceat(p, self._starts, axis=0, out=leaves[:pairs])
+            if len(self._plain):
+                plain = leaves[pairs:-1]
+                np.take(u, self._plain, axis=0, out=plain)
+                np.conjugate(plain[self._direct:], out=plain[self._direct:])
+            prod = leaves[self._products[0]]
+            for rows in self._products[1:]:
+                prod *= leaves[rows]
+            return self._gamma @ prod
+
+    def _row(self, state: "State") -> np.ndarray:
+        """The (1, 2^k) amplitude array of a state over k qubits."""
+        if state.k != self.k:
+            raise DimensionError(f"ambient k mismatch: {self.k} vs {state.k}")
+        return np.asarray(state.amplitudes, dtype=complex)[None, :]
+
+    def evaluate(self, state: "State") -> complex:
+        return complex(self.values(self._row(state))[0, 0])
+
+    def batch_evaluator(self):
+        """The vectorized evaluator of the first output: it takes an
+        (n, 2^k) complex amplitude array to an n-vector and a (2^k,) array
+        to one value, and raises DimensionError for any other shape."""
+        dim = 2 ** self.k
+
+        def run(amps: np.ndarray) -> np.ndarray:
+            a = np.asarray(amps, dtype=complex)
+            if a.ndim not in (1, 2) or a.shape[-1] != dim:
+                raise DimensionError(
+                    f"expected a row or rows of {dim} amplitudes "
+                    f"(k={self.k}), got shape {a.shape}")
+            out = self.values(np.atleast_2d(a))[0]
+            return out[0] if a.ndim == 1 else out
+
+        return run
 
 
 def ghz(k: int, normalized: bool = True) -> State:

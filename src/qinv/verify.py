@@ -41,8 +41,9 @@ def lut_invariant_registry(k: int):
 
 
 def slocc_invariant_registry(k: int):
-    """Named SLOCC invariant polynomials: the hyperdeterminant (k=3),
-    B_0000 (k=4), and the degree-4 D family."""
+    """Named SLOCC invariant polynomials, as numeric forms (see
+    `Polynomial.numeric`): the hyperdeterminant (k=3), B_0000 (k=4), and
+    the degree-4 D family."""
     from .catalog import catalog_4, cayley_hyperdet, degree4_invariants
 
     out = {}
@@ -52,7 +53,7 @@ def slocc_invariant_registry(k: int):
         out["B_0000"] = catalog_4("B_0000").poly
     for cov in degree4_invariants(k):
         out[cov.name] = cov.poly
-    return out
+    return {name: p.numeric() for name, p in out.items()}
 
 
 def suite_identities(k: int = 3, trials: int = 0, seed: int = 0) -> dict:

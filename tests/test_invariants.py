@@ -330,7 +330,7 @@ def test_exact_outputs_are_pinned_around_numeric_evaluation():
 def test_numeric_form_matches_the_expansion_on_every_node_kind(rng):
     import numpy as np
 
-    from qinv.invariants import NumericForm
+    from qinv.invariants import numeric_form
     from qinv.poly import random_state
 
     a, s2, delta = norm_invariant(3), s2_invariant(), delta_invariant()
@@ -343,12 +343,21 @@ def test_numeric_form_matches_the_expansion_on_every_node_kind(rng):
         (s2 * GaussianRational(1, 2)).conjugate(),
     ]
     rows = np.array([random_state(3, rng).amplitudes for _ in range(5)])
-    together = NumericForm(exprs).values(rows)
-    for expr, joint in zip(exprs, together):
+    # The expansion evaluated exactly at a Gaussian-integer point is a
+    # reference outside the numeric kernel.
+    point = rng.integers(-3, 4, size=(2, 8))
+    exact_point = {i: GaussianRational(int(r), int(m))
+                   for i, (r, m) in enumerate(point.T)}
+    at_point = numeric_form(exprs).values(
+        np.array([point[0] + 1j * point[1]]))[:, 0]
+    together = numeric_form(exprs).values(rows)
+    for expr, joint, numeric in zip(exprs, together, at_point):
         want = expr.poly.batch_evaluator()(rows)
         got = expr.numeric().batch_evaluator()(rows)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
         assert np.allclose(joint, want, rtol=1e-12, atol=1e-12)
+        exact = complex(evaluate_exact(expr.poly, exact_point))
+        assert abs(numeric - exact) <= 1e-12 * max(1, abs(exact))
 
 
 def test_invariants_compare_and_hash_by_value():

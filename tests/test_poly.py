@@ -386,23 +386,33 @@ def test_named_states():
 
 def _numeric_forms(k):
     """(name, numeric form, expanded polynomial) for every name of
-    `invariant_registry(k)` and `lut_invariant_registry(k)`."""
+    `invariant_registry(k)` and of both `verify` registries."""
+    from qinv.catalog import catalog_4, cayley_hyperdet, degree4_invariants
     from qinv.cli import invariant_registry
-    from qinv.verify import lut_invariant_registry
+    from qinv.verify import lut_invariant_registry, slocc_invariant_registry
 
-    forms = [(name, fn.__self__) for name, fn in invariant_registry(k).items()]
-    forms += [(f"LUT:{name}", form)
-              for name, form in lut_invariant_registry(k).items()]
-    for name, form in forms:
-        exprs = getattr(form, "exprs", None)
-        yield name, form, exprs[0].poly if exprs else form
+    reg = invariant_registry(k)
+    expanded = {name: build().poly for name, build in reg._builders.items()}
+    for name, fn in reg.items():
+        yield name, fn.__self__, expanded[name]
+    for name, form in lut_invariant_registry(k).items():
+        yield f"LUT:{name}", form, expanded[name.removeprefix("deg6:")]
+    slocc = {cov.name: cov.poly for cov in degree4_invariants(k)}
+    if k == 3:
+        slocc["Det"] = cayley_hyperdet()
+    if k == 4:
+        slocc["B_0000"] = catalog_4("B_0000").poly
+    for name, form in slocc_invariant_registry(k).items():
+        yield f"SLOCC:{name}", form, slocc[name]
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_registry_scalar_batch_and_exact_agree(k):
-    # The numeric forms evaluate pairings through their covariants; the
-    # expanded polynomials are the reference, exact at a Gaussian-integer
-    # point and to 1e-12 on random states.
+    # The numeric forms evaluate pairings through their covariants.  The
+    # references lie outside the numeric kernel: `evaluate_exact` on the
+    # expansion at a Gaussian-integer point, and the term loop
+    # `_reference_evaluate` on two random states; the expansion through
+    # the kernel is compared to 1e-12 on all rows.
     from qinv.invariants import evaluate_exact
 
     gen = np.random.default_rng(k)
@@ -421,30 +431,70 @@ def test_registry_scalar_batch_and_exact_agree(k):
             assert abs(got - want) <= 1e-12 * abs(want), name
         exact = complex(evaluate_exact(poly, exact_point))
         assert abs(batch[0] - exact) <= 1e-12 * abs(exact), name
+        for row, got in zip(rows[1:3], batch[1:3]):
+            want = _reference_evaluate(poly, State(k, tuple(row)), {})
+            assert abs(got - want) <= 1e-12 * max(1, abs(want)), name
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_registry_evaluation_takes_one_kernel_call(k, monkeypatch):
+    # Every numeric path, scalar or batched, single- or multi-output, runs
+    # the kernel once.
     from qinv.cli import invariant_registry
+    from qinv.measures import classify3_batch, hyperdet3, meyer_wallach
+    from qinv.poly import NumericForm
+    from qinv.verify import lut_invariant_registry, slocc_invariant_registry
 
     gen = np.random.default_rng(k)
     s = random_state(k, gen)
     rows = np.array([random_state(k, gen).amplitudes for _ in range(3)])
-    registry = dict(invariant_registry(k).items())
+    forms = [(name, fn.__self__) for name, fn in invariant_registry(k).items()]
+    forms += [(f"LUT:{name}", form)
+              for name, form in lut_invariant_registry(k).items()]
+    forms += [(f"SLOCC:{name}", form)
+              for name, form in slocc_invariant_registry(k).items()]
+    paths = [("meyer_wallach", lambda: meyer_wallach(s, route="covariant"))]
+    if k == 3:
+        paths += [("hyperdet3", lambda: hyperdet3(s)),
+                  ("classify3_batch", lambda: classify3_batch(rows))]
+    for name, form in forms:
+        run = form.batch_evaluator()
+        paths += [(name, lambda form=form: form.evaluate(s)),
+                  (name, lambda run=run: run(rows))]
     calls = []
-    kernel = Polynomial._kernel
+    kernel = NumericForm._kernel
 
-    def counted(*args, **kwargs):
+    def counted(self, amplitudes):
         calls.append(1)
-        return kernel(*args, **kwargs)
+        return kernel(self, amplitudes)
 
-    monkeypatch.setattr(Polynomial, "_kernel", staticmethod(counted))
-    for name, fn in registry.items():
-        run = fn.__self__.batch_evaluator()
-        for evaluate in (lambda: fn(s), lambda: run(rows)):
-            calls.clear()
-            evaluate()
-            assert len(calls) == 1, name
+    monkeypatch.setattr(NumericForm, "_kernel", counted)
+    for name, path in paths:
+        calls.clear()
+        path()
+        assert len(calls) == 1, name
+
+
+def test_plain_leaves_read_the_kernel_row():
+    # A plain polynomial is the leaf <P|1>: its form stacks P alone, in one
+    # slot, with no unit polynomial and no pair stage, and its value is
+    # P's kernel row itself; <1|P> is the conjugate row.
+    from qinv.catalog import cayley_hyperdet
+    from qinv.invariants import InvariantExpr, delta_invariant
+
+    det, delta = cayley_hyperdet(), delta_invariant()
+    gen = np.random.default_rng(8)
+    rows = np.array([random_state(3, gen).amplitudes for _ in range(4)])
+    for poly, form, conj in (
+            (det, det.numeric(), False),
+            (det, InvariantExpr(det, (4, 0), "Det").numeric(), False),
+            (delta.poly, delta.conjugate().numeric(), True)):
+        assert len(form._coeffs) == len(poly.packed)
+        assert len(form._slot_starts) == 1
+        assert len(form._pa) == 0
+        row = form._kernel(rows)[0]
+        want = np.conjugate(row) if conj else row
+        assert form.values(rows)[0].tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("p", [Polynomial.zero(3),
@@ -467,6 +517,17 @@ def test_empty_batch_gives_an_empty_vector():
                 lut3_generator(7).numeric().batch_evaluator()):
         out = run(np.zeros((0, 8), dtype=complex))
         assert out.shape == (0,)
+
+
+def test_batch_shapes_other_than_rows_raise_dimension_error():
+    from qinv.catalog import cayley_hyperdet
+    from qinv.invariants import lut3_generator
+
+    for run in (cayley_hyperdet().batch_evaluator(),
+                lut3_generator(7).numeric().batch_evaluator()):
+        for shape in [(2, 8, 3), (1, 2, 8), (), (2, 7), (8, 3), (7,)]:
+            with pytest.raises(DimensionError):
+                run(np.zeros(shape, dtype=complex))
 
 
 def test_aux_covariant_evaluates_with_an_assignment():
