@@ -40,7 +40,8 @@ from .catalog import (
 )
 from .gaussian import GaussianRational
 from .linalg import det, independent_rows, matrix_rows
-from .poly import Polynomial, _weight, amp, amp_conj, exponents, layout
+from .poly import (NumericForm, Polynomial, _weight, amp, amp_conj, exponents,
+                   layout)
 from .transvection import Covariant
 
 _CREATED = count()
@@ -244,7 +245,7 @@ class InvariantExpr:
 
     # -- numeric evaluation -----------------------------------------------
 
-    def numeric(self) -> "NumericForm":
+    def numeric(self) -> NumericForm:
         """The one-output numeric form, built once."""
         if self._numeric is None:
             self._numeric = numeric_form((self,))
@@ -257,11 +258,9 @@ class InvariantExpr:
         return not self.poly
 
 
-def numeric_form(exprs) -> "NumericForm":
+def numeric_form(exprs) -> NumericForm:
     """One `poly.NumericForm` whose outputs are the stored forms of the
     given invariants (a leaf unpacks as its two sides)."""
-    from .poly import NumericForm
-
     return NumericForm(exprs[0].k, [x.top for x in exprs])
 
 

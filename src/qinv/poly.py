@@ -406,21 +406,28 @@ class Polynomial:
 
     # -- numeric evaluation -----------------------------------------------
 
-    def numeric(self) -> "NumericForm":
-        """The one-output numeric form {<self|1>: 1}, built once."""
+    def _form(self) -> "NumericForm":
+        """The one-output form {<self|1>: 1}, built once."""
         if self._numeric is None:
             self._numeric = NumericForm(self.k, [{((self, None),): 1}])
         return self._numeric
 
+    def numeric(self) -> "NumericForm":
+        """The numeric form of an auxiliary-free polynomial.  A polynomial
+        with auxiliary variables raises EvaluationError: its leaf <self|1>
+        would read only its aux-free part."""
+        form = self._form()
+        if any(form._slots[id(self)]):
+            raise EvaluationError(
+                "numeric evaluation requires an auxiliary-free polynomial")
+        return form
+
     def evaluate(self, state: "State", aux_assignment: Mapping | None = None) -> complex:
         """Evaluate at a numeric state; aux_assignment maps (slot, comp) ->
-        complex.  An aux-free polynomial is the one output of its numeric
-        form; otherwise the value is the sum of the aux-coefficients'
-        values, each times the value of its aux monomial."""
-        form = self.numeric()
+        complex.  The value is the sum of the polynomial's slot values in
+        its numeric form, each times the value of its aux monomial."""
+        form = self._form()
         slots = form._slots[id(self)]
-        if not any(slots):
-            return form.evaluate(state)
         u = form._kernel(form._row(state))[:, 0].tolist()
         var = layout(self.k).var
         total = 0j
@@ -442,12 +449,7 @@ class Polynomial:
     def batch_evaluator(self):
         """The vectorized evaluator of an auxiliary-free polynomial (see
         `NumericForm.batch_evaluator`)."""
-        form = self.numeric()
-        if any(form._slots[id(self)]):
-            raise EvaluationError(
-                "batch evaluation requires an auxiliary-free polynomial"
-            )
-        return form.batch_evaluator()
+        return self.numeric().batch_evaluator()
 
     # -- printing ---------------------------------------------------------
 

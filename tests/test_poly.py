@@ -544,6 +544,9 @@ def test_aux_covariant_evaluates_with_an_assignment():
         cov.poly.evaluate(s, {(1, 0): 1})
     with pytest.raises(EvaluationError):
         cov.poly.batch_evaluator()
+    # Its form's one leaf <P|1> would read only the aux-free part.
+    with pytest.raises(EvaluationError):
+        cov.poly.numeric()
 
 
 @pytest.mark.parametrize("k, power", [(3, 17), (7, 1)])
