@@ -55,10 +55,11 @@ MAX_TRIALS = 10_000
 # The largest k and degree of `qinv hilbert` per (group, method), checked
 # before any work; for lsut the degree bound holds for both degrees.  The
 # closed forms have no k bound here: they exist for the shipped k only.
-# Cold CPU time at each (k, degree) corner on a 2-vCPU host: lut ct 2.4 s
-# (the costliest allowed call; k=5 took 4.4 s at degree 8), lut character
-# 2.2 s, lsut character 1.6 s, slocc ct 1.6 s, lsut ct 1.4 s, slocc
-# character 0.3 s, and 0.6 s for the closed forms at degree 100.
+# Cold CPU time at each (k, degree) corner, best of 3 on a 2-vCPU host: lut
+# character 1.3 s (the costliest allowed call), lsut ct 1.0 s, lsut
+# character 0.9 s, lut ct 0.8 s (k=5 took 1.3 s at degree 8), slocc ct
+# 0.8 s, slocc character 0.2 s, and 0.3 s at most for the closed forms at
+# degree 100.
 HILBERT_MAX = {
     ("lut", "character"): (6, 16),
     ("lut", "ct"): (4, 12),

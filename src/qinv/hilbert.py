@@ -2,11 +2,17 @@
 
 Two independent routes are provided for the unitary and SLOCC Hilbert series:
 
-* the character route, summing squares/products of covariant-space
-  dimensions obtained from symmetric-group characters, and
+* the character route, summing products of covariant-space dimensions
+  obtained from symmetric-group characters, and
 * truncated constant-term extraction of the rational-series formulas
   (geometric expansion in z and exact Laurent bookkeeping in the compact
   torus variables), in place of a full partial-fraction algorithm.
+
+Each route solves one problem, the LSUT bidegree table t[n1][n2]: an LUT
+invariant of degree 2n is an LSUT invariant of bidegree (n, n), and a
+SLOCC invariant of degree n one of bidegree (n, 0).  So the LUT series is
+the table's diagonal and, on the constant-term route, the SLOCC series is
+its column 0 (the character route reads that column from `dim_inv_slocc`).
 
 Closed forms quoted from the literature (3-qubit LUT/LSUT, 4-qubit tables)
 are expanded for cross-validation; the 4-qubit numerator tables ship as
@@ -35,6 +41,13 @@ from .characters import mn_character, partitions, z_lambda
 # -- character-route dimensions -------------------------------------------
 
 
+def _integer(q) -> int:
+    """An exact count as an int; a fraction here means a wrong formula."""
+    if q.denominator != 1:
+        raise ArithmeticError(f"dimension {q} is not an integer")
+    return int(q)
+
+
 @lru_cache(maxsize=None)
 def dim_cov(n: int, k: int, d: tuple) -> int:
     """Dimension of the space of covariants of amplitude degree n and
@@ -54,8 +67,7 @@ def dim_cov(n: int, k: int, d: tuple) -> int:
                 break
         if prod_val:
             total += Fraction(prod_val, z_lambda(mu))
-    assert total.denominator == 1
-    return int(total)
+    return _integer(total)
 
 
 def dim_inv_slocc(degree: int, k: int) -> int:
@@ -75,8 +87,7 @@ def dim_cov_total(d: int, k: int) -> int:
     for mu in partitions(d):
         s = sum(mn_character(lam, mu) for lam in two_row)
         total += Fraction(s ** k, z_lambda(mu))
-    assert total.denominator == 1
-    return int(total)
+    return _integer(total)
 
 
 def _multidegrees(n: int, k: int):
@@ -90,31 +101,26 @@ def hilbert_slocc_coeffs(k: int, nmax: int):
     return [dim_inv_slocc(d, k) for d in range(nmax + 1)]
 
 
+def _lsut_dim(k: int, n1: int, n2: int) -> int:
+    """Dimension of the LSUT invariants of bidegree (n1, n2): the hermitian
+    pairings of covariants of degrees n1 and n2 with a common multidegree."""
+    if (n1 - n2) % 2:
+        return 0
+    return sum(dim_cov(n1, k, d) * dim_cov(n2, k, d)
+               for d in _multidegrees(min(n1, n2), k))
+
+
 def hilbert_lut_coeffs(k: int, nmax: int):
-    """Coefficients of z^0..z^nmax of the LUT Hilbert series, character route."""
-    out = [0] * (nmax + 1)
-    out[0] = 1
-    for deg in range(2, nmax + 1, 2):
-        n = deg // 2
-        out[deg] = sum(dim_cov(n, k, d) ** 2 for d in _multidegrees(n, k))
-    return out
+    """Coefficients of z^0..z^nmax of the LUT Hilbert series, character
+    route: the LSUT diagonal, dim LUT(2n) = dim LSUT(n, n)."""
+    return [0 if deg % 2 else _lsut_dim(k, deg // 2, deg // 2)
+            for deg in range(nmax + 1)]
 
 
 def hilbert_lsut_coeffs(k: int, n1max: int, n2max: int):
     """Bidegree table t[n1][n2] of LSUT invariant dimensions, character route."""
-    table = [[0] * (n2max + 1) for _ in range(n1max + 1)]
-    table[0][0] = 1
-    for n1 in range(n1max + 1):
-        for n2 in range(n2max + 1):
-            if n1 == n2 == 0:
-                continue
-            if (n1 - n2) % 2:
-                continue
-            table[n1][n2] = sum(
-                dim_cov(n1, k, d) * dim_cov(n2, k, d)
-                for d in _multidegrees(min(n1, n2), k)
-            )
-    return table
+    return [[_lsut_dim(k, n1, n2) for n2 in range(n2max + 1)]
+            for n1 in range(n1max + 1)]
 
 
 # -- truncated series engine ----------------------------------------------
@@ -134,6 +140,9 @@ def _geometric_step(series, g, v, bounds, prune=None):
         raise ValueError("denominator factor with zero grading order")
     if any(x < 0 for x in g):
         raise ValueError("denominator factor with negative grading order")
+    if any(x > b for x, b in zip(g, bounds)):
+        # Only the factor's 1 fits within the bounds.
+        return series
     new: dict = {}
     for x in product(*(range(b + 1) for b in bounds)):
         tgt = dict(series.get(x, ()))
@@ -157,118 +166,73 @@ def _dense(series, bounds):
     else:
         out = [[0] * (bounds[1] + 1) for _ in range(bounds[0] + 1)]
     for (i, *j), c in series.items():
-        assert c.denominator == 1, (i, *j, c)
         if j:
-            out[i][j[0]] = int(c)
+            out[i][j[0]] = _integer(c)
         else:
-            out[i] = int(c)
+            out[i] = _integer(c)
     return out
 
 
-def ct_series(factors, grading_bounds, prefactor, allowed_final, divisor=1):
-    """Constant-term extraction of prefactor / prod(1 - z^g * m) by truncated
-    geometric expansion.
-
-    factors: list of (g, v) where g is the tuple of grading exponents (the
-        variables the series is expanded in; every factor must have g != 0)
-        and v the tuple of compact-variable exponents carried per expansion
-        step.
-    grading_bounds: max order per grading variable.
-    prefactor: dict mapping compact-exponent tuples to int coefficients.
-    allowed_final: per compact variable, the tuple of exponents that can
-        still be cancelled by the prefactor (used both for the final
-        extraction and for pruning).
-    divisor: final rational division (e.g. 2^k for the Weyl integration
-        normalization).
-
-    Returns a dict mapping grading tuples to Fractions.
-    """
-    if any(abs(y) > sum(g) for g, v in factors for y in v):
-        # Pruning is exact only if no step moves a compact exponent further
-        # than it raises the total grading.
-        raise ValueError("compact exponent step larger than its grading step")
-    budget = sum(grading_bounds)
-
-    @lru_cache(maxsize=None)
-    def reach(e):
-        # The grading needed before every exponent is cancellable.
-        return max(min(abs(x - fin) for fin in fins)
-                   for x, fins in zip(e, allowed_final))
-
-    def prune(gvec, coeffs):
-        rem = budget - sum(gvec)
-        return {e: c for e, c in coeffs.items() if c and reach(e) <= rem}
-
-    series = {(0,) * len(grading_bounds): {(0,) * len(allowed_final): 1}}
-    for g, v in factors:
-        series = _geometric_step(series, g, v, grading_bounds, prune)
-
-    result = {}
-    for gvec, coeffs in series.items():
-        total = 0
-        for pe, pc in prefactor.items():
-            me = tuple(-x for x in pe)
-            total += pc * coeffs.get(me, 0)
-        if total:
-            result[gvec] = Fraction(total, divisor)
-    return result
-
-
-def _u_prefactor(k: int, extra_vars: int = 0):
-    """Expansion of prod_i (1 - u_i^2)(1 - u_i^-2) over (extra_vars + k)
-    compact vars, the extra leading variables (e.g. t) untouched.
+def _u_prefactor(k: int):
+    """Expansion of prod_i (1 - u_i^2)(1 - u_i^-2) over the k compact vars.
 
     This is the Weyl-measure factor over both roots of each SL(2); the
     printed source shows (1 - u_i^-2)^2, which fails the z^0 = 1
     normalization check, while this form reproduces the character route.
     """
     base = {2: -1, 0: 2, -2: -1}
-    return {
-        (0,) * extra_vars + e: prod(base[x] for x in e)
-        for e in product(base, repeat=k)
-    }
+    return {e: prod(base[x] for x in e) for e in product(base, repeat=k)}
+
+
+def hilbert_lsut_ct(k: int, n1max: int, n2max: int):
+    """LSUT bidegree table t[n1][n2] by constant-term extraction of the
+    Weyl-integration formula: the prefactor over the product over alpha in
+    {+-1}^k of (1 - z u^alpha)(1 - zbar u^alpha), expanded in z and zbar;
+    constant term in u, divided by 2^k.
+    """
+    bounds = (n1max, n2max)
+    budget = n1max + n2max
+
+    @lru_cache(maxsize=None)
+    def reach(e):
+        # The degree needed before every exponent can be cancelled by the
+        # prefactor.  Every factor moves each exponent by exactly 1 per unit
+        # of degree, so no pruned exponent could have come back.
+        return max(min(abs(x - fin) for fin in (-2, 0, 2)) for x in e)
+
+    def prune(x, coeffs):
+        rem = budget - sum(x)
+        return {e: c for e, c in coeffs.items() if c and reach(e) <= rem}
+
+    series = {(0, 0): {(0,) * k: 1}}
+    for alpha in product((1, -1), repeat=k):
+        for g in ((1, 0), (0, 1)):
+            series = _geometric_step(series, g, alpha, bounds, prune)
+    prefactor = _u_prefactor(k)
+    return _dense({
+        x: Fraction(sum(pc * coeffs.get(tuple(-y for y in pe), 0)
+                        for pe, pc in prefactor.items()), 2 ** k)
+        for x, coeffs in series.items()
+    }, bounds)
 
 
 def hilbert_lut_ct(k: int, nmax: int):
     """LUT Hilbert series coefficients z^0..z^nmax by constant-term
-    extraction of the Weyl-integration formula.
+    extraction: the LSUT diagonal, dim LUT(2n) = dim LSUT(n, n).
 
-    Denominator: product over a = +-1 and alpha in {+-1}^k of
-    (1 - t^a z u^alpha); constant term in t and u, divided by 2^k.
+    The LUT integrand has the factors (1 - t^a z u^alpha), a = +-1, and
+    takes the constant term in t too.  Substituting z1 = tz, z2 = z/t turns
+    it into the LSUT integrand in (z1, z2), and z1^i z2^j = t^(i-j) z^(i+j),
+    so its t^0 part is the diagonal i = j.
     """
-    factors = []
-    for a in (1, -1):
-        for alpha in product((1, -1), repeat=k):
-            factors.append(((1,), (a,) + alpha))
-    prefactor = _u_prefactor(k, extra_vars=1)
-    allowed = [(0,)] + [(-2, 0, 2)] * k
-    res = ct_series(factors, (nmax,), prefactor, allowed, divisor=2 ** k)
-    return _dense(res, (nmax,))
+    t = hilbert_lsut_ct(k, nmax // 2, nmax // 2)
+    return [0 if deg % 2 else t[deg // 2][deg // 2] for deg in range(nmax + 1)]
 
 
 def hilbert_slocc_ct(k: int, nmax: int):
     """SLOCC Hilbert series coefficients z^0..z^nmax by constant-term
-    extraction: denominator product over alpha in {+-1}^k of
-    (1 - z u^alpha); constant term in u, divided by 2^k."""
-    factors = [((1,), alpha) for alpha in product((1, -1), repeat=k)]
-    allowed = [(-2, 0, 2)] * k
-    res = ct_series(factors, (nmax,), _u_prefactor(k), allowed,
-                    divisor=2 ** k)
-    return _dense(res, (nmax,))
-
-
-def hilbert_lsut_ct(k: int, n1max: int, n2max: int):
-    """LSUT bidegree table by constant-term extraction: denominator
-    product over alpha in {+-1}^k of (1 - z u^alpha)(1 - zbar u^alpha)."""
-    factors = []
-    for alpha in product((1, -1), repeat=k):
-        factors.append(((1, 0), alpha))
-        factors.append(((0, 1), alpha))
-    prefactor = _u_prefactor(k)
-    allowed = [(-2, 0, 2)] * k
-    bounds = (n1max, n2max)
-    res = ct_series(factors, bounds, prefactor, allowed, divisor=2 ** k)
-    return _dense(res, bounds)
+    extraction: column 0 of the LSUT table, the integrand with no zbar."""
+    return [row[0] for row in hilbert_lsut_ct(k, nmax, 0)]
 
 
 def expand_closed_form(numerator: dict, denominator, bounds):

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from qinv.hilbert import (
-    ct_series,
+    _dense,
     dim_cov,
     dim_cov_total,
     dim_inv_slocc,
@@ -42,7 +44,8 @@ def test_lut_character_equals_constant_term(k):
     assert hilbert_lut_coeffs(k, 10) == hilbert_lut_ct(k, 10)
 
 
-@pytest.mark.parametrize("k,n", [(2, 8), (3, 8), (4, 8)])
+@pytest.mark.parametrize("k,n", [(2, 8), (3, 8), (4, 8),
+                                 (1, 0), (1, 6), (5, 0), (5, 6)])
 def test_slocc_character_equals_constant_term(k, n):
     assert hilbert_slocc_ct(k, n) == hilbert_slocc_coeffs(k, n)
 
@@ -52,11 +55,22 @@ def test_lut4_and_lsut3_constant_term_agree_at_larger_sizes():
     assert hilbert_lsut_ct(3, 7, 7) == hilbert_lsut_coeffs(3, 7, 7)
 
 
-def test_ct_rejects_steps_that_defeat_pruning():
-    # A compact exponent that moves by 2 per unit of grading could come
-    # back from further than the pruning bound allows.
-    with pytest.raises(ValueError):
-        ct_series([((1,), (2,))], (4,), {(0,): 1}, [(0,)])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("nmax", [0, 1, 7])
+def test_lut_constant_term_at_the_edges_of_the_diagonal(k, nmax):
+    # nmax = 0 and odd nmax cut the LSUT diagonal at nmax // 2.
+    assert hilbert_lut_ct(k, nmax) == hilbert_lut_coeffs(k, nmax)
+
+
+def test_lut5_constant_term():
+    assert hilbert_lut_ct(5, 6) == [1, 0, 1, 0, 16, 0, 91]
+
+
+def test_non_integer_coefficient_is_an_error():
+    # An explicit raise, not an assert, so `python -O` cannot print a
+    # truncated coefficient.
+    with pytest.raises(ArithmeticError):
+        _dense({(0,): Fraction(1, 2)}, (0,))
 
 
 def test_lut3_closed_form_agrees():
@@ -83,12 +97,15 @@ def test_lsut3_character_ct_and_closed_form_agree():
 
 
 def test_lsut_diagonal_matches_lut():
-    # Summing an LSUT table row over the conjugate degree at equal bidegree
-    # reproduces the LUT coefficient: dim LUT(n) = table[n][n].
-    t = hilbert_lsut_coeffs(3, 6, 6)
-    lut = hilbert_lut_coeffs(3, 12)
-    for n in range(7):
-        assert t[n][n] == lut[2 * n]
+    # The diagonal of the LSUT table is the LUT series in even degree,
+    # dim LUT(2n) = table[n][n], and LUT vanishes in odd degree; checked on
+    # the shipped closed forms, which share no code with either route.
+    for lsut, lut in ((lsut3_closed_form_table, lut3_closed_form_coeffs),
+                      (lsut4_closed_form_table, lut4_closed_form_coeffs)):
+        t = lsut(12, 12)
+        coeffs = lut(24)
+        assert [t[n][n] for n in range(13)] == coeffs[::2]
+        assert not any(coeffs[1::2])
 
 
 def test_lsut4_closed_form_low_orders():
