@@ -40,8 +40,8 @@ from .catalog import (
 )
 from .gaussian import GaussianRational
 from .linalg import det, independent_rows, matrix_rows
-from .poly import (NumericForm, Polynomial, _weight, amp, amp_conj, exponents,
-                   layout)
+from .poly import (EvaluationError, NumericForm, Polynomial, _weight, amp,
+                   amp_conj, exponents, layout)
 from .transvection import Covariant
 
 _CREATED = count()
@@ -667,6 +667,10 @@ def evaluate_exact(poly: Polynomial, values: dict) -> GaussianRational:
                 raise ValueError("auxiliary variable in exact evaluation")
             p = powers.get((f, e))
             if p is None:
+                if f not in base:
+                    raise EvaluationError(
+                        f"no value for amplitude {f % n} "
+                        f"(a[{f % n:0{poly.k}b}])")
                 p = powers[f, e] = _gauss_pow(base[f], e)
             r, i = r * p[0] - i * p[1], r * p[1] + i * p[0]
             deg += e

@@ -23,11 +23,17 @@ denominators, and == and hash are plain dict and int comparisons.
 
 All exact arithmetic runs through one multiply-accumulate,
 `Polynomial.sum_of_products`: sum c * P_1 * ... * P_m over a list of
-summands.  Each summand's last product is accumulated, term pair by term
-pair, into one real and one imaginary dict over the common denominator of
-all summands, and the result is reduced once.  `+`, `-`, `*` by a scalar
-and `*` are its one- and two-summand cases; transvection, the pairing and
-the identity residuals pass it their whole sum at once.
+summands.  The term pairs of each summand's last product form one real
+and one imaginary stream over the common denominator of all summands, and
+the result is reduced once.  A sum of fewer than _PAIRS pairs is
+accumulated pair by pair into a dict (`_accumulate`); a larger one is
+sorted and summed in numpy, _CHUNK pairs at a time (`_sort_reduce`), and
+gives the same dict in the same order, the order in which the dict loop
+first meets each key.  Only numeric evaluation reads that order
+(`NumericForm` adds terms in it), but it reads it to the last bit.  `+`,
+`-`, `*` by a scalar and `*` are its one- and two-summand cases;
+transvection, the pairing and the identity residuals pass it their whole
+sum at once.
 
 Each polynomial carries a bound on its total degree.  A monomial's total
 degree bounds every exponent in it, so a product whose bound would exceed
@@ -77,6 +83,22 @@ FIELD_MAX = (1 << FIELD_BITS) - 1
 # and 1.3 ms per call at 2^13 elements, 226 and 2.2 ms at 2^14, and 2,008
 # and 5.2 ms at 2^15.
 _BLOCK = 1 << 13
+# Term pairs from which `sum_of_products` sums in numpy (`_sort_reduce`)
+# rather than in a dict (`_accumulate`).  On a 2-vCPU host, the 299 sums of
+# 2^11 or more pairs met by the invariant, catalog, transvection and
+# acceptance tests took 875 ms in dicts, and 571, 543, 552, 579 and 593 ms
+# with the numpy path from 2^11, 2^12, 2^13, 2^14 and 2^15 pairs on (514
+# and 515 ms at 2^12 and 2^13 in an earlier run).  Of the two, 2^13 sends
+# fewer sums whose results are about as many as their pairs to numpy,
+# which pays per result what the dict pays per pair.
+_PAIRS = 1 << 13
+# Term pairs formed and sorted at once by `_sort_reduce`.  At 2^12, 2^13,
+# 2^14, 2^15 and 2^16, the six numpy sums of an exact-identities benchmark
+# pass took 60.6, 52.9, 51.6, 45.1 and 50.5 ms (best of 7), and the
+# 417k-pair syzygy residual peaked at 3.8, 4.1, 4.7, 7.0 and 8.1 MB of
+# traced memory; the whole pass peaked at 60.1, 60.0 and 60.4 MB of RSS
+# at 2^13, 2^14 and 2^15.
+_CHUNK = 1 << 14
 
 
 def amp(idx: int) -> tuple:
@@ -142,9 +164,10 @@ class Layout:
 
     def exponent_matrix(self, keys) -> np.ndarray:
         """Key-by-field uint8 exponent matrix of a list of packed keys."""
+        width = len(self.var)
         return np.frombuffer(
-            b"".join(self.fields(m) for m in keys), dtype=np.uint8
-        ).reshape(len(keys), len(self.var))
+            b"".join([m.to_bytes(width, "little") for m in keys]),
+            dtype=np.uint8).reshape(len(keys), width)
 
 
 def _name(v: tuple, k: int) -> str:
@@ -318,12 +341,17 @@ class Polynomial:
         with c an exact scalar and m >= 0 (no factors: the constant c).
 
         The leading factors of each summand are multiplied by `*`.  The last
-        product of every summand then runs through `_accumulate` into one
-        real and one imaginary dict over the common denominator D of all
-        summands, with c * D / (the summand's denominator) folded into the
-        smaller operand's coefficients.  The result is zero-filtered and
-        reduced once, so an identity residual of many products costs one
-        dict build, not one per `+`.
+        product of every summand then makes blocks of term pairs over the
+        common denominator D of all summands, with c * D / (the summand's
+        denominator) folded into the smaller operand's coefficients: the
+        real stream takes re x re, then -im x im, the imaginary stream
+        re x im, then im x re, and each block is left-major with the
+        shorter list on the left.  The streams are summed by `_accumulate`
+        or, from _PAIRS pairs on, by `_sort_reduce`, to the same sums in
+        the same order.  The keys with a nonzero real part come first, then
+        the imaginary-only ones, and the result is reduced once, so an
+        identity residual of many products costs one reduction, not one
+        per `+`.
         """
         one = cls.constant(k, 1)
         products, den, bound = [], 1, 0
@@ -343,8 +371,8 @@ class Polynomial:
                 d *= left.den * last.den
                 products.append((cr, ci, d, left.packed, last.packed))
                 den, bound = lcm(den, d), max(bound, deg)
-        re: dict = {}
-        im: dict = {}
+        split: dict = {}
+        blocks, pairs = ([], []), 0
         for cr, ci, d, a, b in products:
             if len(a) > len(b):
                 a, b = b, a
@@ -352,14 +380,17 @@ class Polynomial:
             if (cr, ci) != (1, 0):
                 a = {m: (r * cr - i * ci, r * ci + i * cr)
                      for m, (r, i) in a.items()}
-            a_re, a_im = _parts(a)
-            b_re, b_im = _parts(b)
-            _accumulate(re, a_re, b_re, 1)
-            _accumulate(re, a_im, b_im, -1)
-            _accumulate(im, a_re, b_im, 1)
-            _accumulate(im, a_im, b_re, 1)
-        out = {m: (r, 0) for m, r in re.items() if r}
-        for m, i in im.items():
+            (a_re, a_im), (b_re, b_im) = _parts(a, split), _parts(b, split)
+            neg = [(m, -i) for m, i in a_im]
+            for s, x, y in ((0, a_re, b_re), (0, neg, b_im), (1, a_re, b_im),
+                            (1, a_im, b_re)):
+                if x and y:
+                    blocks[s].append((x, y) if len(x) <= len(y) else (y, x))
+                    pairs += len(x) * len(y)
+        re, im = (_sort_reduce(k, s) if s and pairs >= _PAIRS
+                  else _accumulate(s) for s in blocks)
+        out = {m: (r, 0) for m, r in re if r}
+        for m, i in im:
             if i:
                 out[m] = (out.get(m, (0, 0))[0], i)
         return cls.from_packed(k, out, den, bound)
@@ -465,47 +496,146 @@ class Polynomial:
         # Sort the terms as their tuple monomials sort.  Comparing the
         # sparse (variable, exponent) lists is comparing the dense rows
         # with each zero read as 256 when a later variable occurs (it loses
-        # to any exponent there) and as -1 when none does (a prefix).
+        # to any exponent there) and as -1 when none does (a prefix).  The
+        # ranks + 1 take 9 bits, so seven fields make one int64 sort key.
+        terms, width = exps.shape
         present = exps > 0
-        later = np.cumsum(present[:, ::-1], axis=1)[:, ::-1] > present
-        rank = np.where(present, exps, np.where(later, 256, -1))
-        order = np.lexsort(rank.T[::-1])
+        last = np.where(present.any(axis=1),
+                        width - 1 - np.argmax(present[:, ::-1], axis=1), -1)
+        rank = np.zeros((terms, -(-width // 7) * 7), dtype=np.uint16)
+        rank[:, :width] = np.where(
+            present, exps + np.uint16(1),
+            np.uint16(257) * (np.arange(width) < last[:, None]))
+        keys = np.zeros(((width + 6) // 7, terms), dtype=np.int64)
+        for group in rank.reshape(terms, -1, 7).T:
+            keys = keys << 9 | group
+        order = np.lexsort(keys[::-1])
         exps = exps[order]
         rows, cols = np.nonzero(exps)
-        names = lay.names
-        factors = [names[c] if e == 1 else f"{names[c]}^{e}"
-                   for c, e in zip(cols.tolist(), exps[rows, cols].tolist())]
-        ends = np.cumsum(np.count_nonzero(exps, axis=1)).tolist()
+        # The string is one token per term, " + (coefficient)", then one per
+        # factor, "*name" or "*name^e", from a table by field and exponent.
+        table = np.array([[f"*{name}^{e}" if e > 1 else f"*{name}"
+                           for e in range(int(exps.max()) + 1)]
+                          for name in lay.names], dtype=object)
         coeffs = list(self.packed.values())
-        shown: dict = {}
-        parts = []
-        start = 0
-        for t, end in zip(order.tolist(), ends):
-            c = coeffs[t]
-            if c not in shown:
-                shown[c] = repr(GaussianRational(Fraction(c[0], den),
-                                                 Fraction(c[1], den)))
-            parts.append(f"({shown[c]})*{'*'.join(factors[start:end]) or '1'}")
-            start = end
-        return " + ".join(parts)
+        shown = {c: " + (" + repr(GaussianRational(Fraction(c[0], den),
+                                                   Fraction(c[1], den))) + ")"
+                 for c in set(coeffs)}
+        counts = np.count_nonzero(exps, axis=1)
+        tokens = np.empty(terms + len(rows), dtype=object)
+        tokens[np.arange(terms) + np.cumsum(counts) - counts] = [
+            shown[coeffs[t]] for t in order.tolist()]
+        tokens[np.arange(len(rows)) + rows + 1] = table[cols, exps[rows, cols]]
+        # Only the first term can be the constant, shown as "(c)*1".
+        tokens[0] = tokens[0][3:] + ("" if counts[0] else "*1")
+        return "".join(tokens.tolist())
 
 
-def _parts(packed: dict) -> tuple:
-    """The nonzero real and imaginary coefficients, as (key, int) lists."""
-    return ([(m, r) for m, (r, _) in packed.items() if r],
-            [(m, i) for m, (_, i) in packed.items() if i])
+def _parts(packed: dict, split: dict) -> tuple:
+    """The nonzero real and imaginary coefficients, as (key, int) lists,
+    made once per dict: `split` keeps each dict with its lists by id."""
+    if id(packed) not in split:
+        split[id(packed)] = ([(m, r) for m, (r, _) in packed.items() if r],
+                             [(m, i) for m, (_, i) in packed.items() if i],
+                             packed)
+    return split[id(packed)][:2]
 
 
-def _accumulate(acc: dict, left: list, right: list, sign: int):
-    """acc += sign * left * right over packed monomials."""
-    if len(left) > len(right):
-        left, right = right, left
+def _accumulate(blocks):
+    """sum left * right over the (left, right) blocks of (key, int) lists,
+    keyed in order of first appearance, each block left-major."""
+    acc: dict = {}
     get = acc.get
-    for m1, c1 in left:
-        c1 *= sign
-        for m2, c2 in right:
-            m = m1 + m2
-            acc[m] = get(m, 0) + c1 * c2
+    for left, right in blocks:
+        for m1, c1 in left:
+            for m2, c2 in right:
+                m = m1 + m2
+                acc[m] = get(m, 0) + c1 * c2
+    return acc.items()
+
+
+def _sort_reduce(k: int, blocks):
+    """The nonzero sums of `_accumulate(blocks)`, in its order, formed in
+    numpy.
+
+    Pair p of the stream is (left i, right j) of its block, left-major.
+    The keys of the distinct lists are numbered once and become
+    mixed-radix codes: a field's radix is 1 + the largest exponent sum a
+    block reaches there, and the fields are split into as many int64 words
+    as keep every code below 2^(63 - bits), bits = bit length of the pair
+    count, so a pair's code is the sum of its terms' codes and a sort
+    position fits beside it.  The pairs are formed in pieces of at most
+    _CHUNK pairs (a longer row is one piece); once the pieces hold
+    _CHUNK pairs and as many as the partial sums, `_reduce` merges them
+    all.  Coefficients are int64 when the sum over blocks of
+    (sum |left|) * (sum |right|), a bound on every partial sum, is below
+    2^63, and Python ints otherwise.  Each nonzero sum is keyed by the sum
+    of the keys of its least p, in order of that p."""
+    lists = list({id(x): x for x in chain.from_iterable(blocks)}.values())
+    number = {id(x): n for n, x in enumerate(lists)}
+    keys = [m for x in lists for m, _ in x]
+    exps = layout(k).exponent_matrix(keys)
+    sizes = np.array([len(x) for x in lists], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    left, right = (np.array([number[id(b[i])] for b in blocks]) for i in (0, 1))
+    lo, rows, ro, cols = starts[left], sizes[left], starts[right], sizes[right]
+    first = np.cumsum(rows * cols) - rows * cols
+    total = int(first[-1] + rows[-1] * cols[-1])
+    bits = total.bit_length()
+    top = np.maximum.reduceat(exps, starts).astype(np.int64)
+    reach = (top[left] + top[right]).max(axis=0)
+    weights, place = [np.zeros_like(reach)], 1
+    for f in np.flatnonzero(reach).tolist():
+        if place * (int(reach[f]) + 1) > 1 << (63 - bits):
+            weights, place = weights + [np.zeros_like(reach)], 1
+        weights[-1][f] = place
+        place *= int(reach[f]) + 1
+    codes = np.array(weights) @ exps.T
+    norm = np.array([sum(abs(c) for _, c in x) for x in lists], dtype=object)
+    val = np.array([c for x in lists for _, c in x], dtype=object
+                   if (norm[left] * norm[right]).sum() >> 63 else np.int64)
+
+    def pieces():
+        for i, m, j, n in zip(*(a.tolist() for a in (lo, rows, ro, cols))):
+            step = max(1, _CHUNK // n)
+            for r in range(i, i + m, step):
+                e = min(r + step, i + m)
+                yield ((codes[:, r:e, None] + codes[:, None, j:j + n])
+                       .reshape(len(codes), -1),
+                       (val[r:e, None] * val[j:j + n]).ravel())
+
+    merged, pending, done = (codes[:, :0], first[:0], val[:0]), [], 0
+    for c, v in pieces():
+        pending.append((c, np.arange(done, done + len(v)), v))
+        done += len(v)
+        if done == total or (done - pending[0][1][0]
+                             >= max(_CHUNK, len(merged[1]))):
+            merged = _reduce(*(np.concatenate(x, axis=-1)
+                               for x in zip(merged, *pending)), bits)
+            pending = []
+    _, least, sums = merged
+    keep = np.flatnonzero(sums != 0)
+    keep = keep[np.argsort(least[keep])]
+    b = np.searchsorted(first, least[keep], "right") - 1
+    i, j = np.divmod(least[keep] - first[b], cols[b])
+    keys = np.array(keys, dtype=object)
+    return zip((keys[lo[b] + i] + keys[ro[b] + j]).tolist(),
+               sums[keep].tolist())
+
+
+def _reduce(codes, least, sums, bits: int) -> tuple:
+    """(codes, least, sums) with one column per distinct code (a column of
+    `codes`): its first `least` and the total of its `sums`.  The sort is
+    stable: each word, below 2^(63 - bits), is sorted with the position of
+    its column in the low `bits` bits, last word first."""
+    order = index = np.arange(codes.shape[1])
+    for word in codes[::-1]:
+        order = order[np.sort(word[order] << bits | index)
+                      & ((1 << bits) - 1)]
+    codes = codes[:, order]
+    runs = np.flatnonzero(np.r_[True, (codes[:, 1:] != codes[:, :-1]).any(0)])
+    return (codes[:, runs], least[order[runs]],
+            np.add.reduceat(sums[order], runs))
 
 
 class _Terms(Mapping):

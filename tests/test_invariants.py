@@ -34,7 +34,7 @@ from qinv.invariants import (
     syzygy_checks,
 )
 from qinv.linalg import rank
-from qinv.poly import Polynomial, amp
+from qinv.poly import EvaluationError, Polynomial, amp, amp_conj
 
 
 def test_pairing_bidegree_and_name():
@@ -194,6 +194,16 @@ def test_evaluate_exact_simple():
     p = Polynomial.variable(3, amp(0)) * Polynomial.variable(3, amp(0))
     z = GaussianRational(3, 3)
     assert evaluate_exact(p, JACOBIAN_POINT) == z * z
+
+
+def test_evaluate_exact_names_a_missing_amplitude():
+    # a[00] * conj(a[01]) needs amplitude 1, which the assignment lacks; its
+    # conjugate sits in field 5, which is not an amplitude number.
+    p = Polynomial.variable(2, amp(0)) * Polynomial.variable(2, amp_conj(1))
+    with pytest.raises(EvaluationError, match=r"amplitude 1 \(a\[01\]\)"):
+        evaluate_exact(p, {0: GaussianRational(1)})
+    full = {0: GaussianRational(2), 1: GaussianRational(0, 1)}
+    assert evaluate_exact(p, full) == GaussianRational(0, -2)
 
 
 def test_pairing_sesquilinearity_numeric(rng):

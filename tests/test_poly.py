@@ -1,16 +1,23 @@
 import json
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
+from math import lcm
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qinv import poly
+from qinv.catalog import catalog_3
 from qinv.gaussian import GaussianRational
 from qinv.poly import (
     DimensionError,
     EvaluationError,
     Polynomial,
+    _scalar,
     State,
     amp,
     amp_conj,
@@ -117,21 +124,23 @@ def test_conjugate_is_an_involution(p):
     assert p.conjugate().conjugate() == p
 
 
+def _reference_monomial(m, k):
+    factors = []
+    for v, e in m:
+        if v[0] == "x":
+            name = f"x{v[1]}_{v[2]}"
+        else:
+            name = f"{v[0]}[{format(v[1], f'0{k}b')}]"
+        factors.append(name if e == 1 else f"{name}^{e}")
+    return "*".join(factors) or "1"
+
+
 def _reference_pretty(p):
     """pretty() spelled out over the decoded terms."""
     if not p.terms:
         return "0"
-    parts = []
-    for m in sorted(p.terms):
-        factors = []
-        for v, e in m:
-            if v[0] == "x":
-                name = f"x{v[1]}_{v[2]}"
-            else:
-                name = f"{v[0]}[{format(v[1], f'0{p.k}b')}]"
-            factors.append(name if e == 1 else f"{name}^{e}")
-        parts.append(f"({p.terms[m]!r})*{'*'.join(factors) or '1'}")
-    return " + ".join(parts)
+    return " + ".join(f"({p.terms[m]!r})*{_reference_monomial(m, p.k)}"
+                      for m in sorted(p.terms))
 
 
 ALL_VARS = VARS + [aux(s, c) for s in (1, 2) for c in (0, 1)]
@@ -146,6 +155,44 @@ mixed_polys = st.dictionaries(
 @settings(max_examples=80, deadline=None)
 def test_pretty_matches_sorted_tuple_monomials(p):
     assert p.pretty() == _reference_pretty(p)
+
+
+@st.composite
+def wide_polys(draw):
+    """Polynomials at k = 1, 3 or 4 over every variable kind, with
+    exponents up to 255, so the packed sort keys of pretty() meet every
+    field group and both ends of the 9-bit rank."""
+    k = draw(st.sampled_from([1, 3, 4]))
+    names = ([amp(i) for i in range(2 ** k)]
+             + [amp_conj(i) for i in range(2 ** k)]
+             + [aux(j, b) for j in range(1, k + 1) for b in (0, 1)])
+    mono = st.lists(st.tuples(st.sampled_from(names),
+                              st.sampled_from([1, 2, 3, 85])), max_size=3)
+    mono = mono.map(lambda m: tuple(sorted(dict(m).items())))
+    terms = draw(st.dictionaries(mono, coeffs, max_size=12))
+    if draw(st.booleans()):
+        terms[((names[-1], 255),)] = GaussianRational(1)
+    return Polynomial(k, terms)
+
+
+@given(wide_polys())
+@settings(max_examples=60, deadline=None)
+def test_pretty_lists_terms_in_sorted_order(p):
+    assert p.pretty() == _reference_pretty(p)
+    if p.terms:
+        shown = [t.split(")*", 1)[1] for t in p.pretty().split(" + ")]
+        assert shown == [_reference_monomial(m, p.k) for m in sorted(p.terms)]
+
+
+@given(mixed_polys)
+@settings(max_examples=60, deadline=None)
+def test_identity_does_not_depend_on_insertion_order(p):
+    # Only numeric evaluation reads the order of the packed dict.
+    q = Polynomial.from_packed(K, dict(reversed(p.packed.items())), p.den,
+                               p.degree_bound)
+    assert q == p and hash(q) == hash(p)
+    assert q.pretty() == p.pretty()
+    assert list(q.packed) == list(reversed(p.packed))
 
 
 def _reference_evaluate(p, s, aux_values):
@@ -280,6 +327,142 @@ def test_sum_of_products_checks_degree_and_dimension():
         Polynomial.sum_of_products(K, [(1, (x,)), (1, (x ** 100, x ** 100, x ** 56))])
     with pytest.raises(DimensionError):
         Polynomial.sum_of_products(K, [(1, (x, Polynomial.variable(3, amp(0))))])
+
+
+def _dict_loop_sum_of_products(k, summands):
+    """Polynomial.sum_of_products as one real and one imaginary dict filled
+    term pair by term pair: the reference for the order of the packed dict
+    as well as for its items."""
+    one = Polynomial.constant(k, 1)
+    products, den, bound = [], 1, 0
+    for c, factors in summands:
+        cr, ci, d = _scalar(c)
+        if (cr or ci) and all(factors):
+            left = reduce(
+                lambda x, y: _dict_loop_sum_of_products(k, [(1, (x, y))]),
+                factors[:-1]) if len(factors) > 1 else one
+            last = factors[-1] if factors else one
+            d *= left.den * last.den
+            products.append((cr, ci, d, left.packed, last.packed))
+            den = lcm(den, d)
+            bound = max(bound, sum(f.degree_bound for f in factors))
+
+    def accumulate(acc, left, right, sign):
+        if len(left) > len(right):
+            left, right = right, left
+        for m1, c1 in left:
+            for m2, c2 in right:
+                acc[m1 + m2] = acc.get(m1 + m2, 0) + sign * c1 * c2
+
+    re, im = {}, {}
+    for cr, ci, d, a, b in products:
+        if len(a) > len(b):
+            a, b = b, a
+        cr, ci = cr * den // d, ci * den // d
+        a = {m: (r * cr - i * ci, r * ci + i * cr) for m, (r, i) in a.items()}
+        a_re = [(m, r) for m, (r, _) in a.items() if r]
+        a_im = [(m, i) for m, (_, i) in a.items() if i]
+        b_re = [(m, r) for m, (r, _) in b.items() if r]
+        b_im = [(m, i) for m, (_, i) in b.items() if i]
+        accumulate(re, a_re, b_re, 1)
+        accumulate(re, a_im, b_im, -1)
+        accumulate(im, a_re, b_im, 1)
+        accumulate(im, a_im, b_re, 1)
+    out = {m: (r, 0) for m, r in re.items() if r}
+    for m, i in im.items():
+        if i:
+            out[m] = (out.get(m, (0, 0))[0], i)
+    return Polynomial.from_packed(k, out, den, bound)
+
+
+@pytest.fixture
+def sort_reduce(monkeypatch):
+    """Records the words and the sums dtype of every `_reduce` call, so a
+    test can see that the numpy path ran and how it stored codes and sums.
+    Every word must leave the low `bits` bits free for the sort position."""
+    seen = []
+    reduce_ = poly._reduce
+
+    def spy(codes, least, sums, bits):
+        assert codes.min(initial=0) >= 0
+        assert codes.max(initial=0) < 1 << (63 - bits)
+        seen.append((len(codes), sums.dtype))
+        return reduce_(codes, least, sums, bits)
+
+    monkeypatch.setattr(poly, "_reduce", spy)
+    return seen
+
+
+def _assert_same_dict(k, summands):
+    got = Polynomial.sum_of_products(k, summands)
+    want = _dict_loop_sum_of_products(k, summands)
+    assert got.den == want.den
+    assert list(got.packed.items()) == list(want.packed.items())
+    return got
+
+
+def _seeded(k, seed, terms, big=0, aux_vars=False):
+    """A seeded polynomial: `terms` monomials of up to three variables with
+    exponents up to 2 and Gaussian-integer coefficients shifted by `big`."""
+    gen = np.random.default_rng(seed)
+    names = ([amp(i) for i in range(2 ** k)]
+             + [amp_conj(i) for i in range(2 ** k)])
+    if aux_vars:
+        names += [aux(j, b) for j in range(1, k + 1) for b in (0, 1)]
+    out = {}
+    for _ in range(terms):
+        mono = dict(zip((names[i] for i in gen.integers(0, len(names), 3)),
+                        gen.integers(1, 3, 3).tolist()))
+        out[tuple(sorted(mono.items()))] = GaussianRational(
+            int(gen.integers(-9, 10)) << big, int(gen.integers(-9, 10)) << big)
+    return Polynomial(k, out)
+
+
+def test_numpy_sum_keeps_the_dict_order_with_complex_coefficients(sort_reduce):
+    p, q, r = _seeded(3, 1, 120), _seeded(3, 2, 110), _seeded(3, 3, 20)
+    _assert_same_dict(3, [(GaussianRational(2, -1), (p, q)),
+                          (Fraction(1, 3), (q, r)), (1, (r, r, q)),
+                          (-2, (q,))])
+    assert sort_reduce
+
+
+def test_numpy_sum_past_int64_runs_on_python_ints(sort_reduce):
+    p, q = _seeded(3, 4, 100, big=40), _seeded(3, 5, 100, big=40)
+    got = _assert_same_dict(3, [(3, (p, q)), ((1 << 70) + 1, (q, p))])
+    assert max(abs(c) for c in chain.from_iterable(got.packed.values())) >> 63
+    assert any(dtype == object for _, dtype in sort_reduce)
+
+
+def test_numpy_sum_of_k4_aux_polynomials_in_two_words(sort_reduce):
+    p, q = _seeded(4, 6, 100, aux_vars=True), _seeded(4, 7, 100, aux_vars=True)
+    _assert_same_dict(4, [(1, (p, q.conjugate())),
+                          (GaussianRational(0, 1), (q, q))])
+    assert max(words for words, _ in sort_reduce) >= 2
+
+
+def test_numpy_sum_with_an_aux_covariant(sort_reduce):
+    t = catalog_3("T").poly
+    p = _seeded(3, 8, 250)
+    _assert_same_dict(3, [(1, (t, p)), (Fraction(-1, 2), (p, t.conjugate()))])
+    assert sort_reduce
+
+
+def test_numpy_sum_that_cancels_to_zero(sort_reduce):
+    p, q = _seeded(3, 9, 120), _seeded(3, 10, 120)
+    c = GaussianRational(Fraction(1, 2), 3)
+    z = _assert_same_dict(3, [(c, (p, q)), (-c, (q, p))])
+    assert not z.packed and z.den == 1
+    assert sort_reduce
+
+
+@given(summand_lists)
+@settings(max_examples=25, deadline=None)
+def test_numpy_sum_in_tiny_chunks_matches_dict_loop(summands):
+    # Every sum takes the numpy path, four pairs to a chunk, so that the
+    # merges run many times.
+    with mock.patch.object(poly, "_PAIRS", 0), \
+            mock.patch.object(poly, "_CHUNK", 4):
+        _assert_same_dict(K, summands)
 
 
 def test_constructor_validates_monomials():
