@@ -41,7 +41,7 @@ from .catalog import (
 from .gaussian import GaussianRational
 from .linalg import det, independent_rows, matrix_rows
 from .poly import (EvaluationError, NumericForm, Polynomial, _weight, amp,
-                   amp_conj, exponents, layout)
+                   amp_conj, layout)
 from .transvection import Covariant
 
 _CREATED = count()
@@ -644,44 +644,65 @@ JACOBIAN_REFERENCE = GaussianRational(-53279560564736, -243669580382208)
 
 
 def evaluate_exact(poly: Polynomial, values: dict) -> GaussianRational:
-    """Evaluate a polynomial at an exact amplitude assignment; conjugate
-    amplitudes take the conjugate values.
+    """Evaluate an auxiliary-free polynomial at an exact amplitude
+    assignment {index: GaussianRational}; conjugate amplitudes take the
+    conjugate values.
 
-    The values are put over one common denominator D, so every term is a
-    Gaussian-integer product; terms of total degree d share the denominator
-    den * D^d of the result.
+    The values are put over one common denominator D.  Each distinct
+    amplitude and conjugate part of the polynomial
+    (`Polynomial._exact_split`) is valued once per call, as a Gaussian
+    integer times D^(top - its degree), top the largest degree of its
+    side, so every term c * L * R lies over the one denominator
+    den * D^(both tops) of the result.  The terms are summed one amplitude
+    part at a time.
     """
-    n = layout(poly.k).n
+    n = 2 ** poly.k
+    for idx in values:
+        if not (isinstance(idx, int) and 0 <= idx < n):
+            raise ValueError(
+                f"amplitude index {idx!r} outside range(2**{poly.k})")
     scale = lcm(*(d for v in values.values()
                   for d in (v.re.denominator, v.im.denominator)))
     base = {}
     for idx, v in values.items():
-        re, im = int(v.re * scale), int(v.im * scale)
+        re = v.re.numerator * (scale // v.re.denominator)
+        im = v.im.numerator * (scale // v.im.denominator)
         base[idx], base[n + idx] = (re, im), (re, -im)
+    amps, conjs, groups = poly._exact_split()
+    (left, top_l), (right, top_r) = (_part_values(parts, base, scale, poly.k)
+                                     for parts in (amps, conjs))
+    tr = ti = 0
+    for (lr, li), terms in zip(left, groups):
+        sr = si = 0
+        for j, r, i in terms:
+            xr, xi = right[j]
+            sr += r * xr - i * xi
+            si += r * xi + i * xr
+        tr += lr * sr - li * si
+        ti += lr * si + li * sr
+    d = poly.den * scale ** (top_l + top_r)
+    return GaussianRational(Fraction(tr, d), Fraction(ti, d))
+
+
+def _part_values(parts, base: dict, scale: int, k: int) -> tuple:
+    """([(re, im)] of the (degree, factors) parts at the Gaussian-integer
+    field values `base`, each times scale^(top - degree), and top)."""
+    top = max((deg for deg, _ in parts), default=0)
     powers: dict = {}
-    sums: dict = defaultdict(lambda: [0, 0])
-    for m, (r, i) in poly.packed.items():
-        deg = 0
-        for f, e in exponents(m):
-            if f >= 2 * n:
-                raise ValueError("auxiliary variable in exact evaluation")
+    out = []
+    for deg, factors in parts:
+        r, i = scale ** (top - deg), 0
+        for f, e in factors:
             p = powers.get((f, e))
             if p is None:
                 if f not in base:
+                    a = f % 2 ** k
                     raise EvaluationError(
-                        f"no value for amplitude {f % n} "
-                        f"(a[{f % n:0{poly.k}b}])")
+                        f"no value for amplitude {a} (a[{a:0{k}b}])")
                 p = powers[f, e] = _gauss_pow(base[f], e)
             r, i = r * p[0] - i * p[1], r * p[1] + i * p[0]
-            deg += e
-        acc = sums[deg]
-        acc[0] += r
-        acc[1] += i
-    total = GaussianRational(0)
-    for deg, (r, i) in sums.items():
-        d = poly.den * scale ** deg
-        total = total + GaussianRational(Fraction(r, d), Fraction(i, d))
-    return total
+        out.append((r, i))
+    return out, top
 
 
 def _gauss_pow(z: tuple, e: int) -> tuple:

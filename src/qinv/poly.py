@@ -42,7 +42,15 @@ field.
 
 At the boundary a monomial is a sorted tuple of (variable, exponent) pairs
 with positive exponents and a coefficient is a GaussianRational: the
-constructor takes that form, validated, and `terms` gives it back.
+constructor takes that form, validated, and `terms` gives it back.  The
+fields run in the order of their variables, so a key's nonzero fields, read
+from the least significant, are its tuple monomial.  `pretty()` reads the
+keys of a polynomial once as (term, field, exponent) triples and lists the
+terms as their tuple monomials sort: by their (field, exponent) sequences,
+a prefix first, packed into int64 words and lexsorted.  Exact evaluation
+(`invariants.evaluate_exact`) reads a split kept on the polynomial
+(`_exact_split`, built on first use): its distinct amplitude and conjugate
+parts, each valued once per call, and its terms grouped by amplitude part.
 Numeric evaluation, scalar and batched, runs through one class,
 `NumericForm`: polynomials in pairings <A|B> of polynomials, where a plain
 polynomial P is the one leaf <P|1> (`Polynomial.numeric`).  The form
@@ -130,9 +138,8 @@ class Layout:
             + [aux(slot, comp) for slot in range(1, k + 1) for comp in (0, 1)]
         )
         self.field = {v: f for f, v in enumerate(self.var)}
-        # Fields in the order of their variable tuples, with printed names.
-        self.order = sorted(range(len(self.var)), key=self.var.__getitem__)
-        self.names = [_name(self.var[f], k) for f in self.order]
+        # The fields already run in the order of their variable tuples.
+        self.names = [_name(v, k) for v in self.var]
         block = FIELD_BITS * n
         self.conj_shift = block
         self.aux_shift = 2 * block
@@ -156,7 +163,7 @@ class Layout:
 
     def decode(self, key: int) -> tuple:
         """The sorted tuple monomial of a packed key."""
-        return tuple(sorted((self.var[f], e) for f, e in exponents(key)))
+        return tuple([(self.var[f], e) for f, e in exponents(key)])
 
     def fields(self, key: int) -> bytes:
         """The exponent of every field of a packed key, one byte each."""
@@ -211,7 +218,8 @@ _SCALARS = (int, Fraction, GaussianRational)
 class Polynomial:
     """Exact sparse polynomial in packed form; immutable."""
 
-    __slots__ = ("k", "packed", "den", "degree_bound", "_terms", "_numeric")
+    __slots__ = ("k", "packed", "den", "degree_bound", "_terms", "_exact",
+                 "_numeric")
 
     def __init__(self, k: int, terms: Mapping | None = None):
         """Build from {tuple monomial: coefficient}, validating both."""
@@ -242,7 +250,7 @@ class Polynomial:
         self.packed = packed
         self.den = den
         self.degree_bound = degree_bound if packed else 0
-        self._terms = self._numeric = None
+        self._terms = self._exact = self._numeric = None
 
     @classmethod
     def from_packed(cls, k: int, packed: dict, den: int = 1,
@@ -435,6 +443,28 @@ class Polynomial:
             self._terms = _Terms(self.k, self.packed, self.den)
         return self._terms
 
+    def _exact_split(self) -> tuple:
+        """The split that `invariants.evaluate_exact` reads, built on first
+        use and kept: (amplitude parts, conjugate parts, groups), the
+        distinct parts of the keys in order of first appearance, each as
+        (degree, [(field, exponent)]), and group g the (conjugate part, re,
+        im) of the terms of amplitude part g.  An auxiliary variable raises
+        ValueError and leaves no split."""
+        if self._exact is None:
+            lay = layout(self.k)
+            conj: dict = {}
+            groups: dict = {}
+            for m, (r, i) in self.packed.items():
+                if m >> lay.aux_shift:
+                    raise ValueError("auxiliary variable in exact evaluation")
+                groups.setdefault(m & lay.amp_mask, []).append(
+                    (conj.setdefault(m & lay.conj_mask, len(conj)), r, i))
+            parts = [list(exponents(m)) for m in chain(groups, conj)]
+            parts = [(sum(e for _, e in p), p) for p in parts]
+            self._exact = (parts[:len(groups)], parts[len(groups):],
+                           list(groups.values()))
+        return self._exact
+
     # -- numeric evaluation -----------------------------------------------
 
     def _form(self) -> "NumericForm":
@@ -492,43 +522,58 @@ class Polynomial:
         if not self.packed:
             return "0"
         lay, den = layout(self.k), self.den
-        exps = lay.exponent_matrix(list(self.packed))[:, lay.order]
-        # Sort the terms as their tuple monomials sort.  Comparing the
-        # sparse (variable, exponent) lists is comparing the dense rows
-        # with each zero read as 256 when a later variable occurs (it loses
-        # to any exponent there) and as -1 when none does (a prefix).  The
-        # ranks + 1 take 9 bits, so seven fields make one int64 sort key.
-        terms, width = exps.shape
-        present = exps > 0
-        last = np.where(present.any(axis=1),
-                        width - 1 - np.argmax(present[:, ::-1], axis=1), -1)
-        rank = np.zeros((terms, -(-width // 7) * 7), dtype=np.uint16)
-        rank[:, :width] = np.where(
-            present, exps + np.uint16(1),
-            np.uint16(257) * (np.arange(width) < last[:, None]))
-        keys = np.zeros(((width + 6) // 7, terms), dtype=np.int64)
-        for group in rank.reshape(terms, -1, 7).T:
-            keys = keys << 9 | group
-        order = np.lexsort(keys[::-1])
-        exps = exps[order]
-        rows, cols = np.nonzero(exps)
-        # The string is one token per term, " + (coefficient)", then one per
-        # factor, "*name" or "*name^e", from a table by field and exponent.
-        table = np.array([[f"*{name}^{e}" if e > 1 else f"*{name}"
-                           for e in range(int(exps.max()) + 1)]
-                          for name in lay.names], dtype=object)
         coeffs = list(self.packed.values())
-        shown = {c: " + (" + repr(GaussianRational(Fraction(c[0], den),
-                                                   Fraction(c[1], den))) + ")"
-                 for c in set(coeffs)}
-        counts = np.count_nonzero(exps, axis=1)
-        tokens = np.empty(terms + len(rows), dtype=object)
-        tokens[np.arange(terms) + np.cumsum(counts) - counts] = [
-            shown[coeffs[t]] for t in order.tolist()]
-        tokens[np.arange(len(rows)) + rows + 1] = table[cols, exps[rows, cols]]
+        terms, width = len(coeffs), len(lay.var)
+        # One (term, code) pair per nonzero field of a key, term-major and by
+        # field within a term, with code = field * 256 + exponent; the codes
+        # are then renumbered 1, 2, ... in their order.
+        exps = lay.exponent_matrix(list(self.packed)).ravel()
+        at = np.flatnonzero(exps != 0)
+        term, code = np.divmod(at.astype(np.int32), width)
+        code <<= FIELD_BITS
+        code |= exps[at]
+        del exps, at
+        used = np.bincount(code) > 0
+        code = np.cumsum(used, dtype=np.int32)[code]
+        used = np.flatnonzero(used).tolist()
+        counts = np.bincount(term, minlength=terms)
+        rank = np.arange(len(term)) - (np.cumsum(counts) - counts)[term]
+        # The fields run in the order of their variables, so the terms sort
+        # as their tuple monomials when their code sequences sort, a prefix
+        # first.  Each int64 word packs `per` codes, the first in the high
+        # bits, and a missing code reads 0.
+        bits = len(used).bit_length() or 1
+        per = 63 // bits
+        dense = np.zeros((terms, max(1, -(-int(counts.max()) // per)) * per),
+                         dtype=np.int64)
+        dense[term, rank] = code
+        keys = np.zeros((dense.shape[1] // per, terms), dtype=np.int64)
+        for i, column in enumerate(dense.T):
+            keys[i // per] <<= bits
+            keys[i // per] |= column
+        del dense
+        order = np.lexsort(keys[::-1])
+        # The string is one token per term, " + (coefficient)", then one per
+        # factor, "*name" or "*name^e": each is an index into the strings of
+        # the distinct coefficients, then of the distinct codes.
+        counts = counts[order]
+        spot = np.empty(terms, dtype=np.intp)
+        spot[order] = np.arange(terms) + np.cumsum(counts) - counts
+        ids = {c: i for i, c in enumerate(set(coeffs))}
+        names = lay.names
+        strings = [" + (" + repr(GaussianRational(Fraction(r, den),
+                                                  Fraction(i, den))) + ")"
+                   for r, i in ids]
+        strings += [f"*{names[c >> FIELD_BITS]}^{c & FIELD_MAX}"
+                    if c & FIELD_MAX > 1 else f"*{names[c >> FIELD_BITS]}"
+                    for c in used]
+        index = np.empty(terms + len(term), dtype=np.intp)
+        index[spot] = list(map(ids.__getitem__, coeffs))
+        index[spot[term] + 1 + rank] = code + (len(ids) - 1)
+        tokens = np.array(strings, dtype=object)[index].tolist()
         # Only the first term can be the constant, shown as "(c)*1".
         tokens[0] = tokens[0][3:] + ("" if counts[0] else "*1")
-        return "".join(tokens.tolist())
+        return "".join(tokens)
 
 
 def _parts(packed: dict, split: dict) -> tuple:

@@ -5,9 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qinv.catalog import b_family, catalog_3, ground_form
 from qinv.gaussian import GaussianRational
@@ -34,7 +38,7 @@ from qinv.invariants import (
     syzygy_checks,
 )
 from qinv.linalg import rank
-from qinv.poly import EvaluationError, Polynomial, amp, amp_conj
+from qinv.poly import EvaluationError, Polynomial, amp, amp_conj, exponents
 
 
 def test_pairing_bidegree_and_name():
@@ -194,6 +198,115 @@ def test_evaluate_exact_simple():
     p = Polynomial.variable(3, amp(0)) * Polynomial.variable(3, amp(0))
     z = GaussianRational(3, 3)
     assert evaluate_exact(p, JACOBIAN_POINT) == z * z
+
+
+def _reference_evaluate_exact(poly, values):
+    """evaluate_exact() spelled out term by term: each term decodes its
+    fields and multiplies their powers, and the terms of one total degree
+    share the denominator den * D^degree."""
+    n = 2 ** poly.k
+    scale = lcm(*(d for v in values.values()
+                  for d in (v.re.denominator, v.im.denominator)))
+    base = {}
+    for idx, v in values.items():
+        re, im = int(v.re * scale), int(v.im * scale)
+        base[idx], base[n + idx] = (re, im), (re, -im)
+    sums = defaultdict(lambda: [0, 0])
+    for m, (r, i) in poly.packed.items():
+        deg = 0
+        for f, e in exponents(m):
+            if f >= 2 * n:
+                raise ValueError("auxiliary variable in exact evaluation")
+            if f not in base:
+                raise EvaluationError(f"no value for amplitude {f % n}")
+            p = (1, 0)
+            for _ in range(e):
+                p = (p[0] * base[f][0] - p[1] * base[f][1],
+                     p[0] * base[f][1] + p[1] * base[f][0])
+            r, i = r * p[0] - i * p[1], r * p[1] + i * p[0]
+            deg += e
+        sums[deg][0] += r
+        sums[deg][1] += i
+    total = GaussianRational(0)
+    for deg, (r, i) in sums.items():
+        d = poly.den * scale ** deg
+        total = total + GaussianRational(Fraction(r, d), Fraction(i, d))
+    return total
+
+
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+_gaussian = st.builds(GaussianRational, _fractions, _fractions)
+
+
+@st.composite
+def _exact_cases(draw):
+    """(polynomial, points): amplitude, conjugate and constant terms at
+    k = 1, 2 or 3, single powers up to 255, and three points whose values
+    have mixed denominators."""
+    k = draw(st.sampled_from([1, 2, 3]))
+    names = ([amp(i) for i in range(2 ** k)]
+             + [amp_conj(i) for i in range(2 ** k)])
+    mono = st.lists(st.tuples(st.sampled_from(names), st.integers(1, 3)),
+                    max_size=4).map(lambda m: tuple(sorted(dict(m).items())))
+    power = st.tuples(st.tuples(st.sampled_from(names),
+                                st.sampled_from([10, 254, 255])))
+    terms = draw(st.dictionaries(mono | power, _gaussian, max_size=10))
+    points = draw(st.lists(
+        st.lists(_gaussian, min_size=2 ** k, max_size=2 ** k)
+        .map(lambda v: dict(enumerate(v))), min_size=3, max_size=3))
+    return Polynomial(k, terms), points
+
+
+@given(_exact_cases())
+@settings(max_examples=40, deadline=None)
+def test_evaluate_exact_matches_term_loop(case):
+    p, points = case
+    items, twin = list(p.packed.items()), Polynomial.from_packed(
+        p.k, dict(p.packed), p.den, p.degree_bound)
+    got = [evaluate_exact(p, point) for point in points]
+    assert got == [_reference_evaluate_exact(p, point) for point in points]
+    # The split is built once and kept; the polynomial does not change.
+    split = p._exact
+    assert split is not None
+    assert evaluate_exact(p, points[0]) == got[0] and p._exact is split
+    assert list(p.packed.items()) == items
+    assert p == twin and hash(p) == hash(twin)
+    assert p.pretty() == twin.pretty()
+
+
+def test_failed_exact_evaluation_keeps_no_partial_split():
+    # The aux term comes after amplitude terms, so a split would be part
+    # built when it is met.
+    k = 2
+    a0, a1 = Polynomial.variable(k, amp(0)), Polynomial.variable(k, amp(1))
+    x = Polynomial.variable(k, ("x", 1, 0, 0))
+    p = Polynomial.sum_of_products(k, [(1, (a0, a1)), (2, (a0,)), (1, (x,))])
+    point = {i: GaussianRational(i + 1, -i) for i in range(4)}
+    for _ in range(2):
+        with pytest.raises(ValueError, match="auxiliary"):
+            evaluate_exact(p, point)
+        assert p._exact is None
+    # A missing amplitude fails after a whole split was built, and the
+    # split then serves the next evaluation.
+    q = a0 * a1 * Polynomial.variable(k, amp_conj(3)) + a0
+    with pytest.raises(EvaluationError, match=r"amplitude 3 \(a\[11\]\)"):
+        evaluate_exact(q, {0: point[0], 1: point[1]})
+    fresh = Polynomial.from_packed(k, dict(q.packed), q.den, q.degree_bound)
+    assert evaluate_exact(fresh, point) == _reference_evaluate_exact(q, point)
+    assert q._exact in (None, fresh._exact)
+    assert evaluate_exact(q, point) == _reference_evaluate_exact(q, point)
+
+
+@pytest.mark.parametrize("key", [2, -2])
+def test_evaluate_exact_rejects_an_index_outside_the_amplitudes(key):
+    # At k=1, keys 2 and -2 once overwrote the conjugate fields: |a0|^2 at
+    # a0 = 1 + i read 5+5i and 7-7i instead of 2.
+    p = Polynomial.variable(1, amp(0)) * Polynomial.variable(1, amp_conj(0))
+    values = {0: GaussianRational(1, 1), key: GaussianRational(2, 3)}
+    with pytest.raises(ValueError, match=rf"index {key} outside range"):
+        evaluate_exact(p, values)
+    assert p._exact is None
+    assert evaluate_exact(p, {0: GaussianRational(1, 1)}) == 2
 
 
 def test_evaluate_exact_names_a_missing_amplitude():

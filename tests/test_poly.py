@@ -160,8 +160,7 @@ def test_pretty_matches_sorted_tuple_monomials(p):
 @st.composite
 def wide_polys(draw):
     """Polynomials at k = 1, 3 or 4 over every variable kind, with
-    exponents up to 255, so the packed sort keys of pretty() meet every
-    field group and both ends of the 9-bit rank."""
+    exponents up to 255."""
     k = draw(st.sampled_from([1, 3, 4]))
     names = ([amp(i) for i in range(2 ** k)]
              + [amp_conj(i) for i in range(2 ** k)]
@@ -182,6 +181,61 @@ def test_pretty_lists_terms_in_sorted_order(p):
     if p.terms:
         shown = [t.split(")*", 1)[1] for t in p.pretty().split(" + ")]
         assert shown == [_reference_monomial(m, p.k) for m in sorted(p.terms)]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_fields_run_in_the_order_of_their_variables(k):
+    # pretty() sorts terms by their (field, exponent) sequences and decode()
+    # lists factors by field; both are the tuple order only because of this.
+    lay = poly.layout(k)
+    assert sorted(range(len(lay.var)), key=lay.var.__getitem__) == list(
+        range(len(lay.var)))
+
+
+def test_pretty_edge_cases():
+    g = GaussianRational
+    # A factor list that is a prefix of another's sorts first, and the
+    # constant term, first of all, is shown as "(c)*1".
+    p = Polynomial(1, {
+        ((amp(0), 1), (amp(1), 1)): g(2),
+        ((amp(0), 1),): g(0, -1),
+        (): g(Fraction(1, 3), 1),
+        ((amp(0), 1), (amp(1), 1), (amp_conj(0), 10)): g(-1),
+        ((amp(0), 2),): g(5),
+        ((aux(1, 1), 255),): g(1),
+    })
+    assert p.pretty() == (
+        "((1/3+1*I))*1 + (-1*I)*a[0] + (2)*a[0]*a[1]"
+        " + (-1)*a[0]*a[1]*ac[0]^10 + (5)*a[0]^2 + (1)*x1_1^255")
+    assert p.pretty() == _reference_pretty(p)
+    assert Polynomial.constant(1, Fraction(-2, 7)).pretty() == "(-2/7)*1"
+    assert Polynomial.variable(1, aux(1, 0)).pretty() == "(1)*x1_0"
+    # k = 5, 74 fields.
+    q = Polynomial(5, {
+        ((amp(31), 10), (amp_conj(0), 1), (aux(5, 1), 3)): g(1, 1),
+        ((amp(31), 10), (amp_conj(0), 1)): g(-3),
+        ((amp(3), 1), (amp(7), 1), (amp(9), 1), (amp(11), 1), (amp(13), 1),
+         (amp(31), 2)): g(1),
+        ((amp(3), 1), (amp(7), 1), (amp(9), 1), (amp(11), 1), (amp(13), 1),
+         (amp(31), 1)): g(1),
+        ((amp_conj(31), 255),): g(Fraction(1, 2)),
+    })
+    assert q.pretty() == (
+        "(1)*a[00011]*a[00111]*a[01001]*a[01011]*a[01101]*a[11111]"
+        " + (1)*a[00011]*a[00111]*a[01001]*a[01011]*a[01101]*a[11111]^2"
+        " + (-3)*a[11111]^10*ac[00000]"
+        " + ((1+1*I))*a[11111]^10*ac[00000]*x5_1^3 + (1/2)*ac[11111]^255")
+    assert q.pretty() == _reference_pretty(q)
+    # 20 distinct factors take 5 bits each, so a word holds 12 of them and
+    # the longer terms need a second word.
+    ones = [(amp(i), 1) for i in range(20)]
+    r = Polynomial(5, {tuple(ones[:13]): g(1), tuple(ones[:12]): g(2),
+                       tuple(ones[:12] + ones[19:]): g(3),
+                       tuple(ones[:11] + ones[13:14] + ones[19:]): g(4),
+                       tuple(ones[1:13]): g(5), tuple(ones): g(6)})
+    assert r.pretty() == _reference_pretty(r)
+    assert [t.split(")")[0] for t in r.pretty().split(" + ")] == [
+        "(2", "(1", "(6", "(3", "(4", "(5"]
 
 
 @given(mixed_polys)
