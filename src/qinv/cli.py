@@ -96,8 +96,10 @@ def _load_state(path: str) -> State:
         return State.load(path)
     except FileNotFoundError:
         raise CliError(f"state file not found: {path}")
+    except OSError as exc:
+        raise CliError(f"cannot read state file {path}: {exc.strerror or exc}")
     except (json.JSONDecodeError, KeyError, ValueError, TypeError,
-            OverflowError) as exc:
+            OverflowError, RecursionError) as exc:
         raise CliError(f"malformed state file {path}: {exc}")
 
 

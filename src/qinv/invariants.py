@@ -23,7 +23,6 @@ terms, against 66,764 expanded.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
@@ -139,7 +138,7 @@ class InvariantExpr:
         # wraps the validation under this name.
         lay = layout(self.k)
         n = lay.n
-        for m in self.poly.packed:
+        for m in self.poly.keys():
             if m >> lay.aux_shift:
                 raise ValueError("invariants must not contain auxiliary variables")
             e = lay.fields(m)
@@ -264,19 +263,6 @@ def numeric_form(exprs) -> NumericForm:
     return NumericForm(exprs[0].k, [x.top for x in exprs])
 
 
-def aux_decompose(poly: Polynomial) -> dict:
-    """Split a covariant polynomial by auxiliary monomial: m(x) -> c_m(a),
-    both packed."""
-    aux_mask = -1 << layout(poly.k).aux_shift
-    buckets: dict = defaultdict(dict)
-    for m, c in poly.packed.items():
-        buckets[m & aux_mask][m & ~aux_mask] = c
-    return {
-        m: Polynomial.from_packed(poly.k, bucket, poly.den, poly.degree_bound)
-        for m, bucket in buckets.items()
-    }
-
-
 def pairing(phi: Covariant, psi: Covariant, name: str = "") -> InvariantExpr:
     """Hermitian scalar product over the auxiliary variables, kept
     unexpanded: the invariant of one leaf.
@@ -292,8 +278,8 @@ def pairing(phi: Covariant, psi: Covariant, name: str = "") -> InvariantExpr:
 
 def _pairing_poly(a: Polynomial, b: Polynomial) -> Polynomial:
     """The expanded pairing <a|b>, as one `Polynomial.sum_of_products`."""
-    left = aux_decompose(a)
-    right = aux_decompose(b)
+    left = a.aux_parts()
+    right = b.aux_parts()
     return Polynomial.sum_of_products(a.k, [
         (_weight(m), (cpoly, right[m].conjugate()))
         for m, cpoly in left.items() if m in right
@@ -553,14 +539,10 @@ def f7_check() -> dict:
 
 def _proportional(p: Polynomial, q: Polynomial):
     """The scalar r with p == r*q, or None."""
-    if not q.packed:
+    m = next(iter(q.terms), None)
+    if m not in p.terms:
         return None
-    m = next(iter(q.packed))
-    if m not in p.packed:
-        return None
-    (pr, pi), (qr, qi) = p.packed[m], q.packed[m]
-    r = GaussianRational(Fraction(pr, p.den), Fraction(pi, p.den)) / (
-        GaussianRational(Fraction(qr, q.den), Fraction(qi, q.den)))
+    r = p.terms[m] / q.terms[m]
     return r if p == q * r else None
 
 

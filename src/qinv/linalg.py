@@ -69,8 +69,8 @@ def independent_rows(rows):
 
 def independent_subset(polys):
     """Indices of a maximal linearly independent subset, greedy in input
-    order; a polynomial's row is its packed dict of numerators."""
-    return independent_rows([p.packed for p in polys])
+    order; a polynomial's row is its dict of Gaussian-integer numerators."""
+    return independent_rows([p.numerators() for p in polys])
 
 
 def rank(polys) -> int:

@@ -15,25 +15,28 @@ addition (the packed monomials of Monagan & Pearce, "Parallel sparse
 polynomial multiplication using heaps", ISSAC 2009).  `layout(k)` fixes the
 fields, from the least significant: the 2^k amplitudes, the 2^k conjugate
 amplitudes, then the 2k auxiliary fields (slot-major, component-minor).
-A polynomial is a dict packed monomial -> (re, im) Gaussian-integer
-numerator, with no zero entries, over one positive integer denominator;
-every result is reduced so that the numerators and the denominator have
-gcd 1.  Equal polynomials therefore have equal dicts and
-denominators, and == and hash are plain dict and int comparisons.
+A polynomial is two dicts packed monomial -> int, its nonzero real and its
+nonzero imaginary numerators, over one positive integer denominator; every
+result is reduced so that the numerators and the denominator have gcd 1.
+Equal polynomials therefore have equal dicts and denominators, and == and
+hash are plain dict and int comparisons.  Its terms run in term order: the
+real keys, then the imaginary-only ones.  Every polynomial the exact
+checks and the numeric forms build is real, with an empty imaginary dict.
 
 All exact arithmetic runs through one multiply-accumulate,
 `Polynomial.sum_of_products`: sum c * P_1 * ... * P_m over a list of
 summands.  The term pairs of each summand's last product form one real
-and one imaginary stream over the common denominator of all summands, and
-the result is reduced once.  A sum of fewer than _PAIRS pairs is
-accumulated pair by pair into a dict (`_accumulate`); a larger one is
-sorted and summed in numpy, _CHUNK pairs at a time (`_sort_reduce`), and
-gives the same dict in the same order, the order in which the dict loop
-first meets each key.  Only numeric evaluation reads that order
-(`NumericForm` adds terms in it), but it reads it to the last bit.  `+`,
-`-`, `*` by a scalar and `*` are its one- and two-summand cases;
-transvection, the pairing and the identity residuals pass it their whole
-sum at once.
+and one imaginary stream over the common denominator of all summands,
+read straight from the numerator dicts (a product of real polynomials has
+only re x re pairs), and the result is reduced once.  A sum of fewer than
+_PAIRS pairs is accumulated pair by pair into a dict (`_accumulate`); a
+larger one is sorted and summed in numpy, _CHUNK pairs at a time
+(`_sort_reduce`), and gives the same dicts in the same order, the order in
+which the dict loop first meets each key.  Only numeric evaluation reads
+that order (`NumericForm` adds terms in term order), but it reads it to
+the last bit.  `+`, `-`, `*` by a scalar and `*` are its one- and
+two-summand cases; transvection, the pairing and the identity residuals
+pass it their whole sum at once.
 
 Each polynomial carries a bound on its total degree.  A monomial's total
 degree bounds every exponent in it, so a product whose bound would exceed
@@ -74,7 +77,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain
+from itertools import chain, repeat
 from math import factorial, gcd, lcm
 from operator import mul
 
@@ -218,64 +221,83 @@ _SCALARS = (int, Fraction, GaussianRational)
 class Polynomial:
     """Exact sparse polynomial in packed form; immutable."""
 
-    __slots__ = ("k", "packed", "den", "degree_bound", "_terms", "_exact",
-                 "_numeric")
+    __slots__ = ("k", "_re", "_im", "den", "degree_bound", "_terms",
+                 "_exact", "_numeric")
 
     def __init__(self, k: int, terms: Mapping | None = None):
         """Build from {tuple monomial: coefficient}, validating both."""
-        lay = layout(k)
-        entries = []
-        den = 1
-        for mono, c in (terms or {}).items():
-            key, deg = lay.encode(mono)
-            r, i, d = _scalar(c)
-            if r or i:
-                entries.append((key, deg, r, i, d))
-                den = lcm(den, d)
-        packed: dict = {}
-        for key, _, r, i, d in entries:
-            s = den // d
-            r0, i0 = packed.get(key, (0, 0))
-            packed[key] = (r0 + r * s, i0 + i * s)
-        self._set(k, {m: c for m, c in packed.items() if c != (0, 0)}, den,
-                  max((e[1] for e in entries), default=0))
+        terms = terms or {}
+        p = Polynomial.sum_of_products(k, [
+            (c, (Polynomial.from_packed(k, {key: 1}, {}, 1, deg),))
+            for (key, deg), c in zip(map(layout(k).encode, terms),
+                                     terms.values())])
+        self._set(k, p._re, p._im, p.den, p.degree_bound)
 
-    def _set(self, k, packed, den, degree_bound):
+    def _set(self, k, re, im, den, degree_bound):
         if den != 1:
-            g = gcd(den, *chain.from_iterable(packed.values()))
+            g = gcd(den, *re.values(), *im.values())
             if g != 1:
                 den //= g
-                packed = {m: (r // g, i // g) for m, (r, i) in packed.items()}
-        self.k = k
-        self.packed = packed
-        self.den = den
-        self.degree_bound = degree_bound if packed else 0
+                re = {m: c // g for m, c in re.items()}
+                im = {m: c // g for m, c in im.items()}
+        self.k, self._re, self._im, self.den = k, re, im, den
+        self.degree_bound = degree_bound if re or im else 0
         self._terms = self._exact = self._numeric = None
 
     @classmethod
-    def from_packed(cls, k: int, packed: dict, den: int = 1,
+    def from_packed(cls, k: int, re: dict, im: dict, den: int = 1,
                     degree_bound: int = 0) -> "Polynomial":
-        """Wrap a packed dict without zero entries; reduces it by the gcd."""
+        """Wrap the dicts {packed key: numerator} of the nonzero real and
+        imaginary numerators over `den`; reduces them by the gcd."""
         p = object.__new__(cls)
-        p._set(k, packed, den, degree_bound)
+        p._set(k, re, im, den, degree_bound)
         return p
+
+    def keys(self) -> list:
+        """The packed keys of the terms in term order: the keys with a
+        nonzero real part, then the imaginary-only ones."""
+        re = self._re
+        return [*re, *(m for m in self._im if m not in re)]
+
+    def _columns(self) -> tuple:
+        """(keys, real numerators, imaginary numerators) of the terms, three
+        lists in term order."""
+        re, im = self._re, self._im
+        keys = self.keys()
+        return (keys, [*re.values()] + [0] * (len(keys) - len(re)),
+                list(map(im.get, keys, repeat(0))) if im else [0] * len(keys))
+
+    def numerators(self) -> dict:
+        """{packed key: (re, im)} Gaussian-integer numerators over `den`,
+        in term order."""
+        return {m: (r, i) for m, r, i in zip(*self._columns())}
+
+    def aux_parts(self) -> dict:
+        """A covariant split by auxiliary monomial: {aux key of m: the
+        polynomial c_m(a) of its terms with aux monomial m}."""
+        mask = -1 << layout(self.k).aux_shift
+        parts: dict = {}
+        for side, numerators in enumerate((self._re, self._im)):
+            for m, c in numerators.items():
+                parts.setdefault(m & mask, ({}, {}))[side][m & ~mask] = c
+        return {m: Polynomial.from_packed(self.k, *part, self.den,
+                                          self.degree_bound)
+                for m, part in parts.items()}
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, k: int) -> "Polynomial":
-        return cls.from_packed(k, {})
+        return cls.from_packed(k, {}, {})
 
     @classmethod
     def constant(cls, k: int, c) -> "Polynomial":
         r, i, d = _scalar(c)
-        return cls.from_packed(k, {0: (r, i)} if r or i else {}, d)
+        return cls.from_packed(k, {0: r} if r else {}, {0: i} if i else {}, d)
 
     @classmethod
     def variable(cls, k: int, var: tuple, coeff=1) -> "Polynomial":
-        r, i, d = _scalar(coeff)
-        key, deg = layout(k).encode(((var, 1),))
-        return cls.from_packed(k, {key: (r, i)} if r or i else {}, d, deg)
+        return cls(k, {((var, 1),): coeff})
 
     # -- ring operations --------------------------------------------------
 
@@ -335,13 +357,14 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return (self.k == other.k and self.den == other.den
-                and self.packed == other.packed)
+                and self._re == other._re and self._im == other._im)
 
     def __hash__(self):
-        return hash((self.k, self.den, frozenset(self.packed.items())))
+        return hash((self.k, self.den, frozenset(self._re.items()),
+                     frozenset(self._im.items())))
 
     def __bool__(self):
-        return bool(self.packed)
+        return bool(self._re or self._im)
 
     @classmethod
     def sum_of_products(cls, k: int, summands) -> "Polynomial":
@@ -351,13 +374,12 @@ class Polynomial:
         The leading factors of each summand are multiplied by `*`.  The last
         product of every summand then makes blocks of term pairs over the
         common denominator D of all summands, with c * D / (the summand's
-        denominator) folded into the smaller operand's coefficients: the
-        real stream takes re x re, then -im x im, the imaginary stream
-        re x im, then im x re, and each block is left-major with the
-        shorter list on the left.  The streams are summed by `_accumulate`
-        or, from _PAIRS pairs on, by `_sort_reduce`, to the same sums in
-        the same order.  The keys with a nonzero real part come first, then
-        the imaginary-only ones, and the result is reduced once, so an
+        denominator) folded into the operand with fewer numerators: the real
+        stream takes re x re, then -im x im, the imaginary stream re x im,
+        then im x re, each block the pairs of two nonempty numerator dicts,
+        left-major with the shorter on the left.  The streams are summed by
+        `_accumulate` or, from _PAIRS pairs on, by `_sort_reduce`, to the
+        same dicts in the same order, and the result is reduced once, so an
         identity residual of many products costs one reduction, not one
         per `+`.
         """
@@ -377,19 +399,15 @@ class Polynomial:
                 left = reduce(mul, factors[:-1]) if len(factors) > 1 else one
                 last = factors[-1] if factors else one
                 d *= left.den * last.den
-                products.append((cr, ci, d, left.packed, last.packed))
+                products.append((cr, ci, d, left, last))
                 den, bound = lcm(den, d), max(bound, deg)
-        split: dict = {}
         blocks, pairs = ([], []), 0
         for cr, ci, d, a, b in products:
-            if len(a) > len(b):
+            if len(a._re) + len(a._im) > len(b._re) + len(b._im):
                 a, b = b, a
-            cr, ci = cr * den // d, ci * den // d
-            if (cr, ci) != (1, 0):
-                a = {m: (r * cr - i * ci, r * ci + i * cr)
-                     for m, (r, i) in a.items()}
-            (a_re, a_im), (b_re, b_im) = _parts(a, split), _parts(b, split)
-            neg = [(m, -i) for m, i in a_im]
+            (a_re, a_im), b_re, b_im = _times(a, cr * den // d,
+                                              ci * den // d), b._re, b._im
+            neg = {m: -c for m, c in a_im.items()} if b_im else {}
             for s, x, y in ((0, a_re, b_re), (0, neg, b_im), (1, a_re, b_im),
                             (1, a_im, b_re)):
                 if x and y:
@@ -397,11 +415,7 @@ class Polynomial:
                     pairs += len(x) * len(y)
         re, im = (_sort_reduce(k, s) if s and pairs >= _PAIRS
                   else _accumulate(s) for s in blocks)
-        out = {m: (r, 0) for m, r in re if r}
-        for m, i in im:
-            if i:
-                out[m] = (out.get(m, (0, 0))[0], i)
-        return cls.from_packed(k, out, den, bound)
+        return cls.from_packed(k, re, im, den, bound)
 
     # -- calculus / conjugation -------------------------------------------
 
@@ -412,25 +426,24 @@ class Polynomial:
             raise ValueError(f"unknown variable {var!r} for k={self.k}")
         shift = FIELD_BITS * f
         unit = 1 << shift
-        out = {}
-        for m, (r, i) in self.packed.items():
-            e = (m >> shift) & FIELD_MAX
-            if e:
-                out[m - unit] = (r * e, i * e)
-        return Polynomial.from_packed(self.k, out, self.den,
+        re, im = {}, {}
+        for out, numerators in ((re, self._re), (im, self._im)):
+            for m, c in numerators.items():
+                e = (m >> shift) & FIELD_MAX
+                if e:
+                    out[m - unit] = c * e
+        return Polynomial.from_packed(self.k, re, im, self.den,
                                       max(self.degree_bound - 1, 0))
 
     def conjugate(self) -> "Polynomial":
         """Swap a <-> conj(a) and conjugate coefficients; aux vars unchanged."""
         lay = layout(self.k)
         amp_mask, shift, top = lay.amp_mask, lay.conj_shift, lay.aux_shift
-        out = {
-            ((m & amp_mask) << shift) | ((m >> shift) & amp_mask)
-            | (m >> top << top):
-            (r, -i)
-            for m, (r, i) in self.packed.items()
-        }
-        return Polynomial.from_packed(self.k, out, self.den,
+        re, im = ({((m & amp_mask) << shift) | ((m >> shift) & amp_mask)
+                   | (m >> top << top): c for m, c in numerators.items()}
+                  for numerators in (self._re,
+                                     {m: -c for m, c in self._im.items()}))
+        return Polynomial.from_packed(self.k, re, im, self.den,
                                       self.degree_bound)
 
     # -- boundary form ----------------------------------------------------
@@ -440,7 +453,7 @@ class Polynomial:
         """Read-only {tuple monomial: GaussianRational}, decoded on first
         use and cached."""
         if self._terms is None:
-            self._terms = _Terms(self.k, self.packed, self.den)
+            self._terms = _Terms(self)
         return self._terms
 
     def _exact_split(self) -> tuple:
@@ -454,7 +467,7 @@ class Polynomial:
             lay = layout(self.k)
             conj: dict = {}
             groups: dict = {}
-            for m, (r, i) in self.packed.items():
+            for m, (r, i) in self.numerators().items():
                 if m >> lay.aux_shift:
                     raise ValueError("auxiliary variable in exact evaluation")
                 groups.setdefault(m & lay.amp_mask, []).append(
@@ -515,19 +528,19 @@ class Polynomial:
     # -- printing ---------------------------------------------------------
 
     def __repr__(self):
-        return f"Polynomial(k={self.k}, {len(self.packed)} terms)"
+        return f"Polynomial(k={self.k}, {len(self.keys())} terms)"
 
     def pretty(self) -> str:
         """Deterministic human-readable form: sorted monomials, exact coefficients."""
-        if not self.packed:
+        if not self:
             return "0"
         lay, den = layout(self.k), self.den
-        coeffs = list(self.packed.values())
-        terms, width = len(coeffs), len(lay.var)
+        keys, re, im = self._columns()
+        terms, width = len(keys), len(lay.var)
         # One (term, code) pair per nonzero field of a key, term-major and by
         # field within a term, with code = field * 256 + exponent; the codes
         # are then renumbered 1, 2, ... in their order.
-        exps = lay.exponent_matrix(list(self.packed)).ravel()
+        exps = lay.exponent_matrix(keys).ravel()
         at = np.flatnonzero(exps != 0)
         term, code = np.divmod(at.astype(np.int32), width)
         code <<= FIELD_BITS
@@ -559,7 +572,7 @@ class Polynomial:
         counts = counts[order]
         spot = np.empty(terms, dtype=np.intp)
         spot[order] = np.arange(terms) + np.cumsum(counts) - counts
-        ids = {c: i for i, c in enumerate(set(coeffs))}
+        ids = {c: i for i, c in enumerate(set(zip(re, im)))}
         names = lay.names
         strings = [" + (" + repr(GaussianRational(Fraction(r, den),
                                                   Fraction(i, den))) + ")"
@@ -568,7 +581,7 @@ class Polynomial:
                     if c & FIELD_MAX > 1 else f"*{names[c >> FIELD_BITS]}"
                     for c in used]
         index = np.empty(terms + len(term), dtype=np.intp)
-        index[spot] = list(map(ids.__getitem__, coeffs))
+        index[spot] = list(map(ids.__getitem__, zip(re, im)))
         index[spot[term] + 1 + rank] = code + (len(ids) - 1)
         tokens = np.array(strings, dtype=object)[index].tolist()
         # Only the first term can be the constant, shown as "(c)*1".
@@ -576,35 +589,38 @@ class Polynomial:
         return "".join(tokens)
 
 
-def _parts(packed: dict, split: dict) -> tuple:
-    """The nonzero real and imaginary coefficients, as (key, int) lists,
-    made once per dict: `split` keeps each dict with its lists by id."""
-    if id(packed) not in split:
-        split[id(packed)] = ([(m, r) for m, (r, _) in packed.items() if r],
-                             [(m, i) for m, (_, i) in packed.items() if i],
-                             packed)
-    return split[id(packed)][:2]
+def _times(p: Polynomial, cr: int, ci: int) -> tuple:
+    """The real and imaginary numerator dicts of (cr + i ci) * p; a complex
+    factor gives them in the term order of p."""
+    re, im = p._re, p._im
+    if not ci:
+        return (re, im) if cr == 1 else ({m: c * cr for m, c in re.items()},
+                                        {m: c * cr for m, c in im.items()})
+    items = p.numerators().items()
+    return ({m: x for m, (r, i) in items if (x := r * cr - i * ci)},
+            {m: x for m, (r, i) in items if (x := r * ci + i * cr)})
 
 
-def _accumulate(blocks):
-    """sum left * right over the (left, right) blocks of (key, int) lists,
-    keyed in order of first appearance, each block left-major."""
+def _accumulate(blocks) -> dict:
+    """The nonzero sums of left * right over the (left, right) blocks of
+    {key: int} dicts, keyed in order of first appearance, each block
+    left-major."""
     acc: dict = {}
     get = acc.get
     for left, right in blocks:
-        for m1, c1 in left:
+        right = right.items()
+        for m1, c1 in left.items():
             for m2, c2 in right:
                 m = m1 + m2
                 acc[m] = get(m, 0) + c1 * c2
-    return acc.items()
+    return {m: c for m, c in acc.items() if c} if 0 in acc.values() else acc
 
 
-def _sort_reduce(k: int, blocks):
-    """The nonzero sums of `_accumulate(blocks)`, in its order, formed in
-    numpy.
+def _sort_reduce(k: int, blocks) -> dict:
+    """`_accumulate(blocks)`, in its order, formed in numpy.
 
     Pair p of the stream is (left i, right j) of its block, left-major.
-    The keys of the distinct lists are numbered once and become
+    The keys of the distinct dicts are numbered once and become
     mixed-radix codes: a field's radix is 1 + the largest exponent sum a
     block reaches there, and the fields are split into as many int64 words
     as keep every code below 2^(63 - bits), bits = bit length of the pair
@@ -616,11 +632,11 @@ def _sort_reduce(k: int, blocks):
     (sum |left|) * (sum |right|), a bound on every partial sum, is below
     2^63, and Python ints otherwise.  Each nonzero sum is keyed by the sum
     of the keys of its least p, in order of that p."""
-    lists = list({id(x): x for x in chain.from_iterable(blocks)}.values())
-    number = {id(x): n for n, x in enumerate(lists)}
-    keys = [m for x in lists for m, _ in x]
+    dicts = list({id(x): x for x in chain.from_iterable(blocks)}.values())
+    number = {id(x): n for n, x in enumerate(dicts)}
+    keys = list(chain.from_iterable(dicts))
     exps = layout(k).exponent_matrix(keys)
-    sizes = np.array([len(x) for x in lists], dtype=np.int64)
+    sizes = np.array([len(x) for x in dicts], dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
     left, right = (np.array([number[id(b[i])] for b in blocks]) for i in (0, 1))
     lo, rows, ro, cols = starts[left], sizes[left], starts[right], sizes[right]
@@ -636,8 +652,8 @@ def _sort_reduce(k: int, blocks):
         weights[-1][f] = place
         place *= int(reach[f]) + 1
     codes = np.array(weights) @ exps.T
-    norm = np.array([sum(abs(c) for _, c in x) for x in lists], dtype=object)
-    val = np.array([c for x in lists for _, c in x], dtype=object
+    norm = np.array([sum(map(abs, x.values())) for x in dicts], dtype=object)
+    val = np.array([c for x in dicts for c in x.values()], dtype=object
                    if (norm[left] * norm[right]).sum() >> 63 else np.int64)
 
     def pieces():
@@ -664,8 +680,8 @@ def _sort_reduce(k: int, blocks):
     b = np.searchsorted(first, least[keep], "right") - 1
     i, j = np.divmod(least[keep] - first[b], cols[b])
     keys = np.array(keys, dtype=object)
-    return zip((keys[lo[b] + i] + keys[ro[b] + j]).tolist(),
-               sums[keep].tolist())
+    return dict(zip((keys[lo[b] + i] + keys[ro[b] + j]).tolist(),
+                    sums[keep].tolist()))
 
 
 def _reduce(codes, least, sums, bits: int) -> tuple:
@@ -684,28 +700,27 @@ def _reduce(codes, least, sums, bits: int) -> tuple:
 
 
 class _Terms(Mapping):
-    """A polynomial as {tuple monomial: GaussianRational}: read-only,
-    decoded from the packed form on first access; its length needs no
-    decoding."""
+    """A polynomial as {tuple monomial: GaussianRational}, in term order:
+    read-only, decoded from the numerator dicts on first access; its length
+    needs no decoding."""
 
-    __slots__ = ("_k", "_packed", "_den", "_dict")
+    __slots__ = ("_poly", "_dict")
 
-    def __init__(self, k, packed, den):
-        self._k, self._packed, self._den = k, packed, den
-        self._dict = None
+    def __init__(self, poly):
+        self._poly, self._dict = poly, None
 
     def _decoded(self) -> dict:
         if self._dict is None:
-            lay, den = layout(self._k), self._den
+            lay, den = layout(self._poly.k), self._poly.den
             self._dict = {
                 lay.decode(m): GaussianRational(Fraction(r, den),
                                                 Fraction(i, den))
-                for m, (r, i) in self._packed.items()
+                for m, (r, i) in self._poly.numerators().items()
             }
         return self._dict
 
     def __len__(self):
-        return len(self._packed)
+        return len(self._poly.keys())
 
     def __iter__(self):
         return iter(self._decoded())
@@ -817,24 +832,24 @@ class NumericForm:
         1 + (e - 1) * fields + u holds the e-th power of the u-th used field
         (`_sources` gives its amplitude; the first `_conj` are amplitudes,
         the rest conjugates), up to the power `_top`.  Each distinct
-        coefficient of a polynomial is converted to complex once.
+        numerator of a polynomial is divided by its denominator once.
         """
         lay = layout(self.k)
         aux_mask = -1 << lay.aux_shift
-        keys, coeffs, starts, slots = [], [], [], []
+        keys, real, imag, starts, slots = [], [], [], [], []
         for p in polys:
-            packed, den = p.packed, p.den
-            as_complex = {c: complex(c[0] / den, c[1] / den)
-                          for c in set(packed.values())}
+            own, re, im = p._columns()
+            as_float = {c: c / p.den for c in {*re, *im}}
             groups: dict = {}
-            for key in packed:
-                groups.setdefault(key & aux_mask, []).append(key)
+            for n, key in enumerate(own):
+                groups.setdefault(key & aux_mask, []).append(n)
             rows = {}
             for m, group in groups.items():
                 rows[m] = len(starts)
                 starts.append(len(keys))
-                keys += group
-                coeffs += [as_complex[packed[key]] for key in group]
+                keys += [own[n] for n in group]
+                real += [as_float[re[n]] for n in group]
+                imag += [as_float[im[n]] for n in group]
             slots.append(rows)
         parts: dict = {}
         left = [parts.setdefault(key & lay.amp_mask, len(parts))
@@ -854,7 +869,8 @@ class NumericForm:
         factors[np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows],
                 rows] = (1 + (exps[rows, cols].astype(np.intp) - 1) * len(used)
                          + cols)
-        self._coeffs = np.array(coeffs, dtype=complex)
+        self._coeffs = np.empty(len(keys), dtype=complex)
+        self._coeffs.real, self._coeffs.imag = real, imag
         self._left = np.array(left, dtype=np.intp)
         self._right = np.array(right, dtype=np.intp)
         self._slot = np.repeat(np.arange(len(starts)),

@@ -103,7 +103,7 @@ def unchecked(cls, *values):
 def _check_homogeneous(poly: Polynomial, d: int, alpha: tuple):
     lay = layout(poly.k)
     n, k = lay.n, poly.k
-    for m in poly.packed:
+    for m in poly.keys():
         if m & lay.conj_mask:
             raise ValueError("covariants must not contain conjugate amplitudes")
         e = lay.fields(m)

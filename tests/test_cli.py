@@ -72,6 +72,23 @@ def test_eval_malformed_file(capsys, tmp_path):
     assert "malformed" in doc["error"]
 
 
+@pytest.mark.parametrize("argv", [["eval", "--invariant", "A"], ["classify"],
+                                  ["measure"]])
+@pytest.mark.parametrize("nested", [False, True])
+def test_unreadable_state_file_is_a_json_error(tmp_path, argv, nested):
+    # A directory fails in open(), 100,000 nested "[" in json.load's
+    # recursion; both end in the one JSON error document.
+    path = tmp_path
+    if nested:
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+    out = _run_fresh_cli([argv[0], "--state", str(path), *argv[1:]])
+    assert out.returncode == 1
+    assert out.stderr == b""
+    doc = json.loads(out.stdout)
+    assert list(doc) == ["error"] and str(path) in doc["error"]
+
+
 def test_classify_ghz_and_w(capsys, ghz_file, w_file):
     code, doc = _run_json(capsys, ["classify", "--state", ghz_file])
     assert code == 0 and doc["label"] == "GHZ"

@@ -212,7 +212,7 @@ def _reference_evaluate_exact(poly, values):
         re, im = int(v.re * scale), int(v.im * scale)
         base[idx], base[n + idx] = (re, im), (re, -im)
     sums = defaultdict(lambda: [0, 0])
-    for m, (r, i) in poly.packed.items():
+    for m, (r, i) in poly.numerators().items():
         deg = 0
         for f, e in exponents(m):
             if f >= 2 * n:
@@ -261,15 +261,15 @@ def _exact_cases(draw):
 @settings(max_examples=40, deadline=None)
 def test_evaluate_exact_matches_term_loop(case):
     p, points = case
-    items, twin = list(p.packed.items()), Polynomial.from_packed(
-        p.k, dict(p.packed), p.den, p.degree_bound)
+    items, twin = list(p.numerators().items()), Polynomial.from_packed(
+        p.k, dict(p._re), dict(p._im), p.den, p.degree_bound)
     got = [evaluate_exact(p, point) for point in points]
     assert got == [_reference_evaluate_exact(p, point) for point in points]
     # The split is built once and kept; the polynomial does not change.
     split = p._exact
     assert split is not None
     assert evaluate_exact(p, points[0]) == got[0] and p._exact is split
-    assert list(p.packed.items()) == items
+    assert list(p.numerators().items()) == items
     assert p == twin and hash(p) == hash(twin)
     assert p.pretty() == twin.pretty()
 
@@ -291,7 +291,8 @@ def test_failed_exact_evaluation_keeps_no_partial_split():
     q = a0 * a1 * Polynomial.variable(k, amp_conj(3)) + a0
     with pytest.raises(EvaluationError, match=r"amplitude 3 \(a\[11\]\)"):
         evaluate_exact(q, {0: point[0], 1: point[1]})
-    fresh = Polynomial.from_packed(k, dict(q.packed), q.den, q.degree_bound)
+    fresh = Polynomial.from_packed(k, dict(q._re), dict(q._im), q.den,
+                                   q.degree_bound)
     assert evaluate_exact(fresh, point) == _reference_evaluate_exact(q, point)
     assert q._exact in (None, fresh._exact)
     assert evaluate_exact(q, point) == _reference_evaluate_exact(q, point)

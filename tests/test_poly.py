@@ -241,12 +241,14 @@ def test_pretty_edge_cases():
 @given(mixed_polys)
 @settings(max_examples=60, deadline=None)
 def test_identity_does_not_depend_on_insertion_order(p):
-    # Only numeric evaluation reads the order of the packed dict.
-    q = Polynomial.from_packed(K, dict(reversed(p.packed.items())), p.den,
+    # Only numeric evaluation reads the order of the numerator dicts.
+    q = Polynomial.from_packed(K, dict(reversed(p._re.items())),
+                               dict(reversed(p._im.items())), p.den,
                                p.degree_bound)
     assert q == p and hash(q) == hash(p)
     assert q.pretty() == p.pretty()
-    assert list(q.packed) == list(reversed(p.packed))
+    assert list(q._re) == list(reversed(p._re))
+    assert list(q._im) == list(reversed(p._im))
 
 
 def _reference_evaluate(p, s, aux_values):
@@ -358,7 +360,7 @@ def test_sum_of_products_cancels_to_zero(p, q, r, c):
         (c, (p, q, r)), (Fraction(1, 3), (r, p)), (-c, (r, q, p)),
         (Fraction(-1, 3), (p, r))])
     assert z == Polynomial.zero(K)
-    assert z.den == 1 and not z.packed
+    assert z.den == 1 and not z._re and not z._im
 
 
 def test_sum_of_products_edge_cases():
@@ -385,8 +387,8 @@ def test_sum_of_products_checks_degree_and_dimension():
 
 def _dict_loop_sum_of_products(k, summands):
     """Polynomial.sum_of_products as one real and one imaginary dict filled
-    term pair by term pair: the reference for the order of the packed dict
-    as well as for its items."""
+    term pair by term pair: the reference for the order of the numerator
+    dicts as well as for their items."""
     one = Polynomial.constant(k, 1)
     products, den, bound = [], 1, 0
     for c, factors in summands:
@@ -397,36 +399,40 @@ def _dict_loop_sum_of_products(k, summands):
                 factors[:-1]) if len(factors) > 1 else one
             last = factors[-1] if factors else one
             d *= left.den * last.den
-            products.append((cr, ci, d, left.packed, last.packed))
+            products.append((cr, ci, d, left, last))
             den = lcm(den, d)
             bound = max(bound, sum(f.degree_bound for f in factors))
 
     def accumulate(acc, left, right, sign):
         if len(left) > len(right):
             left, right = right, left
-        for m1, c1 in left:
-            for m2, c2 in right:
+        for m1, c1 in left.items():
+            for m2, c2 in right.items():
                 acc[m1 + m2] = acc.get(m1 + m2, 0) + sign * c1 * c2
 
     re, im = {}, {}
     for cr, ci, d, a, b in products:
-        if len(a) > len(b):
+        if len(a._re) + len(a._im) > len(b._re) + len(b._im):
             a, b = b, a
         cr, ci = cr * den // d, ci * den // d
-        a = {m: (r * cr - i * ci, r * ci + i * cr) for m, (r, i) in a.items()}
-        a_re = [(m, r) for m, (r, _) in a.items() if r]
-        a_im = [(m, i) for m, (_, i) in a.items() if i]
-        b_re = [(m, r) for m, (r, _) in b.items() if r]
-        b_im = [(m, i) for m, (_, i) in b.items() if i]
-        accumulate(re, a_re, b_re, 1)
-        accumulate(re, a_im, b_im, -1)
-        accumulate(im, a_re, b_im, 1)
-        accumulate(im, a_im, b_re, 1)
-    out = {m: (r, 0) for m, r in re.items() if r}
-    for m, i in im.items():
-        if i:
-            out[m] = (out.get(m, (0, 0))[0], i)
-    return Polynomial.from_packed(k, out, den, bound)
+        # A real factor scales each dict in its own order; a complex one
+        # mixes them, in the term order of a.
+        if ci:
+            items = a.numerators().items()
+            a_re = {m: r * cr - i * ci for m, (r, i) in items
+                    if r * cr - i * ci}
+            a_im = {m: r * ci + i * cr for m, (r, i) in items
+                    if r * ci + i * cr}
+        else:
+            a_re = {m: r * cr for m, r in a._re.items()}
+            a_im = {m: i * cr for m, i in a._im.items()}
+        accumulate(re, a_re, b._re, 1)
+        accumulate(re, a_im, b._im, -1)
+        accumulate(im, a_re, b._im, 1)
+        accumulate(im, a_im, b._re, 1)
+    return Polynomial.from_packed(k, {m: r for m, r in re.items() if r},
+                                  {m: i for m, i in im.items() if i}, den,
+                                  bound)
 
 
 @pytest.fixture
@@ -451,7 +457,8 @@ def _assert_same_dict(k, summands):
     got = Polynomial.sum_of_products(k, summands)
     want = _dict_loop_sum_of_products(k, summands)
     assert got.den == want.den
-    assert list(got.packed.items()) == list(want.packed.items())
+    assert list(got._re.items()) == list(want._re.items())
+    assert list(got._im.items()) == list(want._im.items())
     return got
 
 
@@ -483,7 +490,7 @@ def test_numpy_sum_keeps_the_dict_order_with_complex_coefficients(sort_reduce):
 def test_numpy_sum_past_int64_runs_on_python_ints(sort_reduce):
     p, q = _seeded(3, 4, 100, big=40), _seeded(3, 5, 100, big=40)
     got = _assert_same_dict(3, [(3, (p, q)), ((1 << 70) + 1, (q, p))])
-    assert max(abs(c) for c in chain.from_iterable(got.packed.values())) >> 63
+    assert max(map(abs, chain(got._re.values(), got._im.values()))) >> 63
     assert any(dtype == object for _, dtype in sort_reduce)
 
 
@@ -505,8 +512,25 @@ def test_numpy_sum_that_cancels_to_zero(sort_reduce):
     p, q = _seeded(3, 9, 120), _seeded(3, 10, 120)
     c = GaussianRational(Fraction(1, 2), 3)
     z = _assert_same_dict(3, [(c, (p, q)), (-c, (q, p))])
-    assert not z.packed and z.den == 1
+    assert not z._re and not z._im and z.den == 1
     assert sort_reduce
+
+
+def test_times_one_keeps_the_term_order_and_the_value():
+    # The imaginary-only terms are given first; the terms of p, as of every
+    # product, run the real keys first, so p * 1 iterates and evaluates
+    # like p to the last bit.
+    seeded = list(_seeded(3, 11, 120).terms.items())
+    p = Polynomial(3, {**{m: GaussianRational(0, c.im or 1)
+                          for m, c in seeded[:60]},
+                       **{m: GaussianRational(c.re or 1, c.im)
+                          for m, c in seeded[60:]}})
+    assert list((p * 1).terms) == list(p.terms)
+    gen = np.random.default_rng(12)
+    states = [random_state(3, gen) for _ in range(200)]
+    values = [np.array([q.evaluate(s) for s in states]).tobytes()
+              for q in (p, p * 1)]
+    assert values[0] == values[1]
 
 
 @given(summand_lists)
@@ -726,7 +750,7 @@ def test_plain_leaves_read_the_kernel_row():
             (det, det.numeric(), False),
             (det, InvariantExpr(det, (4, 0), "Det").numeric(), False),
             (delta.poly, delta.conjugate().numeric(), True)):
-        assert len(form._coeffs) == len(poly.packed)
+        assert len(form._coeffs) == len(poly.terms)
         assert len(form._slot_starts) == 1
         assert len(form._pa) == 0
         row = form._kernel(rows)[0]
