@@ -254,14 +254,12 @@ class Polynomial:
         return p
 
     def keys(self) -> list:
-        """The packed keys of the terms in term order: the keys with a
-        nonzero real part, then the imaginary-only ones."""
+        """The packed keys in term order: the real, then imaginary-only."""
         re = self._re
         return [*re, *(m for m in self._im if m not in re)]
 
     def _columns(self) -> tuple:
-        """(keys, real numerators, imaginary numerators) of the terms, three
-        lists in term order."""
+        """(keys, real numerators, imaginary numerators), in term order."""
         re, im = self._re, self._im
         keys = self.keys()
         return (keys, [*re.values()] + [0] * (len(keys) - len(re)),
@@ -297,7 +295,10 @@ class Polynomial:
 
     @classmethod
     def variable(cls, k: int, var: tuple, coeff=1) -> "Polynomial":
-        return cls(k, {((var, 1),): coeff})
+        r, i, d = _scalar(coeff)
+        key, deg = layout(k).encode(((var, 1),))
+        return cls.from_packed(k, {key: r} if r else {},
+                               {key: i} if i else {}, d, deg)
 
     # -- ring operations --------------------------------------------------
 
@@ -429,8 +430,7 @@ class Polynomial:
         re, im = {}, {}
         for out, numerators in ((re, self._re), (im, self._im)):
             for m, c in numerators.items():
-                e = (m >> shift) & FIELD_MAX
-                if e:
+                if e := (m >> shift) & FIELD_MAX:
                     out[m - unit] = c * e
         return Polynomial.from_packed(self.k, re, im, self.den,
                                       max(self.degree_bound - 1, 0))
@@ -603,8 +603,7 @@ def _times(p: Polynomial, cr: int, ci: int) -> tuple:
 
 def _accumulate(blocks) -> dict:
     """The nonzero sums of left * right over the (left, right) blocks of
-    {key: int} dicts, keyed in order of first appearance, each block
-    left-major."""
+    {key: int} dicts, keyed in order of first appearance, left-major."""
     acc: dict = {}
     get = acc.get
     for left, right in blocks:
