@@ -35,8 +35,8 @@ larger one is sorted and summed in numpy, _CHUNK pairs at a time
 which the dict loop first meets each key.  Only numeric evaluation reads
 that order (`NumericForm` adds terms in term order), but it reads it to
 the last bit.  `+`, `-`, `*` by a scalar and `*` are its one- and
-two-summand cases; transvection, the pairing and the identity residuals
-pass it their whole sum at once.
+two-summand cases; the constructor, transvection, the pairing and the
+identity residuals pass it their whole sum at once.
 
 Each polynomial carries a bound on its total degree.  A monomial's total
 degree bounds every exponent in it, so a product whose bound would exceed
@@ -831,14 +831,15 @@ class NumericForm:
         1 + (e - 1) * fields + u holds the e-th power of the u-th used field
         (`_sources` gives its amplitude; the first `_conj` are amplitudes,
         the rest conjugates), up to the power `_top`.  Each distinct
-        numerator of a polynomial is divided by its denominator once.
+        coefficient of a polynomial is converted to complex once.
         """
         lay = layout(self.k)
         aux_mask = -1 << lay.aux_shift
-        keys, real, imag, starts, slots = [], [], [], [], []
+        keys, coeffs, starts, slots = [], [], [], []
         for p in polys:
             own, re, im = p._columns()
-            as_float = {c: c / p.den for c in {*re, *im}}
+            as_complex = {c: complex(c[0] / p.den, c[1] / p.den)
+                          for c in set(zip(re, im))}
             groups: dict = {}
             for n, key in enumerate(own):
                 groups.setdefault(key & aux_mask, []).append(n)
@@ -847,8 +848,7 @@ class NumericForm:
                 rows[m] = len(starts)
                 starts.append(len(keys))
                 keys += [own[n] for n in group]
-                real += [as_float[re[n]] for n in group]
-                imag += [as_float[im[n]] for n in group]
+                coeffs += [as_complex[re[n], im[n]] for n in group]
             slots.append(rows)
         parts: dict = {}
         left = [parts.setdefault(key & lay.amp_mask, len(parts))
@@ -868,8 +868,7 @@ class NumericForm:
         factors[np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows],
                 rows] = (1 + (exps[rows, cols].astype(np.intp) - 1) * len(used)
                          + cols)
-        self._coeffs = np.empty(len(keys), dtype=complex)
-        self._coeffs.real, self._coeffs.imag = real, imag
+        self._coeffs = np.array(coeffs, dtype=complex)
         self._left = np.array(left, dtype=np.intp)
         self._right = np.array(right, dtype=np.intp)
         self._slot = np.repeat(np.arange(len(starts)),
