@@ -840,6 +840,7 @@ class NumericForm:
             own, re, im = p._columns()
             as_complex = {c: complex(c[0] / p.den, c[1] / p.den)
                           for c in set(zip(re, im))}
+            values = list(map(as_complex.__getitem__, zip(re, im)))
             groups: dict = {}
             for n, key in enumerate(own):
                 groups.setdefault(key & aux_mask, []).append(n)
@@ -848,7 +849,7 @@ class NumericForm:
                 rows[m] = len(starts)
                 starts.append(len(keys))
                 keys += [own[n] for n in group]
-                coeffs += [as_complex[re[n], im[n]] for n in group]
+                coeffs += [values[n] for n in group]
             slots.append(rows)
         parts: dict = {}
         left = [parts.setdefault(key & lay.amp_mask, len(parts))
