@@ -467,7 +467,7 @@ class Polynomial:
             lay = layout(self.k)
             conj: dict = {}
             groups: dict = {}
-            for m, (r, i) in self.numerators().items():
+            for m, r, i in zip(*self._columns()):
                 if m >> lay.aux_shift:
                     raise ValueError("auxiliary variable in exact evaluation")
                 groups.setdefault(m & lay.amp_mask, []).append(
@@ -714,7 +714,7 @@ class _Terms(Mapping):
             self._dict = {
                 lay.decode(m): GaussianRational(Fraction(r, den),
                                                 Fraction(i, den))
-                for m, (r, i) in self._poly.numerators().items()
+                for m, r, i in zip(*self._poly._columns())
             }
         return self._dict
 
