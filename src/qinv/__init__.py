@@ -14,9 +14,9 @@ from importlib import import_module
 
 _EXPORTS = {
     "gaussian": ("GaussianRational",),
-    "state": ("DimensionError", "State"),
-    "poly": ("EvaluationError", "Polynomial", "amp", "amp_conj", "aux",
-             "basis_state", "ghz", "random_state", "w_state"),
+    "state": ("DimensionError", "State", "basis_state", "ghz", "random_state",
+              "w_state"),
+    "poly": ("EvaluationError", "Polynomial", "amp", "amp_conj", "aux"),
     "transvection": ("Covariant", "act_on_state", "random_sl2", "random_su2",
                      "random_u2", "transvect"),
     "catalog": ("b_family", "b_family_all", "b_multidegrees", "catalog_3",

@@ -38,9 +38,9 @@ from .catalog import (
     ground_form,
 )
 from .gaussian import GaussianRational
-from .linalg import det, independent_rows, matrix_rows
+from .linalg import det, rank
 from .poly import (EvaluationError, NumericForm, Polynomial, _weight, amp,
-                   amp_conj, layout)
+                   amp_conj)
 from .transvection import Covariant
 
 _CREATED = count()
@@ -136,14 +136,11 @@ class InvariantExpr:
     def __post_init__(self):
         # Named as when this class was a dataclass: perfbench's span table
         # wraps the validation under this name.
-        lay = layout(self.k)
-        n = lay.n
-        for m in self.poly.keys():
-            if m >> lay.aux_shift:
-                raise ValueError("invariants must not contain auxiliary variables")
-            e = lay.fields(m)
-            n1, n2 = sum(e[:n]), sum(e[n:2 * n])
-            if (n1, n2) != tuple(self.bidegree):
+        degrees = self.poly.degrees()
+        if any(any(slots) for _, _, *slots in degrees):
+            raise ValueError("invariants must not contain auxiliary variables")
+        for n1, n2, *_ in degrees:
+            if (n1, n2) != self.bidegree:
                 raise ValueError(
                     f"term of bidegree ({n1},{n2}) in invariant of "
                     f"bidegree {self.bidegree}"
@@ -721,9 +718,13 @@ def jacobian_matrix() -> tuple:
 
 
 def jacobian_rank() -> int:
-    """Exact rank of the 7x16 Jacobian; 7 proves the seven primary
-    invariants algebraically independent."""
-    return len(independent_rows(matrix_rows(jacobian_matrix())))
+    """Exact rank of the 7x16 Jacobian, as the rank of the differentials
+    sum_v df/dv(P) v, linear polynomials in the sixteen variables; 7 proves
+    the seven primary invariants algebraically independent."""
+    return rank([Polynomial.sum_of_products(3, [
+        (c, (Polynomial.variable(3, v),))
+        for c, v in zip(row, _JACOBIAN_VARIABLES)])
+        for row in jacobian_matrix()])
 
 
 def jacobian_determinant(literal: bool = False) -> GaussianRational:

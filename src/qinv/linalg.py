@@ -1,20 +1,24 @@
 """Small exact linear algebra over Gaussian rationals.
 
-Used for rank / independence checks on families of polynomials (viewed as
-coefficient vectors over their monomials) and for exact determinants.
+Independence and rank treat a family of polynomials as vectors over their
+monomials and eliminate over the polynomials themselves: every row
+operation is one `Polynomial.sum_of_products`, the one exact kernel.  Each
+chosen row is scaled to coefficient 1 at its least packed key, its pivot,
+and reduced by the polynomial's gcd like every other result.
 
-Independence works on sparse Gaussian-integer rows, dicts column ->
-(re, im): scaling a row by a nonzero rational leaves the independence of a
-family unchanged, so each row is cleared of its denominator and the
-elimination runs fraction-free.
+Determinants run fraction-free (Bareiss) on Gaussian-integer rows: each
+row of exact scalars is cleared of its denominators, and the product of
+the row scales divides the result at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .gaussian import GR_ZERO, GaussianRational
+from .poly import Polynomial
+from .state import DimensionError
 
 
 def _scaled_row(row) -> tuple:
@@ -25,52 +29,20 @@ def _scaled_row(row) -> tuple:
                  for j, x in enumerate(row) if x}
 
 
-def matrix_rows(matrix):
-    """Sparse Gaussian-integer rows of a matrix of exact scalars, each row
-    scaled by the lcm of its denominators."""
-    return [_scaled_row(row)[1] for row in matrix]
-
-
-def _reduce(row: dict, pivot_row: dict, col) -> dict:
-    """pivot * row - row[col] * pivot_row, with the column `col` cleared and
-    the integer content divided out."""
-    pr, pi = pivot_row[col]
-    cr, ci = row[col]
-    out = {m: (pr * r - pi * i, pr * i + pi * r) for m, (r, i) in row.items()}
-    for m, (r, i) in pivot_row.items():
-        r, i = cr * r - ci * i, cr * i + ci * r
-        o = out.get(m)
-        if o is None:
-            out[m] = (-r, -i)
-        elif o[0] == r and o[1] == i:
-            del out[m]
-        else:
-            out[m] = (o[0] - r, o[1] - i)
-    g = gcd(*(x for c in out.values() for x in c))
-    if g > 1:
-        out = {m: (r // g, i // g) for m, (r, i) in out.items()}
-    return out
-
-
-def independent_rows(rows):
-    """Indices of a maximal linearly independent subset of sparse
-    Gaussian-integer rows, greedy in input order."""
-    basis = []       # (pivot column, reduced row)
-    chosen = []
-    for idx, row in enumerate(rows):
-        for col, brow in basis:
-            if col in row:
-                row = _reduce(row, brow, col)
-        if row:
-            basis.append((min(row), row))
+def independent_subset(polys) -> list:
+    """Indices of a maximal linearly independent subset, greedy in input
+    order: each polynomial is reduced by the chosen ones, pivot by pivot,
+    and chosen if anything is left."""
+    basis, chosen = [], []    # (pivot key, row with coefficient 1 there)
+    for idx, p in enumerate(polys):
+        for key, row in basis:
+            if c := p.coefficient(key):
+                p = Polynomial.sum_of_products(p.k, [(1, (p,)), (-c, (row,))])
+        if p:
+            key = min(p.keys())
+            basis.append((key, p * (1 / p.coefficient(key))))
             chosen.append(idx)
     return chosen
-
-
-def independent_subset(polys):
-    """Indices of a maximal linearly independent subset, greedy in input
-    order; a polynomial's row is its dict of Gaussian-integer numerators."""
-    return independent_rows([p.numerators() for p in polys])
 
 
 def rank(polys) -> int:
@@ -78,10 +50,14 @@ def rank(polys) -> int:
 
 
 def det(matrix) -> GaussianRational:
-    """Exact determinant by fraction-free (Bareiss) elimination on the
-    Gaussian-integer rows of `matrix_rows`, divided by the row scales at
-    the end."""
+    """Exact determinant of a square matrix of exact scalars by
+    fraction-free (Bareiss) elimination on its scaled Gaussian-integer
+    rows, divided by the row scales at the end."""
     n = len(matrix)
+    widths = {len(row) for row in matrix}
+    if widths - {n}:
+        raise DimensionError(f"det needs a square matrix, got {n} rows of "
+                             f"{'/'.join(map(str, sorted(widths)))} entries")
     scale = 1
     a = []
     for row in matrix:

@@ -84,7 +84,8 @@ from operator import mul
 import numpy as np
 
 from .gaussian import GaussianRational
-from .state import DimensionError, State
+from .state import (DimensionError, State, basis_state, ghz,
+                    random_state, w_state)
 
 FIELD_BITS = 8
 FIELD_MAX = (1 << FIELD_BITS) - 1
@@ -167,10 +168,6 @@ class Layout:
     def decode(self, key: int) -> tuple:
         """The sorted tuple monomial of a packed key."""
         return tuple([(self.var[f], e) for f, e in exponents(key)])
-
-    def fields(self, key: int) -> bytes:
-        """The exponent of every field of a packed key, one byte each."""
-        return key.to_bytes(len(self.var), "little")
 
     def exponent_matrix(self, keys) -> np.ndarray:
         """Key-by-field uint8 exponent matrix of a list of packed keys."""
@@ -265,10 +262,18 @@ class Polynomial:
         return (keys, [*re.values()] + [0] * (len(keys) - len(re)),
                 list(map(im.get, keys, repeat(0))) if im else [0] * len(keys))
 
-    def numerators(self) -> dict:
-        """{packed key: (re, im)} Gaussian-integer numerators over `den`,
-        in term order."""
-        return {m: (r, i) for m, r, i in zip(*self._columns())}
+    def coefficient(self, key: int) -> GaussianRational:
+        """The coefficient at a packed key, zero if it has no term."""
+        return GaussianRational(Fraction(self._re.get(key, 0), self.den),
+                                Fraction(self._im.get(key, 0), self.den))
+
+    def degrees(self) -> list:
+        """The distinct (amplitude, conjugate, slot 1, ..., slot k) degrees
+        of the terms, in term order."""
+        lay = layout(self.k)
+        cuts = [0, lay.n, *range(2 * lay.n, len(lay.var), 2)]
+        return list(dict.fromkeys(map(tuple, np.add.reduceat(
+            lay.exponent_matrix(self.keys()), cuts, axis=1).tolist())))
 
     def aux_parts(self) -> dict:
         """A covariant split by auxiliary monomial: {aux key of m: the
@@ -596,9 +601,9 @@ def _times(p: Polynomial, cr: int, ci: int) -> tuple:
     if not ci:
         return (re, im) if cr == 1 else ({m: c * cr for m, c in re.items()},
                                         {m: c * cr for m, c in im.items()})
-    items = p.numerators().items()
-    return ({m: x for m, (r, i) in items if (x := r * cr - i * ci)},
-            {m: x for m, (r, i) in items if (x := r * ci + i * cr)})
+    items = list(zip(*p._columns()))
+    return ({m: x for m, r, i in items if (x := r * cr - i * ci)},
+            {m: x for m, r, i in items if (x := r * ci + i * cr)})
 
 
 def _accumulate(blocks) -> dict:
@@ -973,31 +978,3 @@ class NumericForm:
 
         return run
 
-
-def ghz(k: int, normalized: bool = True) -> State:
-    amps = [0j] * 2 ** k
-    c = 1 / np.sqrt(2) if normalized else 1.0
-    amps[0] = c
-    amps[-1] = c
-    return State(k, tuple(amps))
-
-
-def w_state(k: int, normalized: bool = True) -> State:
-    amps = [0j] * 2 ** k
-    c = 1 / np.sqrt(k) if normalized else 1.0
-    for j in range(k):
-        amps[1 << j] = c
-    return State(k, tuple(amps))
-
-
-def basis_state(k: int, index: int) -> State:
-    amps = [0j] * 2 ** k
-    amps[index] = 1.0
-    return State(k, tuple(amps))
-
-
-def random_state(k: int, rng: np.random.Generator, normalized: bool = True) -> State:
-    vec = rng.normal(size=2 ** k) + 1j * rng.normal(size=2 ** k)
-    if normalized:
-        vec = vec / np.linalg.norm(vec)
-    return State(k, tuple(vec))

@@ -1,8 +1,9 @@
-"""Numeric pure states and the ambient-size error, free of numpy at import.
+"""Numeric pure states, their standard constructors and the ambient-size
+error, free of numpy at import.
 
 The command line loads, validates and rejects state files through this
 module alone, so a `qinv` command that never evaluates anything does not
-pay for importing numpy.  `qinv.poly` re-exports both names.
+pay for importing numpy.  `qinv.poly` re-exports every public name.
 """
 
 from __future__ import annotations
@@ -88,3 +89,35 @@ def _squared_norm(amps) -> float:
     """sum |a|^2, the norm invariant A; inf once it overflows (math.fsum
     would raise OverflowError instead)."""
     return sum(a.real * a.real + a.imag * a.imag for a in amps)
+
+
+def ghz(k: int, normalized: bool = True) -> State:
+    amps = [0j] * 2 ** k
+    c = 1 / math.sqrt(2) if normalized else 1.0
+    amps[0] = c
+    amps[-1] = c
+    return State(k, tuple(amps))
+
+
+def w_state(k: int, normalized: bool = True) -> State:
+    amps = [0j] * 2 ** k
+    c = 1 / math.sqrt(k) if normalized else 1.0
+    for j in range(k):
+        amps[1 << j] = c
+    return State(k, tuple(amps))
+
+
+def basis_state(k: int, index: int) -> State:
+    amps = [0j] * 2 ** k
+    amps[index] = 1.0
+    return State(k, tuple(amps))
+
+
+def random_state(k: int, rng: "np.random.Generator",
+                 normalized: bool = True) -> State:
+    import numpy as np  # on call: this module stays free of numpy
+
+    vec = rng.normal(size=2 ** k) + 1j * rng.normal(size=2 ** k)
+    if normalized:
+        vec = vec / np.linalg.norm(vec)
+    return State(k, tuple(vec))

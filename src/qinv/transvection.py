@@ -34,7 +34,7 @@ from math import comb, prod
 import numpy as np
 
 from .gaussian import GaussianRational
-from .poly import DimensionError, Polynomial, State, aux, layout
+from .poly import DimensionError, Polynomial, State, aux
 
 
 @dataclass(frozen=True)
@@ -101,14 +101,11 @@ def unchecked(cls, *values):
 
 
 def _check_homogeneous(poly: Polynomial, d: int, alpha: tuple):
-    lay = layout(poly.k)
-    n, k = lay.n, poly.k
-    for m in poly.keys():
-        if m & lay.conj_mask:
-            raise ValueError("covariants must not contain conjugate amplitudes")
-        e = lay.fields(m)
-        amp_deg = sum(e[:n])
-        slot = tuple(e[2 * n + 2 * j] + e[2 * n + 2 * j + 1] for j in range(k))
+    degrees = poly.degrees()
+    if any(conj for _, conj, *_ in degrees):
+        raise ValueError("covariants must not contain conjugate amplitudes")
+    for amp_deg, _, *slot in degrees:
+        slot = tuple(slot)
         if amp_deg != d or slot != alpha:
             raise ValueError(
                 f"non-homogeneous term: amp degree {amp_deg} (want {d}), "

@@ -83,6 +83,22 @@ def test_invariant_expr_rejects_aux_and_mixed_bidegree():
         InvariantExpr(p, (2, 0))
 
 
+def test_invariant_expr_validation_messages():
+    from qinv.poly import aux
+
+    a0, c1 = Polynomial.variable(2, amp(0)), Polynomial.variable(2, amp_conj(1))
+    with pytest.raises(ValueError,
+                       match="invariants must not contain auxiliary variables"):
+        InvariantExpr(a0 * c1 + a0 * Polynomial.variable(2, aux(2, 1)), (1, 1))
+    with pytest.raises(ValueError, match=r"term of bidegree \(2,1\) in "
+                       r"invariant of bidegree \(1, 1\)"):
+        InvariantExpr(a0 * c1 + a0 * a0 * c1, (1, 1))
+    assert InvariantExpr(a0 * c1, [1, 1]).bidegree == (1, 1)
+    # The zero polynomial has no terms, so every bidegree fits it.
+    for bidegree in ((0, 0), (1, 1), (4, 0)):
+        assert InvariantExpr(Polynomial.zero(2), bidegree).bidegree == bidegree
+
+
 def test_invariant_arithmetic_bidegrees():
     a = norm_invariant(2)
     assert (a * a).bidegree == (2, 2)
@@ -212,7 +228,7 @@ def _reference_evaluate_exact(poly, values):
         re, im = int(v.re * scale), int(v.im * scale)
         base[idx], base[n + idx] = (re, im), (re, -im)
     sums = defaultdict(lambda: [0, 0])
-    for m, (r, i) in poly.numerators().items():
+    for m, r, i in zip(*poly._columns()):
         deg = 0
         for f, e in exponents(m):
             if f >= 2 * n:
@@ -261,7 +277,7 @@ def _exact_cases(draw):
 @settings(max_examples=40, deadline=None)
 def test_evaluate_exact_matches_term_loop(case):
     p, points = case
-    items, twin = list(p.numerators().items()), Polynomial.from_packed(
+    items, twin = list(zip(*p._columns())), Polynomial.from_packed(
         p.k, dict(p._re), dict(p._im), p.den, p.degree_bound)
     got = [evaluate_exact(p, point) for point in points]
     assert got == [_reference_evaluate_exact(p, point) for point in points]
@@ -269,7 +285,7 @@ def test_evaluate_exact_matches_term_loop(case):
     split = p._exact
     assert split is not None
     assert evaluate_exact(p, points[0]) == got[0] and p._exact is split
-    assert list(p.numerators().items()) == items
+    assert list(zip(*p._columns())) == items
     assert p == twin and hash(p) == hash(twin)
     assert p.pretty() == twin.pretty()
 

@@ -418,10 +418,10 @@ def _dict_loop_sum_of_products(k, summands):
         # A real factor scales each dict in its own order; a complex one
         # mixes them, in the term order of a.
         if ci:
-            items = a.numerators().items()
-            a_re = {m: r * cr - i * ci for m, (r, i) in items
+            items = list(zip(*a._columns()))
+            a_re = {m: r * cr - i * ci for m, r, i in items
                     if r * cr - i * ci}
-            a_im = {m: r * ci + i * cr for m, (r, i) in items
+            a_im = {m: r * ci + i * cr for m, r, i in items
                     if r * ci + i * cr}
         else:
             a_re = {m: r * cr for m, r in a._re.items()}

@@ -167,6 +167,24 @@ def test_transvection_multidegree_bookkeeping():
     assert t.multidegree == (1, 3, 1)
 
 
+def test_covariant_validation_names_the_offending_degrees():
+    from qinv.poly import amp_conj
+
+    a0, x10 = Polynomial.variable(2, amp(0)), Polynomial.variable(2, aux(1, 0))
+    with pytest.raises(ValueError,
+                       match="must not contain conjugate amplitudes"):
+        Covariant(a0 * Polynomial.variable(2, amp_conj(1)), 2, (0, 0))
+    # a0 x1_0 + a0^2 x1_0: the second term has amplitude degree 2.
+    with pytest.raises(ValueError, match=r"non-homogeneous term: amp degree "
+                       r"2 \(want 1\), slots \(1, 0\) \(want \(1, 0\)\)"):
+        Covariant(a0 * x10 + a0 * a0 * x10, 1, (1, 0))
+    with pytest.raises(ValueError, match=r"slots \(0, 0\) \(want \(1, 0\)\)"):
+        Covariant(a0, 1, (1, 0))
+    # The zero polynomial has no terms, so every degree fits it.
+    for d, alpha in ((0, (0, 0)), (3, (2, 1))):
+        assert Covariant(Polynomial.zero(2), d, alpha).multidegree == alpha
+
+
 def test_inadmissible_epsilon_rejected():
     f = ground_form(2)
     with pytest.raises(ValueError):
