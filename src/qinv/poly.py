@@ -977,4 +977,3 @@ class NumericForm:
             return out[0] if a.ndim == 1 else out
 
         return run
-
