@@ -642,14 +642,14 @@ def evaluate_exact(poly: Polynomial, values: dict) -> GaussianRational:
                 f"amplitude index {idx!r} outside range(2**{poly.k})")
     scale = lcm(*(d for v in values.values()
                   for d in (v.re.denominator, v.im.denominator)))
-    base = {}
-    for idx, v in values.items():
-        re = v.re.numerator * (scale // v.re.denominator)
-        im = v.im.numerator * (scale // v.im.denominator)
-        base[idx], base[n + idx] = (re, im), (re, -im)
+    base = {idx: (v.re.numerator * (scale // v.re.denominator),
+                  v.im.numerator * (scale // v.im.denominator))
+            for idx, v in values.items()}
+    conj = {idx: (re, -im) for idx, (re, im) in base.items()}
     amps, conjs, groups = poly._exact_split()
-    (left, top_l), (right, top_r) = (_part_values(parts, base, scale, poly.k)
-                                     for parts in (amps, conjs))
+    (left, top_l), (right, top_r) = (_part_values(parts, z, scale, poly.k)
+                                     for parts, z in ((amps, base),
+                                                      (conjs, conj)))
     tr = ti = 0
     for (lr, li), terms in zip(left, groups):
         sr = si = 0
@@ -665,20 +665,19 @@ def evaluate_exact(poly: Polynomial, values: dict) -> GaussianRational:
 
 def _part_values(parts, base: dict, scale: int, k: int) -> tuple:
     """([(re, im)] of the (degree, factors) parts at the Gaussian-integer
-    field values `base`, each times scale^(top - degree), and top)."""
+    amplitude values `base`, each times scale^(top - degree), and top)."""
     top = max((deg for deg, _ in parts), default=0)
     powers: dict = {}
     out = []
     for deg, factors in parts:
         r, i = scale ** (top - deg), 0
-        for f, e in factors:
-            p = powers.get((f, e))
+        for a, e in factors:
+            p = powers.get((a, e))
             if p is None:
-                if f not in base:
-                    a = f % 2 ** k
+                if a not in base:
                     raise EvaluationError(
                         f"no value for amplitude {a} (a[{a:0{k}b}])")
-                p = powers[f, e] = _gauss_pow(base[f], e)
+                p = powers[a, e] = _gauss_pow(base[a], e)
             r, i = r * p[0] - i * p[1], r * p[1] + i * p[0]
         out.append((r, i))
     return out, top

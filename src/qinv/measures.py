@@ -186,6 +186,8 @@ def classify3_batch(amplitudes, tol: float = 1e-9) -> list:
         raise DimensionError(
             f"classification needs rows of 8 amplitudes, got shape {a.shape}")
     norms = np.linalg.norm(a, axis=1)
+    if np.isnan(norms).any():
+        raise ValueError("cannot classify a state with a NaN amplitude")
     if not np.all(norms > tol):
         raise ValueError("cannot classify the zero state")
     if not np.all(np.isfinite(norms)):

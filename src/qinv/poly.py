@@ -58,18 +58,17 @@ Numeric evaluation, scalar and batched, runs through one class,
 `NumericForm`: polynomials in pairings <A|B> of polynomials, where a plain
 polynomial P is the one leaf <P|1> (`Polynomial.numeric`).  The form
 stacks the distinct polynomials of its leaves into one set of term arrays
-and runs one kernel on them.  Each key is cut into its amplitude,
-conjugate and auxiliary parts; the distinct amplitude and conjugate parts
-are numbered together and valued once from a table of powers, and each
-term adds c * V[amplitude part] * V[conjugate part] to its (polynomial, aux
-monomial) slot.  So the kernel gives the value of every aux-coefficient
-c_m(a, abar) of every stacked polynomial: a pairing is
+and runs one kernel on them.  Each term adds c times the product of its
+amplitude and conjugate factors, read from a table of powers, to its
+(polynomial, aux monomial) slot.  So the kernel gives the value of every
+aux-coefficient c_m(a, abar) of every stacked polynomial: a pairing is
 sum_m w(m) c_m conj(d_m) over them, formed without expanding it, a plain
 leaf <P|1> is P's aux-free slot, and `Polynomial.evaluate` multiplies each
-slot by the value of its aux monomial.  A pairing has far fewer distinct
-parts than terms (expanded f7: 8,412 terms over 504 + 504 parts), and the
-terms are walked in blocks of a fixed number of elements so that the
-temporaries stay small.
+slot by the value of its aux monomial.  No numeric path expands a pairing,
+so the stacked polynomials are holomorphic covariants, whose terms share
+few amplitude parts (the k=4 registry: 4,648 terms over 3,717); each term
+is therefore valued on its own, and the terms are walked in blocks of a
+fixed number of elements so that the temporaries stay small.
 """
 
 from __future__ import annotations
@@ -89,11 +88,13 @@ from .state import (DimensionError, State, basis_state, ghz,
 
 FIELD_BITS = 8
 FIELD_MAX = (1 << FIELD_BITS) - 1
-# Elements in one temporary array of the numeric kernel (128 KiB of
-# complex).  Larger blocks come back from the allocator as fresh pages: on
-# a 2-vCPU Linux host (glibc malloc), f7 on 33 rows took 4.5 page faults
-# and 1.3 ms per call at 2^13 elements, 226 and 2.2 ms at 2^14, and 2,008
-# and 5.2 ms at 2^15.
+# Elements in the term values of one block of the numeric kernel: a block
+# is _BLOCK // n terms at n rows, 128 KiB of complex, and its gathered
+# factors are `width` times as many.  Each slot's terms are summed block by
+# block, so the block edges fix where a slot's partial sums split, and
+# another size moves the last bits of the values.  On a 2-vCPU Linux host,
+# expanded f7 on 33 rows took 4.2, 4.7 and 4.6 ms per call at 2^13, 2^14
+# and 2^15 elements.
 _BLOCK = 1 << 13
 # Term pairs from which `sum_of_products` sums in numpy (`_sort_reduce`)
 # rather than in a dict (`_accumulate`).  On a 2-vCPU host, the 299 sums of
@@ -465,9 +466,9 @@ class Polynomial:
         """The split that `invariants.evaluate_exact` reads, built on first
         use and kept: (amplitude parts, conjugate parts, groups), the
         distinct parts of the keys in order of first appearance, each as
-        (degree, [(field, exponent)]), and group g the (conjugate part, re,
-        im) of the terms of amplitude part g.  An auxiliary variable raises
-        ValueError and leaves no split."""
+        (degree, [(amplitude index, exponent)]), and group g the (conjugate
+        part, re, im) of the terms of amplitude part g.  An auxiliary
+        variable raises ValueError and leaves no split."""
         if self._exact is None:
             lay = layout(self.k)
             conj: dict = {}
@@ -477,7 +478,8 @@ class Polynomial:
                     raise ValueError("auxiliary variable in exact evaluation")
                 groups.setdefault(m & lay.amp_mask, []).append(
                     (conj.setdefault(m & lay.conj_mask, len(conj)), r, i))
-            parts = [list(exponents(m)) for m in chain(groups, conj)]
+            parts = [list(exponents(m)) for m in chain(
+                groups, (m >> lay.conj_shift for m in conj))]
             parts = [(sum(e for _, e in p), p) for p in parts]
             self._exact = (parts[:len(groups)], parts[len(groups):],
                            list(groups.values()))
@@ -826,17 +828,15 @@ class NumericForm:
         """Stack the terms of the polynomials into the kernel's arrays and
         return, for each polynomial, the dict aux monomial -> slot.
 
-        Each packed key is cut into its amplitude, conjugate and auxiliary
-        parts.  The terms are grouped by (polynomial, aux monomial) slot:
-        `_slot` holds each term's slot and `_slot_starts` the first term of
-        each.  The amplitude and conjugate parts of all terms are numbered
-        together (`_left`, `_right`), and each part's value is the product
-        of the width rows of the power table named by its column of
-        `_factors`.  The table has a row of ones, then row
-        1 + (e - 1) * fields + u holds the e-th power of the u-th used field
-        (`_sources` gives its amplitude; the first `_conj` are amplitudes,
-        the rest conjugates), up to the power `_top`.  Each distinct
-        coefficient of a polynomial is converted to complex once.
+        The terms are grouped by (polynomial, aux monomial) slot: `_slot`
+        holds each term's slot and `_slot_starts` the first term of each.
+        Column t of `_factors` names the rows of the power table whose
+        product is the value of term t's amplitude and conjugate factors,
+        padded with row 0, a row of ones.  Row 1 + (e - 1) * fields + u
+        holds the e-th power of the u-th used field (`_sources` gives its
+        amplitude; the first `_conj` are amplitudes, the rest conjugates),
+        up to the power `_top`.  Each distinct coefficient of a polynomial
+        is converted to complex once.
         """
         lay = layout(self.k)
         aux_mask = -1 << lay.aux_shift
@@ -856,27 +856,20 @@ class NumericForm:
                 keys += [own[n] for n in group]
                 coeffs += [values[n] for n in group]
             slots.append(rows)
-        parts: dict = {}
-        left = [parts.setdefault(key & lay.amp_mask, len(parts))
-                for key in keys]
-        right = [parts.setdefault(key & lay.conj_mask, len(parts))
-                 for key in keys]
-        exps = lay.exponent_matrix(list(parts))
+        exps = lay.exponent_matrix(keys)[:, :2 * lay.n]
         used = np.flatnonzero(exps.any(axis=0))
         exps = exps[:, used]
         rows, cols = np.nonzero(exps)
         counts = np.count_nonzero(exps, axis=1)
         factors = np.zeros((int(counts.max(initial=1)), len(exps)),
                            dtype=np.intp)
-        # np.nonzero walks the parts in order, so a factor's rank within its
-        # part is its position minus the part's first position.  The exponents
-        # are uint8: widen them before the row arithmetic.
+        # np.nonzero walks the terms in order, so a factor's rank within its
+        # term is its position minus the term's first position.  The
+        # exponents are uint8: widen them before the row arithmetic.
         factors[np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows],
                 rows] = (1 + (exps[rows, cols].astype(np.intp) - 1) * len(used)
                          + cols)
         self._coeffs = np.array(coeffs, dtype=complex)
-        self._left = np.array(left, dtype=np.intp)
-        self._right = np.array(right, dtype=np.intp)
         self._slot = np.repeat(np.arange(len(starts)),
                                np.diff(starts + [len(keys)]))
         self._slot_starts = np.array(starts, dtype=np.intp)
@@ -888,12 +881,11 @@ class NumericForm:
 
     def _kernel(self, amplitudes: np.ndarray) -> np.ndarray:
         """The values of every slot at the rows of an (n, 2^k) complex
-        amplitude array: the (slots, n) array whose row r is
-        sum_t c_t V[left_t] V[right_t] over the terms t of slot r.
+        amplitude array: the (slots, n) array whose row r is the sum over
+        the terms t of slot r of c_t times the product of t's factors.
 
-        Parts and terms are walked in blocks of at most _BLOCK elements per
-        temporary array.  Overflow gives inf or nan without a warning:
-        callers check finiteness."""
+        The terms are walked in blocks of _BLOCK // n.  Overflow gives inf
+        or nan without a warning: callers check finiteness."""
         n = len(amplitudes)
         fields = len(self._sources)
         top = self._top
@@ -906,13 +898,7 @@ class NumericForm:
             for e in range(1, top):
                 np.multiply(table[1 + (e - 1) * fields:1 + e * fields], x,
                             out=table[1 + e * fields:1 + (e + 1) * fields])
-            width, parts = self._factors.shape
-            values = np.empty((parts, n), dtype=complex)
-            step = max(_BLOCK // max(n * width, 1), 1)
-            for s in range(0, parts, step):
-                np.multiply.reduce(table[self._factors[:, s:s + step]],
-                                   axis=0, out=values[s:s + step])
-            coeffs, left, right = self._coeffs, self._left, self._right
+            coeffs, factors = self._coeffs, self._factors
             slot, starts = self._slot, self._slot_starts
             out = np.zeros((len(starts), n), dtype=complex)
             step = max(_BLOCK // max(n, 1), 1)
@@ -923,8 +909,7 @@ class NumericForm:
                 lo, hi = slot[s], slot[e - 1] + 1
                 runs = starts[lo:hi] - s
                 runs[0] = 0
-                terms = values[left[s:e]]
-                terms *= values[right[s:e]]
+                terms = np.multiply.reduce(table[factors[:, s:e]], axis=0)
                 terms *= coeffs[s:e, None]
                 out[lo:hi] += np.add.reduceat(terms, runs, axis=0)
             return out

@@ -51,6 +51,7 @@ class Covariant:
     name: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "multidegree", tuple(self.multidegree))
         if len(self.multidegree) != self.poly.k:
             raise DimensionError("multidegree length must equal ambient k")
         _check_homogeneous(self.poly, self.amp_degree, self.multidegree)

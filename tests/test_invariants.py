@@ -372,7 +372,7 @@ import numpy as np
 from qinv.cli import invariant_registry
 from qinv.invariants import InvariantExpr
 from qinv.measures import classify3, meyer_wallach
-from qinv.poly import random_state
+from qinv.poly import NumericForm, random_state
 from qinv.verify import lut_invariant_registry, suite_invariance
 
 rng = np.random.default_rng(0)
@@ -392,11 +392,17 @@ suite_invariance(k=3)
 # <P|1> is made with its expansion.
 leaves = {leaf for x in gc.get_objects() if isinstance(x, InvariantExpr)
           for m in x.top for leaf in m}
+# Every numeric form alive; a form that stacks only holomorphic polynomials
+# uses no conjugate field.
+forms = [x for x in gc.get_objects() if isinstance(x, NumericForm)]
 print(json.dumps({
     "pairings": sum(leaf.a is not None and leaf.b is not None
                     for leaf in leaves),
     "expanded": sorted(leaf.order for leaf in leaves
                        if leaf.b is not None and leaf._poly is not None),
+    "forms": len(forms),
+    "conjugate_forms": sum(form._conj != len(form._sources)
+                           for form in forms),
 }))
 """
 
@@ -405,6 +411,8 @@ def test_numeric_paths_expand_no_pairing():
     doc = json.loads(_run_fresh(_NUMERIC_PATHS))
     assert doc["pairings"] >= 30
     assert doc["expanded"] == []
+    assert doc["forms"] >= 30
+    assert doc["conjugate_forms"] == 0
 
 
 # sha256 of pretty() of f7, the k=4 covariant E_3111, Delta, and the

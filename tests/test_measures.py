@@ -192,3 +192,11 @@ def test_batched_classifier_rejects_zero_rows_and_wrong_width():
         classify3_batch([ghz(3).amplitudes, (0,) * 8])
     with pytest.raises(DimensionError):
         classify3_batch([ghz(2).amplitudes])
+
+
+def test_batched_classifier_rejects_nan_rows_as_nan():
+    # A NaN norm fails the zero check too; the NaN must be named instead.
+    nan_row = (float("nan"),) + (0,) * 7
+    with pytest.raises(ValueError,
+                       match="^cannot classify a state with a NaN amplitude$"):
+        classify3_batch([ghz(3).amplitudes, nan_row])

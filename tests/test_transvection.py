@@ -185,6 +185,16 @@ def test_covariant_validation_names_the_offending_degrees():
         assert Covariant(Polynomial.zero(2), d, alpha).multidegree == alpha
 
 
+def test_covariant_takes_a_list_multidegree():
+    from qinv.invariants import pairing
+
+    f = ground_form(2)
+    listed = Covariant(f.poly, 1, [1, 1])
+    assert listed.multidegree == (1, 1)
+    assert (pairing(listed, f).poly
+            == pairing(Covariant(f.poly, 1, (1, 1)), f).poly)
+
+
 def test_inadmissible_epsilon_rejected():
     f = ground_form(2)
     with pytest.raises(ValueError):
