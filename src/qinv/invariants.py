@@ -37,7 +37,7 @@ from .catalog import (
     degree4_invariants,
     ground_form,
 )
-from .gaussian import GaussianRational
+from .gaussian import GaussianRational, _coerce
 from .linalg import det, rank
 from .poly import (EvaluationError, NumericForm, Polynomial, _weight, amp,
                    amp_conj)
@@ -624,70 +624,64 @@ JACOBIAN_REFERENCE = GaussianRational(-53279560564736, -243669580382208)
 
 def evaluate_exact(poly: Polynomial, values: dict) -> GaussianRational:
     """Evaluate an auxiliary-free polynomial at an exact amplitude
-    assignment {index: GaussianRational}; conjugate amplitudes take the
-    conjugate values.
+    assignment {index: int, Fraction or GaussianRational}; conjugate
+    amplitudes take the conjugate values.
 
-    The values are put over one common denominator D.  Each distinct
-    amplitude and conjugate part of the polynomial
-    (`Polynomial._exact_split`) is valued once per call, as a Gaussian
-    integer times D^(top - its degree), top the largest degree of its
-    side, so every term c * L * R lies over the one denominator
-    den * D^(both tops) of the result.  The terms are summed one amplitude
-    part at a time.
+    The values are put over one common denominator D.  One loop reads the
+    tuple monomials of `poly.terms`, decoded once and kept on the
+    polynomial, beside its integer numerators.  Each (variable, exponent)
+    power it meets is formed once per call, as a Gaussian integer over
+    D^exponent, and the terms of each total degree are summed over
+    den * D^degree.  An index outside range(2**k) or an auxiliary variable
+    raises ValueError, a value of another type TypeError, and an amplitude
+    missing from the assignment EvaluationError.
     """
-    n = 2 ** poly.k
-    for idx in values:
-        if not (isinstance(idx, int) and 0 <= idx < n):
+    k = poly.k
+    exact = {}
+    for idx, v in values.items():
+        if not (isinstance(idx, int) and 0 <= idx < 2 ** k):
             raise ValueError(
-                f"amplitude index {idx!r} outside range(2**{poly.k})")
-    scale = lcm(*(d for v in values.values()
-                  for d in (v.re.denominator, v.im.denominator)))
-    base = {idx: (v.re.numerator * (scale // v.re.denominator),
-                  v.im.numerator * (scale // v.im.denominator))
-            for idx, v in values.items()}
-    conj = {idx: (re, -im) for idx, (re, im) in base.items()}
-    amps, conjs, groups = poly._exact_split()
-    (left, top_l), (right, top_r) = (_part_values(parts, z, scale, poly.k)
-                                     for parts, z in ((amps, base),
-                                                      (conjs, conj)))
-    tr = ti = 0
-    for (lr, li), terms in zip(left, groups):
-        sr = si = 0
-        for j, r, i in terms:
-            xr, xi = right[j]
-            sr += r * xr - i * xi
-            si += r * xi + i * xr
-        tr += lr * sr - li * si
-        ti += lr * si + li * sr
-    d = poly.den * scale ** (top_l + top_r)
-    return GaussianRational(Fraction(tr, d), Fraction(ti, d))
-
-
-def _part_values(parts, base: dict, scale: int, k: int) -> tuple:
-    """([(re, im)] of the (degree, factors) parts at the Gaussian-integer
-    amplitude values `base`, each times scale^(top - degree), and top)."""
-    top = max((deg for deg, _ in parts), default=0)
+                f"amplitude index {idx!r} outside range(2**{k})")
+        if (z := _coerce(v)) is None:
+            raise TypeError(f"value of amplitude {idx}: cannot coerce "
+                            f"{type(v).__name__} to GaussianRational")
+        exact[idx] = z
+    scale = lcm(*(d for z in exact.values()
+                  for d in (z.re.denominator, z.im.denominator)))
+    base = {idx: (z.re.numerator * (scale // z.re.denominator),
+                  z.im.numerator * (scale // z.im.denominator))
+            for idx, z in exact.items()}
     powers: dict = {}
-    out = []
-    for deg, factors in parts:
-        r, i = scale ** (top - deg), 0
-        for a, e in factors:
-            p = powers.get((a, e))
-            if p is None:
-                if a not in base:
+    sums: dict = {}
+    _, re, im = poly._columns()
+    for mono, r, i in zip(poly.terms, re, im):
+        deg = 0
+        for factor in mono:
+            z = powers.get(factor)
+            if z is None:
+                (kind, idx, *_), e = factor
+                if kind == "x":
+                    raise ValueError("auxiliary variable in exact evaluation")
+                if idx not in base:
                     raise EvaluationError(
-                        f"no value for amplitude {a} (a[{a:0{k}b}])")
-                p = powers[a, e] = _gauss_pow(base[a], e)
-            r, i = r * p[0] - i * p[1], r * p[1] + i * p[0]
-        out.append((r, i))
-    return out, top
-
-
-def _gauss_pow(z: tuple, e: int) -> tuple:
-    r, i = 1, 0
-    for _ in range(e):
-        r, i = r * z[0] - i * z[1], r * z[1] + i * z[0]
-    return r, i
+                        f"no value for amplitude {idx} (a[{idx:0{k}b}])")
+                x, y = base[idx]
+                if kind == "ac":
+                    y = -y
+                zr, zi = 1, 0
+                for _ in range(e):
+                    zr, zi = zr * x - zi * y, zr * y + zi * x
+                z = powers[factor] = zr, zi
+            r, i = r * z[0] - i * z[1], r * z[1] + i * z[0]
+            deg += factor[1]
+        s = sums.setdefault(deg, [0, 0])
+        s[0] += r
+        s[1] += i
+    total = GaussianRational(0)
+    for deg, (r, i) in sums.items():
+        d = poly.den * scale ** deg
+        total += GaussianRational(Fraction(r, d), Fraction(i, d))
+    return total
 
 
 _JACOBIAN_VARIABLES = tuple([amp(i) for i in range(8)]

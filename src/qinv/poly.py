@@ -50,10 +50,7 @@ fields run in the order of their variables, so a key's nonzero fields, read
 from the least significant, are its tuple monomial.  `pretty()` reads the
 keys of a polynomial once as (term, field, exponent) triples and lists the
 terms as their tuple monomials sort: by their (field, exponent) sequences,
-a prefix first, packed into int64 words and lexsorted.  Exact evaluation
-(`invariants.evaluate_exact`) reads a split kept on the polynomial
-(`_exact_split`, built on first use): its distinct amplitude and conjugate
-parts, each valued once per call, and its terms grouped by amplitude part.
+a prefix first, packed into int64 words and lexsorted.
 Numeric evaluation, scalar and batched, runs through one class,
 `NumericForm`: polynomials in pairings <A|B> of polynomials, where a plain
 polynomial P is the one leaf <P|1> (`Polynomial.numeric`).  The form
@@ -220,7 +217,7 @@ class Polynomial:
     """Exact sparse polynomial in packed form; immutable."""
 
     __slots__ = ("k", "_re", "_im", "den", "degree_bound", "_terms",
-                 "_exact", "_numeric")
+                 "_numeric")
 
     def __init__(self, k: int, terms: Mapping | None = None):
         """Build from {tuple monomial: coefficient}, validating both."""
@@ -240,7 +237,7 @@ class Polynomial:
                 im = {m: c // g for m, c in im.items()}
         self.k, self._re, self._im, self.den = k, re, im, den
         self.degree_bound = degree_bound if re or im else 0
-        self._terms = self._exact = self._numeric = None
+        self._terms = self._numeric = None
 
     @classmethod
     def from_packed(cls, k: int, re: dict, im: dict, den: int = 1,
@@ -461,29 +458,6 @@ class Polynomial:
         if self._terms is None:
             self._terms = _Terms(self)
         return self._terms
-
-    def _exact_split(self) -> tuple:
-        """The split that `invariants.evaluate_exact` reads, built on first
-        use and kept: (amplitude parts, conjugate parts, groups), the
-        distinct parts of the keys in order of first appearance, each as
-        (degree, [(amplitude index, exponent)]), and group g the (conjugate
-        part, re, im) of the terms of amplitude part g.  An auxiliary
-        variable raises ValueError and leaves no split."""
-        if self._exact is None:
-            lay = layout(self.k)
-            conj: dict = {}
-            groups: dict = {}
-            for m, r, i in zip(*self._columns()):
-                if m >> lay.aux_shift:
-                    raise ValueError("auxiliary variable in exact evaluation")
-                groups.setdefault(m & lay.amp_mask, []).append(
-                    (conj.setdefault(m & lay.conj_mask, len(conj)), r, i))
-            parts = [list(exponents(m)) for m in chain(
-                groups, (m >> lay.conj_shift for m in conj))]
-            parts = [(sum(e for _, e in p), p) for p in parts]
-            self._exact = (parts[:len(groups)], parts[len(groups):],
-                           list(groups.values()))
-        return self._exact
 
     # -- numeric evaluation -----------------------------------------------
 

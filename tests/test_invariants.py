@@ -7,13 +7,15 @@ import subprocess
 import sys
 from collections import defaultdict
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qinv.catalog import b_family, catalog_3, ground_form
+from qinv.catalog import (b_family, catalog_3, cayley_hyperdet,
+                          degree4_invariants, ground_form)
 from qinv.gaussian import GaussianRational
 from qinv.invariants import (
     JACOBIAN_POINT,
@@ -281,18 +283,17 @@ def test_evaluate_exact_matches_term_loop(case):
         p.k, dict(p._re), dict(p._im), p.den, p.degree_bound)
     got = [evaluate_exact(p, point) for point in points]
     assert got == [_reference_evaluate_exact(p, point) for point in points]
-    # The split is built once and kept; the polynomial does not change.
-    split = p._exact
-    assert split is not None
-    assert evaluate_exact(p, points[0]) == got[0] and p._exact is split
+    # A second evaluation gives the same value; the polynomial does not
+    # change.
+    assert evaluate_exact(p, points[0]) == got[0]
     assert list(zip(*p._columns())) == items
     assert p == twin and hash(p) == hash(twin)
     assert p.pretty() == twin.pretty()
 
 
-def test_failed_exact_evaluation_keeps_no_partial_split():
-    # The aux term comes after amplitude terms, so a split would be part
-    # built when it is met.
+def test_failed_exact_evaluation_leaves_the_polynomial_usable():
+    # The aux term comes after amplitude terms, so the loop meets it with
+    # part of the sum formed.
     k = 2
     a0, a1 = Polynomial.variable(k, amp(0)), Polynomial.variable(k, amp(1))
     x = Polynomial.variable(k, ("x", 1, 0, 0))
@@ -301,16 +302,14 @@ def test_failed_exact_evaluation_keeps_no_partial_split():
     for _ in range(2):
         with pytest.raises(ValueError, match="auxiliary"):
             evaluate_exact(p, point)
-        assert p._exact is None
-    # A missing amplitude fails after a whole split was built, and the
-    # split then serves the next evaluation.
+    # A missing amplitude is named, and the next evaluation of the same
+    # polynomial, or of a fresh equal one, gives the reference value.
     q = a0 * a1 * Polynomial.variable(k, amp_conj(3)) + a0
     with pytest.raises(EvaluationError, match=r"amplitude 3 \(a\[11\]\)"):
         evaluate_exact(q, {0: point[0], 1: point[1]})
     fresh = Polynomial.from_packed(k, dict(q._re), dict(q._im), q.den,
                                    q.degree_bound)
     assert evaluate_exact(fresh, point) == _reference_evaluate_exact(q, point)
-    assert q._exact in (None, fresh._exact)
     assert evaluate_exact(q, point) == _reference_evaluate_exact(q, point)
 
 
@@ -322,7 +321,6 @@ def test_evaluate_exact_rejects_an_index_outside_the_amplitudes(key):
     values = {0: GaussianRational(1, 1), key: GaussianRational(2, 3)}
     with pytest.raises(ValueError, match=rf"index {key} outside range"):
         evaluate_exact(p, values)
-    assert p._exact is None
     assert evaluate_exact(p, {0: GaussianRational(1, 1)}) == 2
 
 
@@ -334,6 +332,97 @@ def test_evaluate_exact_names_a_missing_amplitude():
         evaluate_exact(p, {0: GaussianRational(1)})
     full = {0: GaussianRational(2), 1: GaussianRational(0, 1)}
     assert evaluate_exact(p, full) == GaussianRational(0, -2)
+
+
+def test_evaluate_exact_takes_int_and_fraction_values():
+    # An int or Fraction value is the Gaussian rational it names; a float
+    # or complex value is rejected with its amplitude index.
+    a0, a1 = Polynomial.variable(2, amp(0)), Polynomial.variable(2, amp(1))
+    p = a0 * a0 * Polynomial.variable(2, amp_conj(1)) + 3 * a1 + 1
+    for plain in ({0: 3, 1: Fraction(1, 2)}, {0: Fraction(-2, 3), 1: 0},
+                  {0: 5, 1: -4}):
+        exact = {i: GaussianRational(v) for i, v in plain.items()}
+        assert evaluate_exact(p, plain) == evaluate_exact(p, exact)
+        assert evaluate_exact(p, plain) == _reference_evaluate_exact(p, exact)
+    assert evaluate_exact(a0, {0: 3}) == 3
+    assert evaluate_exact(a0, {0: Fraction(1, 2)}) == Fraction(1, 2)
+    for bad in (1.5, 1j):
+        with pytest.raises(TypeError, match="amplitude 0"):
+            evaluate_exact(a0, {0: bad})
+    with pytest.raises(TypeError, match="amplitude 1: .* float"):
+        evaluate_exact(p, {0: 1, 1: 1.5})
+
+
+# Exact group moves.  An SU(2) matrix [[a, -conj b], [b, conj a]] with
+# a = (p + qi)/5, b = (s + ti)/5 and p^2 + q^2 + s^2 + t^2 = 25, and an
+# SL(2) matrix [[1 + ts, t], [s, 1]] with t, s Gaussian rationals of
+# denominator 2.
+_FOUR_SQUARES_25 = [v for v in product(range(-5, 6), repeat=4)
+                    if sum(x * x for x in v) == 25]
+_HALF_STEPS = [GaussianRational(Fraction(x, 2), Fraction(y, 2))
+               for x in (-1, 0, 1) for y in (-1, 0, 1) if x or y]
+
+
+def _exact_su2(p, q, s, t):
+    a = GaussianRational(Fraction(p, 5), Fraction(q, 5))
+    b = GaussianRational(Fraction(s, 5), Fraction(t, 5))
+    return ((a, -b.conjugate()), (b, a.conjugate()))
+
+
+def _exact_sl2(t, s):
+    return ((1 + t * s, t), (s, GaussianRational(1)))
+
+
+def _act_exact(mats, amps):
+    """(g_1 x ... x g_k) a in exact arithmetic, slot 1 most significant."""
+    k = len(mats)
+    a = list(amps)
+    for j, g in enumerate(mats):
+        bit = 1 << (k - 1 - j)
+        a = [g[1 if idx & bit else 0][0] * a[idx & ~bit]
+             + g[1 if idx & bit else 0][1] * a[idx | bit]
+             for idx in range(len(a))]
+    return a
+
+
+def _gaussian_integer_points(k):
+    return st.lists(st.builds(GaussianRational, st.integers(-3, 3),
+                              st.integers(-3, 3)),
+                    min_size=2 ** k, max_size=2 ** k).filter(any)
+
+
+def _assert_exactly_invariant(polys, mats, point):
+    before = dict(enumerate(point))
+    after = dict(enumerate(_act_exact(mats, point)))
+    for p in polys:
+        assert evaluate_exact(p, before) == evaluate_exact(p, after)
+
+
+@given(st.lists(st.sampled_from(_FOUR_SQUARES_25), min_size=3, max_size=3),
+       _gaussian_integer_points(3))
+@settings(max_examples=25, deadline=None)
+def test_lsut_invariants_are_exactly_su2_invariant(moves, point):
+    # s2 is an LSUT invariant and f5 a LUT one: both are equal, with zero
+    # tolerance, before and after an exact SU(2)^3 move.
+    polys = [s2_invariant().poly, lut3_generator(5).poly]
+    _assert_exactly_invariant(polys, [_exact_su2(*m) for m in moves], point)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_slocc_invariants_are_exactly_sl2_invariant(k, data):
+    # Delta, the Cayley hyperdeterminant and the degree-4 k=4 invariants
+    # are equal, with zero tolerance, before and after an exact SL(2)^k move
+    # whose entries have denominator 2.
+    if k == 3:
+        polys = [catalog_3("Delta").poly, cayley_hyperdet()]
+    else:
+        polys = [c.poly for c in degree4_invariants(4)]
+    steps = st.sampled_from(_HALF_STEPS)
+    mats = [_exact_sl2(data.draw(steps), data.draw(steps)) for _ in range(k)]
+    _assert_exactly_invariant(polys, mats, data.draw(
+        _gaussian_integer_points(k)))
 
 
 def test_pairing_sesquilinearity_numeric(rng):
