@@ -128,8 +128,9 @@ class EvaluationError(KeyError):
 
 
 class Layout:
-    """Exponent fields of the variables over k qubits, and the masks that
-    select the amplitude, conjugate and auxiliary blocks of a packed key."""
+    """Exponent fields of the variables over k qubits, and the shifts and
+    mask that select the amplitude, conjugate and auxiliary blocks of a
+    packed key."""
 
     def __init__(self, k: int):
         n = 2 ** k
@@ -146,7 +147,6 @@ class Layout:
         self.conj_shift = block
         self.aux_shift = 2 * block
         self.amp_mask = (1 << block) - 1
-        self.conj_mask = self.amp_mask << block
 
     def encode(self, mono) -> tuple:
         """(packed key, total degree) of a tuple monomial."""
