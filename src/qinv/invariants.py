@@ -13,12 +13,13 @@ conjugated, so the result has bidegree (deg phi, deg psi).
 An `InvariantExpr` stores the polynomial in pairings it is built as: exact
 coefficients on products of leaves, where a leaf is a pairing <Phi|Psi> or a
 plain polynomial.  Its exact polynomial is formed from the leaf expansions
-on first access.  A numeric value needs only the values of the
-aux-coefficients c_m(a), so `numeric_form` hands the stored forms to
-`poly.NumericForm`, which stacks the distinct covariants of the leaves into
-one kernel call and evaluates the stored polynomials in the pairings: the
-47 named invariants of the CLI at k = 3 and 4 rest on about 3,100 covariant
-terms, against 66,764 expanded.
+on first access, grouped by last leaf (Horner's rule on one level).  A
+numeric value needs only the values of the aux-coefficients c_m(a), so
+`numeric_form` hands the stored forms to `poly.NumericForm`, which stacks
+the distinct covariants of the leaves into one kernel call and evaluates
+the stored polynomials in the pairings: the 47 named invariants of the CLI
+at k = 3 and 4 rest on about 3,100 covariant terms, against 66,764
+expanded.
 """
 
 from __future__ import annotations
@@ -117,9 +118,11 @@ class InvariantExpr:
     `*` by a scalar, `*`, `**`, `conjugate` and `sum_of_products` multiply
     and add the stored forms of their operands.
 
-    The exact polynomial `poly` is formed on first access and kept: one
-    `Polynomial.sum_of_products` over the products of the leaf expansions,
-    or the expansion itself of a single leaf with coefficient 1.  Numeric
+    The exact polynomial `poly` is formed on first access and kept, grouped
+    by last leaf: the products of `top` that end in one leaf, usually the
+    latest built and largest, become one summand (sum c * rest) * last, the
+    inner sum one `Polynomial.sum_of_products`, and one outer call adds the
+    summands.  A single leaf with coefficient 1 is its expansion.  Numeric
     evaluation expands no leaf: `numeric()` evaluates the stored form
     through its covariants (`poly.NumericForm`).  Equality and hashing
     compare (poly, bidegree, name), so they expand.
@@ -178,18 +181,25 @@ class InvariantExpr:
             if list(top.values()) == [1] and len(m := next(iter(top))) == 1:
                 self._poly = m[0].poly
             else:
+                groups: dict = {}
+                for m, c in top.items():
+                    groups.setdefault(m[-1:], []).append(
+                        (c, tuple(leaf.poly for leaf in m)))
                 self._poly = Polynomial.sum_of_products(self.k, [
-                    (c, tuple(leaf.poly for leaf in m))
-                    for m, c in top.items()])
+                    g[0] if len(g) == 1 else (1, (Polynomial.sum_of_products(
+                        self.k, [(c, ps[:-1]) for c, ps in g]), last[0].poly))
+                    for last, g in groups.items()])
         return self._poly
 
     # -- arithmetic -------------------------------------------------------
 
     def _sum(self, other, sign):
-        if self.bidegree == other.bidegree:
+        if self.bidegree == other.bidegree or not other.top:
             bidegree = self.bidegree
+        elif not self.top:
+            bidegree = other.bidegree
         else:
-            # Only a zero operand may differ; this expands both to see.
+            # Only a zero operand may differ; a nonempty form expands to see.
             if self.poly and other.poly:
                 raise ValueError(
                     "cannot add invariants of different bidegrees")
@@ -517,9 +527,12 @@ def f7_check() -> dict:
         for n in ("B_200", "B_020", "B_002", "C_111", "D_000", "F_222"))
     f7 = lut3_generator(7)
     inner = Fraction(3, 2) * (b200 + b020 + b002) - a * a
-    decomposition = (lhs + Fraction(1, 2) * d000 * inner - 2 * c111 * c111
-                     + 4 * b200 * b020 * b002 + Fraction(1, 8) * f222).poly
-    printed_gap = (f7 + lhs - 4 * c111 * c111 + 8 * b200 * b020 * b002).poly
+    dec = (lhs + Fraction(1, 2) * d000 * inner - 2 * c111 * c111
+           + 4 * b200 * b020 * b002 + Fraction(1, 8) * f222)
+    gap = f7 + lhs - 4 * c111 * c111 + 8 * b200 * b020 * b002
+    decomposition = dec.poly
+    # The two store equal forms: the gap costs no second expansion.
+    printed_gap = decomposition + (gap - dec).poly
     literal_residual = Polynomial.sum_of_products(3, [
         (1, (s_literal, s_literal, delta.conjugate().poly)), (-1, (f7.poly,)),
     ])
@@ -628,10 +641,10 @@ def evaluate_exact(poly: Polynomial, values: dict) -> GaussianRational:
     amplitudes take the conjugate values.
 
     The values are put over one common denominator D.  One loop reads the
-    tuple monomials of `poly.terms`, decoded once and kept on the
-    polynomial, beside its integer numerators.  Each (variable, exponent)
-    power it meets is formed once per call, as a Gaussian integer over
-    D^exponent, and the terms of each total degree are summed over
+    tuple monomials of `poly.terms`, decoded once without their values and
+    kept on the polynomial, beside its integer numerators.  Each (variable,
+    exponent) power it meets is formed once per call, as a Gaussian integer
+    over D^exponent, and the terms of each total degree are summed over
     den * D^degree.  An index outside range(2**k) or an auxiliary variable
     raises ValueError, a value of another type TypeError, and an amplitude
     missing from the assignment EvaluationError.
@@ -654,7 +667,7 @@ def evaluate_exact(poly: Polynomial, values: dict) -> GaussianRational:
     powers: dict = {}
     sums: dict = {}
     _, re, im = poly._columns()
-    for mono, r, i in zip(poly.terms, re, im):
+    for mono, r, i in zip(poly.terms.monomials(), re, im):
         deg = 0
         for factor in mono:
             z = powers.get(factor)

@@ -681,21 +681,28 @@ def _reduce(codes, least, sums, bits: int) -> tuple:
 
 class _Terms(Mapping):
     """A polynomial as {tuple monomial: GaussianRational}, in term order:
-    read-only, decoded from the numerator dicts on first access; its length
+    read-only.  The monomials are decoded from the packed keys once, on
+    first access, and the values only when one is looked up; its length
     needs no decoding."""
 
-    __slots__ = ("_poly", "_dict")
+    __slots__ = ("_poly", "_monomials", "_dict")
 
     def __init__(self, poly):
-        self._poly, self._dict = poly, None
+        self._poly, self._monomials, self._dict = poly, None, None
+
+    def monomials(self) -> list:
+        """The tuple monomials, in term order."""
+        if self._monomials is None:
+            self._monomials = list(map(layout(self._poly.k).decode,
+                                       self._poly.keys()))
+        return self._monomials
 
     def _decoded(self) -> dict:
         if self._dict is None:
-            lay, den = layout(self._poly.k), self._poly.den
+            (_, re, im), den = self._poly._columns(), self._poly.den
             self._dict = {
-                lay.decode(m): GaussianRational(Fraction(r, den),
-                                                Fraction(i, den))
-                for m, r, i in zip(*self._poly._columns())
+                m: GaussianRational(Fraction(r, den), Fraction(i, den))
+                for m, r, i in zip(self.monomials(), re, im)
             }
         return self._dict
 
@@ -703,7 +710,7 @@ class _Terms(Mapping):
         return len(self._poly.keys())
 
     def __iter__(self):
-        return iter(self._decoded())
+        return iter(self.monomials())
 
     def __getitem__(self, mono):
         return self._decoded()[mono]

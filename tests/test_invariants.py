@@ -29,6 +29,7 @@ from qinv.invariants import (
     f_squared_relation_check,
     lut3_generator,
     lut3_generator_sum,
+    lut3_pairing,
     jacobian_determinant,
     jacobian_matrix,
     jacobian_rank,
@@ -172,6 +173,35 @@ def test_f7_reconciliation():
     assert report["literal_residual_terms"] > 0
 
 
+def test_f7_printed_gap_and_decomposition_store_one_form():
+    # f7_check expands the printed-display gap as the decomposition plus
+    # their difference, which is the empty stored form.
+    a = norm_invariant(3)
+    b200, b020, b002, c111, d000, f222 = (
+        lut3_pairing(n)
+        for n in ("B_200", "B_020", "B_002", "C_111", "D_000", "F_222"))
+    lhs = f7_bracket_form(corrected=True)
+    inner = Fraction(3, 2) * (b200 + b020 + b002) - a * a
+    dec = (lhs + Fraction(1, 2) * d000 * inner - 2 * c111 * c111
+           + 4 * b200 * b020 * b002 + Fraction(1, 8) * f222)
+    gap = lut3_generator(7) + lhs - 4 * c111 * c111 + 8 * b200 * b020 * b002
+    assert gap.top == dec.top
+    assert (gap - dec).top == {}
+
+
+def test_adding_a_zero_pairing_expands_neither_operand():
+    t = catalog_3("T")
+    c111 = pairing(t, t, "C_111")
+    zero = pairing(catalog_3("Hx"), catalog_3("Hy"))
+    assert zero.top == {} and zero.bidegree == (2, 2)
+    for total in (c111 + zero, zero + c111, c111 - zero):
+        assert total.bidegree == (3, 3)
+    (leaf,), = c111.top
+    assert leaf._poly is None
+    with pytest.raises(ValueError, match="different bidegrees"):
+        c111 + s2_invariant()
+
+
 def test_f7_bracket_form_bidegree():
     assert f7_bracket_form().bidegree == (6, 6)
 
@@ -250,6 +280,50 @@ def _reference_evaluate_exact(poly, values):
         d = poly.den * scale ** deg
         total = total + GaussianRational(Fraction(r, d), Fraction(i, d))
     return total
+
+
+def _reference_expand(top, k):
+    """A stored form expanded flat: one `sum_of_products` over the products
+    of the leaf expansions, each product multiplied out on its own."""
+    return Polynomial.sum_of_products(k, [
+        (c, tuple(leaf.poly for leaf in m)) for m, c in top.items()])
+
+
+def _assert_expands_as_reference(expr):
+    fresh = InvariantExpr._stored(expr.k, expr.bidegree, expr.top)
+    want = _reference_expand(expr.top, expr.k)
+    assert fresh.poly == want
+    assert fresh.poly.den == want.den
+
+
+@pytest.mark.parametrize("i", range(1, 8))
+def test_grouped_expansion_matches_the_flat_one_on_the_generators(i):
+    _assert_expands_as_reference(lut3_generator(i))
+
+
+def test_grouped_expansion_matches_the_flat_one_on_every_node_kind():
+    for expr in _node_kind_exprs():
+        _assert_expands_as_reference(expr)
+
+
+def test_grouped_expansion_factors_a_shared_last_leaf():
+    # Fresh leaves made in the order A, B, C, s2, so C closes (A, A, A, C),
+    # (A, B, C) and (C, C), and the conjugate leaf of s2, made last, closes
+    # the two products with complex coefficients.
+    f, t = ground_form(3), catalog_3("T")
+    a = pairing(f, f)
+    b = pairing(catalog_3("Hx"), catalog_3("Hx"))
+    c = pairing(t, t)
+    s2 = pairing(t, f)
+    s2bar = s2.conjugate()
+    expr = InvariantExpr.sum_of_products([
+        (1, (a, a, a, c)), (Fraction(-3, 2), (a, b, c)), (2, (c, c)),
+        (5, (a, a, b, b)), (GaussianRational(1, 2), (s2, s2bar, a, a)),
+        (GaussianRational(0, -3), (s2, s2bar, b)),
+    ])
+    lasts = [m[-1] for m in expr.top]
+    assert max(lasts.count(leaf) for leaf in lasts) >= 3
+    _assert_expands_as_reference(expr)
 
 
 _fractions = st.fractions(min_value=-3, max_value=3, max_denominator=7)
@@ -564,21 +638,27 @@ def test_exact_outputs_are_pinned_around_numeric_evaluation():
     assert after == PINNED_EXACT
 
 
+def _node_kind_exprs():
+    """One invariant of every node kind: conjugates, products, powers,
+    sums, zero pairings and complex coefficients."""
+    a, s2, delta = norm_invariant(3), s2_invariant(), delta_invariant()
+    mixed = lut3_generator_sum((1, 0), (1, 0), (0, 1))
+    zero = pairing(catalog_3("Hx"), catalog_3("Hy"))
+    return [
+        s2.conjugate(), delta.conjugate() * s2 * s2, a ** 0, a ** 3,
+        mixed * a - Fraction(1, 3) * (a * mixed), (mixed * s2).conjugate(),
+        zero + zero, zero * a, zero ** 0, s2 * GaussianRational(1, 2) - s2,
+        (s2 * GaussianRational(1, 2)).conjugate(),
+    ]
+
+
 def test_numeric_form_matches_the_expansion_on_every_node_kind(rng):
     import numpy as np
 
     from qinv.invariants import numeric_form
     from qinv.poly import random_state
 
-    a, s2, delta = norm_invariant(3), s2_invariant(), delta_invariant()
-    mixed = lut3_generator_sum((1, 0), (1, 0), (0, 1))
-    zero = pairing(catalog_3("Hx"), catalog_3("Hy"))
-    exprs = [
-        s2.conjugate(), delta.conjugate() * s2 * s2, a ** 0, a ** 3,
-        mixed * a - Fraction(1, 3) * (a * mixed), (mixed * s2).conjugate(),
-        zero + zero, zero * a, zero ** 0, s2 * GaussianRational(1, 2) - s2,
-        (s2 * GaussianRational(1, 2)).conjugate(),
-    ]
+    exprs = _node_kind_exprs()
     rows = np.array([random_state(3, rng).amplitudes for _ in range(5)])
     # The expansion evaluated exactly at a Gaussian-integer point is a
     # reference outside the numeric kernel.
