@@ -1,7 +1,8 @@
 """Hilbert series of the invariant rings, computed two independent ways.
 
 The character route sums squared Kronecker-type multiplicities built from
-symmetric-group characters (Murnaghan-Nakayama); the constant-term route
+the two-row characters of the symmetric group, which count the sets of
+cycles of a permutation of each total length; the constant-term route
 extracts the same coefficients from a truncated Laurent-series residue.
 Both must agree with each other and with the published closed forms, which
 is a strong end-to-end check on the combinatorics.

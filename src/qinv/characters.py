@@ -1,15 +1,18 @@
-"""Integer partitions and symmetric-group characters.
+"""Integer partitions and the two-row characters of the symmetric group.
 
-Character values are computed by the Murnaghan-Nakayama rule in its
-beta-number (first-column hook length) formulation: removing a border strip
-of size t from a shape with beta-set {b_i} replaces some b_i by b_i - t,
-with sign given by the number of beta-numbers jumped over.
+The Hilbert series need only the characters of two-row shapes (a, n - a).
+By Jacobi-Trudi, chi^(a, b) = h_a h_b - h_(a+1) h_(b-1), and by Young's
+rule h_a h_b(mu) is the number of b-subsets of {1..n} that a permutation of
+cycle type mu fixes: the sets of its cycles of total length b (Macdonald,
+Symmetric Functions and Hall Polynomials, I.3 and I.7).  Those counts are
+the coefficients c_j of prod_i (1 + x^mu_i), and c_j = c_(n-j).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
+from types import MappingProxyType
 
 
 @lru_cache(maxsize=None)
@@ -37,48 +40,16 @@ def z_lambda(mu: tuple) -> int:
     return z
 
 
-def _betas(shape: tuple) -> tuple:
-    n = len(shape)
-    return tuple(shape[i] + (n - 1 - i) for i in range(n))
-
-
-def _shape_from_betas(betas: tuple) -> tuple:
-    bs = sorted(betas, reverse=True)
-    # Strip trailing zeros introduced by the offset normalization.
-    n = len(bs)
-    shape = tuple(b - (n - 1 - i) for i, b in enumerate(bs))
-    return tuple(p for p in shape if p > 0)
-
-
 @lru_cache(maxsize=None)
-def mn_character(shape: tuple, mu: tuple) -> int:
-    """Irreducible character chi^shape evaluated on the class of cycle type mu."""
-    if sum(shape) != sum(mu):
-        raise ValueError(f"|shape|={sum(shape)} differs from |mu|={sum(mu)}")
-    if not mu:
-        return 1
-    t = mu[0]
-    rest = mu[1:]
-    betas = list(_betas(shape))
-    present = set(betas)
-    total = 0
-    for i, b in enumerate(betas):
-        nb = b - t
-        if nb < 0 or nb in present:
-            continue
-        jumped = sum(1 for other in betas if nb < other < b)
-        new_betas = tuple(betas[:i] + [nb] + betas[i + 1:])
-        total += (-1) ** jumped * mn_character(_shape_from_betas(new_betas), rest)
-    return total
-
-
-def hook_dimension(shape: tuple) -> int:
-    """Dimension of the irreducible module, by the hook length formula."""
-    n = sum(shape)
-    prod = 1
-    for i, row in enumerate(shape):
-        for j in range(row):
-            arm = row - j - 1
-            leg = sum(1 for r in shape[i + 1:] if r > j)
-            prod *= arm + leg + 1
-    return factorial(n) // prod
+def two_row_characters(mu: tuple) -> MappingProxyType:
+    """{a: chi^(a, n - a)(mu)} for ceil(n/2) <= a <= n, n = |mu|: the
+    characters of the two-row shapes on the class of cycle type mu, as a
+    read-only mapping, since every caller shares the cached one."""
+    n = sum(mu)
+    # c[j] counts the sets of cycles of total length j: one subset-sum pass.
+    c = [1] + [0] * (n + 1)
+    for part in mu:
+        for j in range(n, part - 1, -1):
+            c[j] += c[j - part]
+    return MappingProxyType(
+        {a: c[a] - c[a + 1] for a in range((n + 1) // 2, n + 1)})

@@ -56,10 +56,10 @@ MAX_TRIALS = 10_000
 # before any work; for lsut the degree bound holds for both degrees.  The
 # closed forms have no k bound here: they exist for the shipped k only.
 # Cold CPU time at each (k, degree) corner, best of 3 on a 2-vCPU host: lut
-# character 1.3 s (the costliest allowed call), lsut ct 1.0 s, lsut
-# character 0.9 s, lut ct 0.8 s (k=5 took 1.3 s at degree 8), slocc ct
-# 0.8 s, slocc character 0.2 s, and 0.3 s at most for the closed forms at
-# degree 100.
+# ct 0.54 s and lsut ct 0.54 s (the costliest allowed calls; lut ct at k=5
+# took 0.97 s at degree 8), slocc ct 0.51 s, lsut character 0.13 s, slocc
+# character 0.09 s, lut character 0.05 s, and 0.2 s at most for the closed
+# forms at degree 100.
 HILBERT_MAX = {
     ("lut", "character"): (6, 16),
     ("lut", "ct"): (4, 12),

@@ -2,8 +2,8 @@
 
 Two independent routes are provided for the unitary and SLOCC Hilbert series:
 
-* the character route, summing products of covariant-space dimensions
-  obtained from symmetric-group characters, and
+* the character route, summing over conjugacy classes of the symmetric
+  group products of two-row characters, one per qubit (`characters`), and
 * truncated constant-term extraction of the rational-series formulas
   (geometric expansion in z and exact Laurent bookkeeping in the compact
   torus variables), in place of a full partial-fraction algorithm.
@@ -35,7 +35,7 @@ from itertools import product
 from math import prod
 from operator import add, sub
 
-from .characters import mn_character, partitions, z_lambda
+from .characters import partitions, two_row_characters, z_lambda
 
 
 # -- character-route dimensions -------------------------------------------
@@ -51,22 +51,18 @@ def _integer(q) -> int:
 @lru_cache(maxsize=None)
 def dim_cov(n: int, k: int, d: tuple) -> int:
     """Dimension of the space of covariants of amplitude degree n and
-    auxiliary multidegree d, as a product of two-row characters paired with
-    the trivial character."""
+    auxiliary multidegree d: the product over the slots of the two-row
+    characters chi^((n + d_j)/2, (n - d_j)/2), paired with the trivial
+    character."""
     if len(d) != k:
         raise ValueError("multidegree length must equal k")
     if any(x < 0 or x > n or (n - x) % 2 for x in d):
         return 0
-    shapes = tuple(((n + x) // 2, (n - x) // 2) if x < n else (n,) for x in d)
+    rows = [(n + x) // 2 for x in d]
     total = Fraction(0)
     for mu in partitions(n):
-        prod_val = 1
-        for shape in shapes:
-            prod_val *= mn_character(shape, mu)
-            if prod_val == 0:
-                break
-        if prod_val:
-            total += Fraction(prod_val, z_lambda(mu))
+        chi = two_row_characters(mu)
+        total += Fraction(prod(chi[a] for a in rows), z_lambda(mu))
     return _integer(total)
 
 
@@ -79,20 +75,11 @@ def dim_inv_slocc(degree: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def dim_cov_total(d: int, k: int) -> int:
-    """Total covariant dimension in amplitude degree d, all multidegrees."""
-    if d == 0:
-        return 1
-    total = Fraction(0)
-    two_row = [lam for lam in partitions(d) if len(lam) <= 2]
-    for mu in partitions(d):
-        s = sum(mn_character(lam, mu) for lam in two_row)
-        total += Fraction(s ** k, z_lambda(mu))
-    return _integer(total)
-
-
-def _multidegrees(n: int, k: int):
-    vals = range(n % 2, n + 1, 2)
-    return product(vals, repeat=k)
+    """Total covariant dimension in amplitude degree d, all multidegrees:
+    each slot's sum over its two-row shapes, to the k-th power."""
+    return _integer(sum(
+        Fraction(sum(two_row_characters(mu).values()) ** k, z_lambda(mu))
+        for mu in partitions(d)))
 
 
 def hilbert_slocc_coeffs(k: int, nmax: int):
@@ -103,11 +90,24 @@ def hilbert_slocc_coeffs(k: int, nmax: int):
 
 def _lsut_dim(k: int, n1: int, n2: int) -> int:
     """Dimension of the LSUT invariants of bidegree (n1, n2): the hermitian
-    pairings of covariants of degrees n1 and n2 with a common multidegree."""
+    pairings of covariants of degrees n1 and n2 with a common multidegree.
+
+    Summed over the multidegrees d, dim_cov(n1, k, d) dim_cov(n2, k, d) is
+    a sum over class pairs (mu, nu) of a product of one factor per slot, so
+    the sum over d is the k-th power of the one-slot sum S(mu, nu) over the
+    slot degrees x of the parity of n1 up to min(n1, n2).
+    """
     if (n1 - n2) % 2:
         return 0
-    return sum(dim_cov(n1, k, d) * dim_cov(n2, k, d)
-               for d in _multidegrees(min(n1, n2), k))
+    xs = range(n1 % 2, min(n1, n2) + 1, 2)
+    nus = [(two_row_characters(nu), z_lambda(nu)) for nu in partitions(n2)]
+    total = Fraction(0)
+    for mu in partitions(n1):
+        chi, z = two_row_characters(mu), z_lambda(mu)
+        for psi, w in nus:
+            s = sum(chi[(n1 + x) // 2] * psi[(n2 + x) // 2] for x in xs)
+            total += Fraction(s ** k, z * w)
+    return _integer(total)
 
 
 def hilbert_lut_coeffs(k: int, nmax: int):

@@ -40,8 +40,8 @@ from .catalog import (
 )
 from .gaussian import GaussianRational, _coerce
 from .linalg import det, rank
-from .poly import (EvaluationError, NumericForm, Polynomial, _weight, amp,
-                   amp_conj)
+from .poly import (DimensionError, EvaluationError, NumericForm, Polynomial,
+                   _weight, amp, amp_conj)
 from .transvection import Covariant
 
 _CREATED = count()
@@ -194,6 +194,7 @@ class InvariantExpr:
     # -- arithmetic -------------------------------------------------------
 
     def _sum(self, other, sign):
+        _same_k(self.k, (other,))
         if self.bidegree == other.bidegree or not other.top:
             bidegree = self.bidegree
         elif not self.top:
@@ -239,6 +240,8 @@ class InvariantExpr:
         the bidegree is that of the first summand's product."""
         summands = [(c, tuple(xs)) for c, xs in summands]
         first = summands[0][1]
+        for _, xs in summands:
+            _same_k(first[0].k, xs)
         return cls._stored(first[0].k,
                            tuple(map(sum, zip(*(x.bidegree for x in first)))),
                            _combine(summands))
@@ -264,6 +267,12 @@ class InvariantExpr:
         return not self.poly
 
 
+def _same_k(k: int, operands):
+    for x in operands:
+        if x.k != k:
+            raise DimensionError(f"ambient k mismatch: {k} vs {x.k}")
+
+
 def numeric_form(exprs) -> NumericForm:
     """One `poly.NumericForm` whose outputs are the stored forms of the
     given invariants (a leaf unpacks as its two sides)."""
@@ -274,8 +283,10 @@ def pairing(phi: Covariant, psi: Covariant, name: str = "") -> InvariantExpr:
     """Hermitian scalar product over the auxiliary variables, kept
     unexpanded: the invariant of one leaf.
 
-    Mismatched multidegrees are legal and give the zero invariant.
+    Mismatched multidegrees are legal and give the zero invariant;
+    mismatched k raise DimensionError.
     """
+    _same_k(phi.k, (psi,))
     top = {}
     if phi.multidegree == psi.multidegree:
         top = {(_Leaf(phi.poly, psi.poly),): 1}
@@ -466,6 +477,7 @@ def _brace(i1, i2, j1, j2, corrected: bool = False) -> Polynomial:
     return v(i1, i2, 0) * vc(j1, j2, 1) + v(i1, i2, 1) * vc(j1, j2, 0)
 
 
+@lru_cache(maxsize=None)
 def bracket_sum(corrected: bool = False) -> Polynomial:
     """The parenthesized 12-term bracket/brace sum of the degree-12 generator."""
     def br(*ix):
@@ -487,10 +499,10 @@ def bracket_sum(corrected: bool = False) -> Polynomial:
     )
 
 
-def f7_bracket_form(corrected: bool = True) -> InvariantExpr:
-    """The degree-12 generator from the bracket/brace expansion: conj(Delta)
-    times the squared bracket sum."""
-    s = bracket_sum(corrected=corrected)
+def f7_bracket_form() -> InvariantExpr:
+    """The degree-12 generator from the bracket/brace expansion, with the
+    equal-last-index brace: conj(Delta) times the squared bracket sum."""
+    s = bracket_sum(corrected=True)
     delta_bar = catalog_3("Delta").poly.conjugate()
     return InvariantExpr(delta_bar * s * s, (6, 6), "f7_bracket")
 
@@ -517,9 +529,9 @@ def f7_check() -> dict:
     literal_sum_is_s2 = _proportional(s_literal, s2.poly) is not None
     corr_ratio = _proportional(s_corr, s2.poly)
 
-    lhs = f7_bracket_form(corrected=True)
-    delta = delta_invariant()
-    bracket_is_dbar_s2sq = lhs.poly == (delta.conjugate() * (s2 * s2)).poly
+    lhs = f7_bracket_form()
+    delta_bar = delta_invariant().conjugate()
+    bracket_is_dbar_s2sq = lhs.poly == (delta_bar * (s2 * s2)).poly
 
     a = norm_invariant(3)
     b200, b020, b002, c111, d000, f222 = (
@@ -534,7 +546,7 @@ def f7_check() -> dict:
     # The two store equal forms: the gap costs no second expansion.
     printed_gap = decomposition + (gap - dec).poly
     literal_residual = Polynomial.sum_of_products(3, [
-        (1, (s_literal, s_literal, delta.conjugate().poly)), (-1, (f7.poly,)),
+        (1, (s_literal, s_literal, delta_bar.poly)), (-1, (f7.poly,)),
     ])
     return {
         "literal_equal": not literal_residual,

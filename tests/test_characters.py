@@ -1,14 +1,10 @@
 from fractions import Fraction
-from math import factorial
+from itertools import combinations
+from math import comb, factorial
 
 import pytest
 
-from qinv.characters import (
-    hook_dimension,
-    mn_character,
-    partitions,
-    z_lambda,
-)
+from qinv.characters import partitions, two_row_characters, z_lambda
 
 
 def test_partition_counts():
@@ -30,57 +26,80 @@ def test_z_lambda_class_sizes_sum_to_group_order():
             == factorial(n)
 
 
-def test_character_at_identity_is_hook_dimension():
-    for n in range(1, 9):
-        ident = (1,) * n
-        for lam in partitions(n):
-            assert mn_character(lam, ident) == hook_dimension(lam)
+def _permutation(mu):
+    """A permutation of {0..n-1} of cycle type mu, as an image tuple."""
+    image, start = [], 0
+    for part in mu:
+        image += [start + (i + 1) % part for i in range(part)]
+        start += part
+    return tuple(image)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(0, 9))
+def test_two_row_characters_count_fixed_subsets(n):
+    # chi^(n-b, b) = pi_b - pi_(b-1), pi_b the b-subsets the permutation
+    # fixes (the character of the permutation module on b-subsets).
+    for mu in partitions(n):
+        perm = _permutation(mu)
+        pi = [sum(1 for s in combinations(range(n), b)
+                  if {perm[i] for i in s} == set(s))
+              for b in range(n + 1)]
+        expected = {n - b: pi[b] - (pi[b - 1] if b else 0)
+                    for b in range(n // 2 + 1)}
+        assert two_row_characters(mu) == expected
+
+
+def test_character_at_identity_is_ballot_number():
+    # dim (n - b, b) = C(n, b) - C(n, b - 1).
+    for n in range(16):
+        chi = two_row_characters((1,) * n)
+        for b in range(n // 2 + 1):
+            assert chi[n - b] == comb(n, b) - (comb(n, b - 1) if b else 0)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
 def test_first_orthogonality(n):
-    # sum_mu chi^lam(mu) chi^nu(mu) / z_mu = delta(lam, nu)
+    # sum_mu chi^lam(mu) chi^nu(mu) / z_mu = delta(lam, nu) over the
+    # two-row shapes lam = (a, n - a), nu = (b, n - b).
     parts = partitions(n)
-    for lam in parts:
-        for nu in parts:
+    rows = range((n + 1) // 2, n + 1)
+    for a in rows:
+        for b in rows:
             total = sum(
-                Fraction(mn_character(lam, mu) * mn_character(nu, mu),
+                Fraction(two_row_characters(mu)[a] * two_row_characters(mu)[b],
                          z_lambda(mu))
                 for mu in parts
             )
-            assert total == (1 if lam == nu else 0)
+            assert total == (1 if a == b else 0)
 
 
 def test_known_character_table_s3():
-    # Rows: (3), (2,1), (1,1,1); columns: classes (1,1,1), (2,1), (3).
+    # Rows: (3), (2,1); columns: classes (1,1,1), (2,1), (3).
     table = {
-        (3,): {(1, 1, 1): 1, (2, 1): 1, (3,): 1},
-        (2, 1): {(1, 1, 1): 2, (2, 1): 0, (3,): -1},
-        (1, 1, 1): {(1, 1, 1): 1, (2, 1): -1, (3,): 1},
+        3: {(1, 1, 1): 1, (2, 1): 1, (3,): 1},
+        2: {(1, 1, 1): 2, (2, 1): 0, (3,): -1},
     }
-    for lam, row in table.items():
+    for a, row in table.items():
         for mu, val in row.items():
-            assert mn_character(lam, mu) == val
+            assert two_row_characters(mu)[a] == val
 
 
-def test_sign_character():
-    for n in range(1, 8):
-        sign_shape = (1,) * n
-        for mu in partitions(n):
-            expected = (-1) ** sum(p - 1 for p in mu)
-            assert mn_character(sign_shape, mu) == expected
+def test_known_character_table_s4():
+    # Rows: (4), (3,1), (2,2); columns: classes (1^4), (2,1,1), (2,2),
+    # (3,1), (4).
+    classes = [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
+    table = {
+        4: [1, 1, 1, 1, 1],
+        3: [3, 1, -1, 0, -1],
+        2: [2, 0, 2, -1, 0],
+    }
+    for a, row in table.items():
+        assert [two_row_characters(mu)[a] for mu in classes] == row
 
 
 def test_two_row_character_trivial_class():
     # Two-row shapes appear in the covariant dimension formula; check the
-    # hook dimension of (m, m) equals the Catalan-type count.
-    from math import comb
-
+    # dimension of (m, m) equals the Catalan number.
     for m in range(1, 6):
         n = 2 * m
-        assert hook_dimension((m, m)) == comb(n, m) // (m + 1)
-
-
-def test_size_mismatch_raises():
-    with pytest.raises(ValueError):
-        mn_character((2, 1), (2, 2))
+        assert two_row_characters((1,) * n)[m] == comb(n, m) // (m + 1)

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from qinv.hilbert import (
     _dense,
+    _lsut_dim,
     dim_cov,
     dim_cov_total,
     dim_inv_slocc,
@@ -130,11 +132,21 @@ def test_slocc3_series_is_hyperdeterminant_only():
 
 def test_consistency_total_vs_multidegree_sum():
     # dim_cov_total must equal the sum over admissible multidegrees.
-    from itertools import product
-
     for k in (2, 3):
         for n in (2, 3, 4):
             total = 0
             for d in product(range(n + 1), repeat=k):
                 total += dim_cov(n, k, d)
             assert total == dim_cov_total(n, k)
+
+
+@pytest.mark.parametrize("k,nmax", [(1, 6), (2, 6), (3, 6), (4, 6), (5, 4)])
+def test_lsut_dim_is_the_multidegree_sum(k, nmax):
+    # The pairings of covariants with a common multidegree d, summed over d.
+    for n1 in range(nmax + 1):
+        for n2 in range(nmax + 1):
+            m = min(n1, n2)
+            expected = 0 if (n1 - n2) % 2 else sum(
+                dim_cov(n1, k, d) * dim_cov(n2, k, d)
+                for d in product(range(m % 2, m + 1, 2), repeat=k))
+            assert _lsut_dim(k, n1, n2) == expected

@@ -41,7 +41,8 @@ from qinv.invariants import (
     syzygy_checks,
 )
 from qinv.linalg import rank
-from qinv.poly import EvaluationError, Polynomial, amp, amp_conj, exponents
+from qinv.poly import (DimensionError, EvaluationError, Polynomial, amp,
+                       amp_conj, exponents)
 
 
 def test_pairing_bidegree_and_name():
@@ -108,6 +109,18 @@ def test_invariant_arithmetic_bidegrees():
     assert (a ** 3).bidegree == (3, 3)
     with pytest.raises(ValueError):
         a + a * a
+
+
+def test_invariant_arithmetic_rejects_mixed_k():
+    # Without the check the sum kept k=2 and failed only on evaluation,
+    # and the pairing silently gave the zero invariant.
+    a2, a3 = norm_invariant(2), norm_invariant(3)
+    for op in (lambda: a2 + a3, lambda: a3 - a2, lambda: a2 * a3,
+               lambda: InvariantExpr.sum_of_products(
+                   [(1, (a2,)), (1, (a3,))]),
+               lambda: pairing(ground_form(2), ground_form(3))):
+        with pytest.raises(DimensionError, match="ambient k mismatch"):
+            op()
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -180,7 +193,7 @@ def test_f7_printed_gap_and_decomposition_store_one_form():
     b200, b020, b002, c111, d000, f222 = (
         lut3_pairing(n)
         for n in ("B_200", "B_020", "B_002", "C_111", "D_000", "F_222"))
-    lhs = f7_bracket_form(corrected=True)
+    lhs = f7_bracket_form()
     inner = Fraction(3, 2) * (b200 + b020 + b002) - a * a
     dec = (lhs + Fraction(1, 2) * d000 * inner - 2 * c111 * c111
            + 4 * b200 * b020 * b002 + Fraction(1, 8) * f222)
