@@ -9,7 +9,10 @@ algebra.  This script builds the small catalog by hand and prints what each
 step produces.
 """
 
-from qinv.catalog import b_family, catalog_3, cayley_hyperdet, ground_form
+from fractions import Fraction
+
+from qinv.catalog import b_family, catalog_3, ground_form
+from qinv.invariants import evaluate_exact
 from qinv.transvection import transvect
 
 
@@ -46,11 +49,22 @@ def main():
     show("T = (f,B_200)^(1,0,0)", t)
 
     # One more transvection in all three slots produces the quartic
-    # invariant Delta, twice the Cayley hyperdeterminant.
+    # invariant Delta, twice the Cayley hyperdeterminant.  The classical
+    # formula, written out on the eight amplitudes, checks this at a fixed
+    # integer point in exact arithmetic.
     delta = catalog_3("Delta")
     show("Delta = (T,f)^(1,1,1)", delta)
-    assert delta.poly == cayley_hyperdet() * 2
-    print("  Delta equals 2 x the 2x2x2 hyperdeterminant (exact check passed)")
+    point = [Fraction(x) for x in (2, -1, 3, 1, -2, 5, 1, 4)]
+    a000, a001, a010, a011, a100, a101, a110, a111 = point
+    det = (a000**2 * a111**2 + a001**2 * a110**2 + a010**2 * a101**2
+           + a011**2 * a100**2
+           - 2 * (a000 * a001 * a110 * a111 + a000 * a010 * a101 * a111
+                  + a000 * a011 * a100 * a111 + a001 * a010 * a101 * a110
+                  + a001 * a011 * a100 * a110 + a010 * a011 * a100 * a101)
+           + 4 * (a000 * a011 * a101 * a110 + a001 * a010 * a100 * a111))
+    assert det and evaluate_exact(delta.poly, dict(enumerate(point))) / 2 == det
+    print(f"  Delta / 2 = {det}, the 2x2x2 hyperdeterminant at "
+          f"a = {tuple(map(int, point))} (exact check passed)")
 
     # The sign rule (phi,psi)^eps = (-1)^|eps| (psi,phi)^eps.
     lhs = transvect(f, b200, (1, 0, 0)).poly

@@ -94,31 +94,8 @@ def catalog_3(name: str) -> Covariant:
 
 @lru_cache(maxsize=None)
 def cayley_hyperdet() -> Polynomial:
-    """The classical 2x2x2 hyperdeterminant, entered term by term."""
-    a = {bits: amp(int(bits, 2)) for bits in
-         ["000", "001", "010", "011", "100", "101", "110", "111"]}
-
-    def term(coeff, *bits):
-        mono: dict = {}
-        for b in bits:
-            mono[a[b]] = mono.get(a[b], 0) + 1
-        return Polynomial(3, {tuple(sorted(mono.items())): coeff})
-
-    p = Polynomial.zero(3)
-    for b1, b2 in [("000", "111"), ("001", "110"), ("010", "101"), ("011", "100")]:
-        p = p + term(1, b1, b1, b2, b2)
-    for quad in [
-        ("000", "001", "110", "111"),
-        ("000", "010", "101", "111"),
-        ("000", "011", "100", "111"),
-        ("001", "010", "101", "110"),
-        ("001", "011", "100", "110"),
-        ("010", "011", "100", "101"),
-    ]:
-        p = p + term(-2, *quad)
-    for quad in [("000", "011", "101", "110"), ("001", "010", "100", "111")]:
-        p = p + term(4, *quad)
-    return p
+    """The classical 2x2x2 hyperdeterminant, half of Delta."""
+    return catalog_3("Delta").poly * Fraction(1, 2)
 
 
 # -- 4-qubit catalog ------------------------------------------------------

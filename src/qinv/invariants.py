@@ -193,29 +193,14 @@ class InvariantExpr:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _sum(self, other, sign):
-        _same_k(self.k, (other,))
-        if self.bidegree == other.bidegree or not other.top:
-            bidegree = self.bidegree
-        elif not self.top:
-            bidegree = other.bidegree
-        else:
-            # Only a zero operand may differ; a nonempty form expands to see.
-            if self.poly and other.poly:
-                raise ValueError(
-                    "cannot add invariants of different bidegrees")
-            bidegree = self.bidegree if self.poly else other.bidegree
-        return self._stored(self.k, bidegree,
-                            _combine([(1, (self,)), (sign, (other,))]))
-
     def __add__(self, other):
         if isinstance(other, InvariantExpr):
-            return self._sum(other, 1)
+            return self.sum_of_products([(1, (self,)), (1, (other,))])
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, InvariantExpr):
-            return self._sum(other, -1)
+            return self.sum_of_products([(1, (self,)), (-1, (other,))])
         return NotImplemented
 
     def __mul__(self, other):
@@ -236,14 +221,25 @@ class InvariantExpr:
 
     @classmethod
     def sum_of_products(cls, summands) -> "InvariantExpr":
-        """sum c * X_1 * ... * X_m over the (c, (X_1, ..., X_m)) summands;
-        the bidegree is that of the first summand's product."""
+        """sum c * X_1 * ... * X_m over the (c, (X_1, ..., X_m)) summands.
+
+        All products must share the first one's k and one bidegree, except
+        zero products: a zero coefficient, or a factor whose stored form is
+        empty or, when the bidegrees differ, expands to zero.  The sum has
+        the bidegree of its nonzero products, else that of the first.
+        """
         summands = [(c, tuple(xs)) for c, xs in summands]
-        first = summands[0][1]
+        k = summands[0][1][0].k
         for _, xs in summands:
-            _same_k(first[0].k, xs)
-        return cls._stored(first[0].k,
-                           tuple(map(sum, zip(*(x.bidegree for x in first)))),
+            _same_k(k, xs)
+        live = [xs for c, xs in summands if c and all(x.top for x in xs)]
+        if len({_bidegree(xs) for xs in live}) > 1:
+            # A nonempty form expands to see whether it is zero.
+            live = [xs for xs in live if all(x.poly for x in xs)]
+            if len({_bidegree(xs) for xs in live}) > 1:
+                raise ValueError(
+                    "cannot add invariants of different bidegrees")
+        return cls._stored(k, _bidegree((live or [summands[0][1]])[0]),
                            _combine(summands))
 
     def conjugate(self) -> "InvariantExpr":
@@ -265,6 +261,11 @@ class InvariantExpr:
 
     def is_zero(self) -> bool:
         return not self.poly
+
+
+def _bidegree(xs) -> tuple:
+    """The bidegree of the product of the invariants xs."""
+    return tuple(map(sum, zip(*(x.bidegree for x in xs))))
 
 
 def _same_k(k: int, operands):
@@ -322,14 +323,8 @@ def b_pairing(k: int, d: tuple) -> InvariantExpr:
 
 
 def lut_degree4_basis(k: int):
-    """{<f|f>^2} plus the <B_d|B_d> with d != (2,...,2); 2^(k-1) elements."""
-    a = norm_invariant(k)
-    out = [(a * a).named("A^2")]
-    for d in b_multidegrees(k):
-        if d == (2,) * k:
-            continue
-        out.append(b_pairing(k, d))
-    return out
+    """The 2^(k-1) pairings <B_d|B_d> of the degree-2 covariant basis."""
+    return [b_pairing(k, d) for d in b_multidegrees(k)]
 
 
 def lsut_degree4_basis(k: int):
@@ -577,6 +572,7 @@ def s2_invariant() -> InvariantExpr:
     return pairing(catalog_3("T"), ground_form(3), "s2")
 
 
+@lru_cache(maxsize=None)
 def delta_invariant() -> InvariantExpr:
     """The 3-qubit discriminant as a bidegree-(4,0) invariant."""
     return InvariantExpr(catalog_3("Delta").poly, (4, 0), "Delta")

@@ -17,16 +17,17 @@ from fractions import Fraction
 from math import lcm
 
 from .gaussian import GR_ZERO, GaussianRational
-from .poly import Polynomial
+from .poly import Polynomial, _scalar
 from .state import DimensionError
 
 
 def _scaled_row(row) -> tuple:
     """(den, sparse Gaussian-integer row): a row of exact scalars times den,
     the lcm of its denominators."""
-    den = lcm(*(d for x in row for d in (x.re.denominator, x.im.denominator)))
-    return den, {j: (int(x.re * den), int(x.im * den))
-                 for j, x in enumerate(row) if x}
+    row = [_scalar(x) for x in row]
+    den = lcm(*(d for _, _, d in row))
+    return den, {j: (re * (den // d), im * (den // d))
+                 for j, (re, im, d) in enumerate(row) if re or im}
 
 
 def independent_subset(polys) -> list:

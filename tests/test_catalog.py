@@ -21,7 +21,7 @@ from qinv.catalog import (
 from qinv.hilbert import dim_cov, hilbert_lut_coeffs, hilbert_lut_ct
 from qinv.invariants import pairing
 from qinv.linalg import independent_subset, rank
-from qinv.poly import aux
+from qinv.poly import Polynomial, amp, aux
 from qinv.transvection import transvect
 
 
@@ -62,9 +62,40 @@ def test_hessian_proportional_to_b():
     assert b.poly == hx.poly * 2
 
 
+def _hand_entered_hyperdet() -> Polynomial:
+    """The classical 2x2x2 hyperdeterminant, entered term by term: the
+    oracle that `cayley_hyperdet()`, a view of Delta, is checked against."""
+    a = {bits: amp(int(bits, 2)) for bits in
+         ["000", "001", "010", "011", "100", "101", "110", "111"]}
+
+    def term(coeff, *bits):
+        mono: dict = {}
+        for b in bits:
+            mono[a[b]] = mono.get(a[b], 0) + 1
+        return Polynomial(3, {tuple(sorted(mono.items())): coeff})
+
+    p = Polynomial.zero(3)
+    for b1, b2 in [("000", "111"), ("001", "110"), ("010", "101"), ("011", "100")]:
+        p = p + term(1, b1, b1, b2, b2)
+    for quad in [
+        ("000", "001", "110", "111"),
+        ("000", "010", "101", "111"),
+        ("000", "011", "100", "111"),
+        ("001", "010", "101", "110"),
+        ("001", "011", "100", "110"),
+        ("010", "011", "100", "101"),
+    ]:
+        p = p + term(-2, *quad)
+    for quad in [("000", "011", "101", "110"), ("001", "010", "100", "111")]:
+        p = p + term(4, *quad)
+    return p
+
+
 def test_delta_is_twice_cayley_hyperdet():
-    delta = catalog_3("Delta")
-    assert delta.poly == cayley_hyperdet() * 2
+    oracle = _hand_entered_hyperdet()
+    assert catalog_3("Delta").poly == oracle * 2
+    assert cayley_hyperdet() == oracle
+    assert cayley_hyperdet().pretty() == oracle.pretty()
 
 
 def test_cayley_hyperdet_term_count():

@@ -541,6 +541,23 @@ def test_invariant_registry_keys_and_bound_evaluates(k):
         assert reg[name] is fn
 
 
+def test_registry_det_is_half_of_delta_bit_for_bit():
+    # Det is the view Delta/2: its terms are Delta's, in Delta's order,
+    # with halved coefficients, so every value is Delta's halved exactly.
+    from qinv.cli import invariant_registry
+    from qinv.poly import random_state
+
+    reg = invariant_registry(3)
+    det, delta = reg["Det"], reg["Delta"]
+    rng = np.random.default_rng(0)
+    states = [random_state(3, rng) for _ in range(200)]
+    states += [ghz(3), w_state(3), State(3, tuple(range(1, 9)))]
+    assert [det(s) for s in states] == [delta(s) / 2 for s in states]
+    rows = np.array([s.amplitudes for s in states])
+    halves = delta.__self__.batch_evaluator()(rows) / 2
+    assert det.__self__.batch_evaluator()(rows).tolist() == halves.tolist()
+
+
 def test_eval_at_k4_builds_only_the_named_invariant(capsys, tmp_path):
     from qinv.invariants import degree6_invariant_4, degree6_invariants_4
 

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qinv.catalog import (b_family, catalog_3, cayley_hyperdet,
-                          degree4_invariants, ground_form)
+from qinv.catalog import (b_family, b_multidegrees, catalog_3,
+                          cayley_hyperdet, degree4_invariants, ground_form)
 from qinv.gaussian import GaussianRational
 from qinv.invariants import (
     JACOBIAN_POINT,
@@ -111,6 +111,20 @@ def test_invariant_arithmetic_bidegrees():
         a + a * a
 
 
+def test_sum_of_products_checks_every_bidegree():
+    # The bidegree of every product is checked, not only the first's; a
+    # product may differ only when it is zero.
+    a = norm_invariant(3)
+    with pytest.raises(ValueError, match="different bidegrees"):
+        InvariantExpr.sum_of_products([(1, (a,)), (1, (a, a))])
+    # Built twice, A - A stores two leaves that expand to zero.
+    zero = pairing(ground_form(3), ground_form(3)) - a
+    assert zero.top and not zero.poly
+    for summands in ([(1, (a,)), (0, (a, a))], [(1, (a,)), (1, (zero, a))],
+                     [(1, (zero, a)), (1, (a,))]):
+        assert InvariantExpr.sum_of_products(summands).bidegree == (1, 1)
+
+
 def test_invariant_arithmetic_rejects_mixed_k():
     # Without the check the sum kept k=2 and failed only on evaluation,
     # and the pairing silently gave the zero invariant.
@@ -134,6 +148,16 @@ def test_lut_degree4_basis_counts_and_rank(k, size):
     basis = lut_degree4_basis(k)
     assert len(basis) == size
     assert rank([b.poly for b in basis]) == size
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_lut_degree4_basis_spans_the_space_of_a_squared_and_mixed_b(k):
+    # The B pairings span what {A^2} plus the mixed <B_d|B_d> span.
+    a = norm_invariant(k)
+    old = [a * a] + [b_pairing(k, d) for d in b_multidegrees(k)
+                     if d != (2,) * k]
+    new = lut_degree4_basis(k)
+    assert rank([x.poly for x in old + new]) == 2 ** (k - 1)
 
 
 @pytest.mark.parametrize("k,size", [(2, 6), (3, 8), (4, 20)])
@@ -223,6 +247,12 @@ def test_s2_and_delta():
     assert s2_invariant().bidegree == (3, 1)
     assert delta_invariant().bidegree == (4, 0)
     assert delta_invariant().poly == catalog_3("Delta").poly
+
+
+def test_delta_invariant_is_built_once():
+    # One leaf, so Delta - Delta cancels in the stored form.
+    assert delta_invariant() is delta_invariant()
+    assert (delta_invariant() - delta_invariant()).top == {}
 
 
 def test_syzygies_hold():

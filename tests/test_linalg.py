@@ -191,6 +191,20 @@ def test_det_with_row_swaps_and_a_singular_block():
     assert det(singular) == 0 == _sympy_det(singular)
 
 
+def test_det_takes_int_and_fraction_entries():
+    # Every exact scalar type, mixed within a row too; a float is no
+    # exact scalar.
+    f = Fraction
+    for matrix in ([[1, 2], [3, 4]],
+                   [[f(1, 2), 2, 0], [3, f(-4, 3), 1], [f(5, 7), 0, 6]],
+                   [[f(2, 3), GaussianRational(1, 1)], [5, f(1, 9)]]):
+        assert det(matrix) == _sympy_det(
+            [[GaussianRational(0) + x for x in row] for row in matrix])
+    assert det([[1, 2], [3, 4]]) == -2
+    with pytest.raises(TypeError, match="float"):
+        det([[1.0, 2], [3, 4]])
+
+
 @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
 def test_det_rejects_a_non_square_matrix(shape):
     rows, cols = shape
