@@ -26,7 +26,7 @@ _EXPORTS = {
     "invariants": ("InvariantExpr", "b_pairing", "degree6_invariants_4",
                    "f7_check", "f_squared_relation_check", "lut3_generator",
                    "lut3_generator_sum", "jacobian_determinant",
-                   "jacobian_rank", "lsut_degree4_basis",
+                   "jacobian_rank", "lsut_basis", "lsut_degree4_basis",
                    "lut_degree4_basis", "norm_invariant", "pairing",
                    "s2_invariant", "syzygy_checks"),
     "hilbert": ("dim_cov", "dim_cov_total", "dim_inv_slocc",

@@ -165,18 +165,21 @@ def covariant_basis(k: int, d: int, alpha: tuple) -> tuple:
     """A basis of the covariants of amplitude degree d and auxiliary
     multidegree alpha.
 
-    Degree 1 is the ground form and degree 2 the B family.  Degree d >= 3
-    transvects f onto the degree-(d-1) bases: the candidates (f, C)^eps for
-    eps in {0,1}^k in decreasing order and C in the basis of multidegree
-    alpha - 1 + 2 eps.  They span, because V (x) S^(d-1)V maps onto S^dV.
+    Degree 0 is the constant covariant 1 at alpha = 0, degree 1 the ground
+    form and degree 2 the B family.  Degree d >= 3 transvects f onto the
+    degree-(d-1) bases: the candidates (f, C)^eps for eps in {0,1}^k in
+    decreasing order and C in the basis of multidegree alpha - 1 + 2 eps.
+    They span, because V (x) S^(d-1)V maps onto S^dV.
     The first independent candidates by exact rank form the basis, whose
     size must equal the character-formula dimension dim_cov(d, k, alpha).
     """
-    if len(alpha) != k or d < 1:
+    if len(alpha) != k or d < 0:
         raise ValueError(
             f"no degree-{d} covariants of multidegree {alpha} at k={k}")
     if any(x < 0 or x > d or (d - x) % 2 for x in alpha):
         return ()
+    if d == 0:
+        return (Covariant(Polynomial.constant(k, 1), 0, alpha, "1"),)
     if d == 1:
         return (ground_form(k),)
     if d == 2:

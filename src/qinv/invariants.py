@@ -34,8 +34,7 @@ from .catalog import (
     b_multidegrees,
     catalog_3,
     catalog_4,
-    degree3_multilinear_basis,
-    degree4_invariants,
+    covariant_basis,
     ground_form,
 )
 from .gaussian import GaussianRational, _coerce
@@ -305,7 +304,7 @@ def _pairing_poly(a: Polynomial, b: Polynomial) -> Polynomial:
     ])
 
 
-# -- degree-4 bases for arbitrary k ---------------------------------------
+# -- bases for arbitrary k ------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -322,24 +321,29 @@ def b_pairing(k: int, d: tuple) -> InvariantExpr:
     return pairing(b, b, "B_" + "".join(map(str, d)))
 
 
+@lru_cache(maxsize=None)
+def lsut_basis(k: int, n1: int, n2: int) -> tuple:
+    """A basis of the LSUT invariants of bidegree (n1, n2): the pairings
+    <C|C'> of C in `covariant_basis(k, n1, alpha)` and C' in
+    `covariant_basis(k, n2, alpha)`, alpha in decreasing lexicographic order.
+    """
+    if n1 < 0 or n2 < 0:
+        raise ValueError(f"no invariants of bidegree ({n1}, {n2})")
+    return tuple(pairing(c, d)
+                 for alpha in product(range(min(n1, n2), -1, -1), repeat=k)
+                 for c in covariant_basis(k, n1, alpha)
+                 for d in covariant_basis(k, n2, alpha))
+
+
 def lut_degree4_basis(k: int):
-    """The 2^(k-1) pairings <B_d|B_d> of the degree-2 covariant basis."""
-    return [b_pairing(k, d) for d in b_multidegrees(k)]
+    """The 2^(k-1) B pairings <B_d|B_d>, the (2,2) block of `lsut_basis`."""
+    return list(lsut_basis(k, 2, 2))
 
 
 def lsut_degree4_basis(k: int):
-    """Degree-4 LSUT basis: SLOCC invariants D_i of bidegree (4,0), the
-    pairings <C_i|f> of bidegree (3,1), the (2,2) LUT basis, and the
-    conjugates of the first two groups."""
-    f = ground_form(k)
-    d40 = [
-        InvariantExpr(cov.poly, (4, 0), cov.name) for cov in degree4_invariants(k)
-    ]
-    c31 = [
-        pairing(c, f, f"<{c.name}|f>") for c in degree3_multilinear_basis(k)
-    ]
-    b22 = lut_degree4_basis(k)
-    return d40 + c31 + b22 + [x.conjugate() for x in c31] + [x.conjugate() for x in d40]
+    """Degree-4 LSUT basis: the `lsut_basis` blocks of bidegrees (4,0),
+    (3,1), (2,2), (1,3) and (0,4), in that order."""
+    return [x for n1 in range(4, -1, -1) for x in lsut_basis(k, n1, 4 - n1)]
 
 
 def f_squared_relation_check(k: int):

@@ -18,8 +18,9 @@ from qinv.catalog import (
     degree4_invariants,
     ground_form,
 )
-from qinv.hilbert import dim_cov, hilbert_lut_coeffs, hilbert_lut_ct
-from qinv.invariants import pairing
+from qinv.hilbert import (dim_cov, hilbert_lsut_coeffs, hilbert_lut_coeffs,
+                          hilbert_lut_ct)
+from qinv.invariants import lsut_basis
 from qinv.linalg import independent_subset, rank
 from qinv.poly import Polynomial, amp, aux
 from qinv.transvection import transvect
@@ -213,6 +214,16 @@ def test_covariant_basis_low_degrees():
         covariant_basis(3, 2, (2, 0))
 
 
+def test_covariant_basis_of_degree_zero_is_the_constant():
+    (one,) = covariant_basis(3, 0, (0, 0, 0))
+    assert one.poly == Polynomial.constant(3, 1)
+    assert (one.amp_degree, one.multidegree) == (0, (0, 0, 0))
+    assert covariant_basis(3, 0, (2, 0, 0)) == ()
+    assert covariant_basis(3, 0, (1, 1, 1)) == ()
+    with pytest.raises(ValueError):
+        covariant_basis(3, -1, (0, 0, 0))
+
+
 _NO_HILBERT = """
 import sys
 from qinv.catalog import catalog_3
@@ -242,13 +253,23 @@ def test_pairings_of_the_covariant_bases_count_the_lut_invariants(k, d):
     # A third, constructive Hilbert route: the pairings <C_i|C_j> inside
     # each multidegree are independent, and there are as many as both the
     # character and the constant-term routes count in degree 2d.
-    pairings = []
-    for alpha in product(range(d + 1), repeat=k):
-        basis = covariant_basis(k, d, alpha)
-        pairings += [pairing(x, y).poly for x in basis for y in basis]
+    pairings = [x.poly for x in lsut_basis(k, d, d)]
     assert rank(pairings) == len(pairings)
     assert len(pairings) == hilbert_lut_coeffs(k, 2 * d)[2 * d]
     assert len(pairings) == hilbert_lut_ct(k, 2 * d)[2 * d]
+
+
+@pytest.mark.parametrize("k,top", [(1, 12), (2, 12), (3, 10), (4, 6), (5, 4)])
+def test_lsut_basis_matches_the_hilbert_table_off_the_diagonal(k, top):
+    # The count is the character route's sum over alpha of
+    # dim_cov(n1, alpha) dim_cov(n2, alpha), since each covariant basis has
+    # that size, so it is no independent check.  The exact rank is: it
+    # checks the paper's claim that the pairings are linearly independent.
+    table = hilbert_lsut_coeffs(k, top, top)
+    for n1 in range(top + 1):
+        for n2 in range(top + 1 - n1):
+            basis = [x.poly for x in lsut_basis(k, n1, n2)]
+            assert len(basis) == rank(basis) == table[n1][n2], (n1, n2)
 
 
 @pytest.mark.parametrize("k,d", [(4, 4), (5, 3)])

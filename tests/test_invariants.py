@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qinv.catalog import (b_family, b_multidegrees, catalog_3,
-                          cayley_hyperdet, degree4_invariants, ground_form)
+                          cayley_hyperdet, degree3_multilinear_basis,
+                          degree4_invariants, ground_form)
 from qinv.gaussian import GaussianRational
+from qinv.hilbert import hilbert_lsut_coeffs
 from qinv.invariants import (
     JACOBIAN_POINT,
     InvariantExpr,
@@ -33,6 +35,7 @@ from qinv.invariants import (
     jacobian_determinant,
     jacobian_matrix,
     jacobian_rank,
+    lsut_basis,
     lsut_degree4_basis,
     lut_degree4_basis,
     norm_invariant,
@@ -167,6 +170,49 @@ def test_lsut_degree4_basis_counts_and_rank(k, size):
     assert rank([b.poly for b in basis]) == size
 
 
+def _hand_assembled_lsut_degree4_basis(k):
+    """The degree-4 LSUT basis as it was assembled by hand before it became
+    a view of `lsut_basis`: the SLOCC invariants D_i as (4,0), the pairings
+    <C_i|f>, the B pairings, and the conjugates of the first two groups."""
+    f = ground_form(k)
+    d40 = [InvariantExpr(cov.poly, (4, 0), cov.name)
+           for cov in degree4_invariants(k)]
+    c31 = [pairing(c, f, f"<{c.name}|f>")
+           for c in degree3_multilinear_basis(k)]
+    b22 = [b_pairing(k, d) for d in b_multidegrees(k)]
+    return (d40 + c31 + b22 + [x.conjugate() for x in c31]
+            + [x.conjugate() for x in d40])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_degree4_bases_are_views_of_lsut_basis(k):
+    view = lsut_degree4_basis(k)
+    reference = _hand_assembled_lsut_degree4_basis(k)
+    assert [x.bidegree for x in view] == [x.bidegree for x in reference]
+    assert [x.poly for x in view] == [x.poly for x in reference]
+    assert [x.poly for x in lut_degree4_basis(k)] == [
+        b_pairing(k, d).poly for d in b_multidegrees(k)]
+
+
+def test_lsut_basis_edge_cases():
+    with pytest.raises(ValueError):
+        lsut_basis(3, -1, 1)
+    with pytest.raises(ValueError):
+        lsut_basis(3, 1, -1)
+    (one,) = lsut_basis(3, 0, 0)
+    assert one.bidegree == (0, 0)
+    assert one.poly == Polynomial.constant(3, 1)
+    assert lsut_basis(3, 2, 1) == () and lsut_basis(3, 0, 3) == ()
+
+
+def test_lsut_degree4_basis_of_one_qubit_is_f_squared_paired():
+    f2 = ground_form(1) * ground_form(1)
+    basis = lsut_degree4_basis(1)
+    assert [x.poly for x in basis] == [pairing(f2, f2).poly]
+    assert rank([x.poly for x in basis]) == 1 == hilbert_lsut_coeffs(
+        1, 2, 2)[2][2]
+
+
 def test_lut3_generator_index_validation():
     with pytest.raises(ValueError):
         lut3_generator(0)
@@ -283,6 +329,13 @@ def test_degree6_invariants_4_count_and_rank():
     pairs = degree6_invariants_4()
     assert len(pairs) == 20
     assert rank([expr.poly for _, expr in pairs]) == 20
+
+
+def test_degree6_invariants_4_span_the_33_space():
+    named = [expr.poly for _, expr in degree6_invariants_4()]
+    paired = [x.poly for x in lsut_basis(4, 3, 3)]
+    assert rank(named) == rank(paired) == 20
+    assert rank(named + paired) == 20
 
 
 def test_evaluate_exact_simple():
