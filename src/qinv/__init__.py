@@ -29,7 +29,8 @@ _EXPORTS = {
                    "jacobian_rank", "lsut_basis", "lsut_degree4_basis",
                    "lut_degree4_basis", "norm_invariant", "pairing",
                    "s2_invariant", "syzygy_checks"),
-    "hilbert": ("dim_cov", "dim_cov_total", "dim_inv_slocc",
+    "characters": ("dim_cov",),
+    "hilbert": ("dim_cov_total", "dim_inv_slocc",
                 "hilbert_lsut_coeffs", "hilbert_lsut_ct",
                 "hilbert_lut_coeffs", "hilbert_lut_ct"),
     "measures": ("MeasureReport", "OrbitLabel", "classify3", "d1",

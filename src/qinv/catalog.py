@@ -184,8 +184,8 @@ def covariant_basis(k: int, d: int, alpha: tuple) -> tuple:
         return (ground_form(k),)
     if d == 2:
         return (b_family(k, alpha),) if alpha.count(0) % 2 == 0 else ()
-    # Imported here, so that degrees 1 and 2 never load the Hilbert layer.
-    from .hilbert import dim_cov
+    # Imported here, so that degrees 0 to 2 never load the character layer.
+    from .characters import dim_cov
 
     f = ground_form(k)
     candidates = []

@@ -2,15 +2,18 @@
 
 Subcommands: eval, classify, measure, hilbert, covariant, verify.  All
 output is a single JSON document on stdout.  Exit codes: 0 success, 1 bad
-input, 2 verification-suite failure.  Bad input, including bad arguments, a
-state whose squared norm overflows and a result that is not finite, prints
-{"error": message}.
+input, 2 verification-suite failure, and 141 (128 + SIGPIPE, as a shell
+reports a process that signal ended) when the reader closed stdout before
+the document was written, which ends without a traceback.  Bad input,
+including bad arguments, a state whose squared norm overflows and a result
+that is not finite, prints {"error": message}.
 
 The commands that build covariants for a given k accept k up to `MAX_K`:
 7 for `eval`, 6 for `measure --route covariant` and for `verify --suite
 invariance` (which needs k >= 2), and 8 for `covariant`.  `verify` accepts
 up to `MAX_TRIALS` trials and a non-negative seed, and `hilbert` the sizes
-in `HILBERT_MAX`.
+in `HILBERT_MAX`.  `verify` takes only the flags its suite reads
+(`SUITE_FLAGS`); any other of --k, --trials and --seed is bad input.
 
 Each subcommand imports the layers it runs inside its handler, after its
 state file (if any) has loaded, so `hilbert`, `measure --route direct`,
@@ -23,22 +26,31 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections.abc import Mapping
 from functools import partial
 
 from .state import DimensionError, State
 
-# The keys of `verify.SUITES`, spelled out so that building the parser does
-# not import the verify layer.
-SUITE_NAMES = ("classification", "hilbert", "identities", "invariance")
+# The flags each `verify.SUITES` entry reads, with the values it gets when
+# they are left out; spelled out so that building the parser does not import
+# the verify layer.
+SUITE_FLAGS = {
+    "classification": {"trials": 100, "seed": 0},
+    "hilbert": {},
+    "identities": {},
+    "invariance": {"k": 3, "trials": 100, "seed": 0},
+}
+SUITE_NAMES = tuple(SUITE_FLAGS)
 
 
 # The largest k for which each command builds covariants, so that no
 # command runs for minutes or exhausts memory.  Cold CPU time of the costliest
 # case on a 2-vCPU host, with pairings evaluated through their covariants:
 # `measure --route covariant` took 0.37 s at k=6 and 0.75 s (72 MB) at k=7;
-# `eval --invariant B_2...2` took 0.36 s at k=7 and 0.86 s (122 MB) at k=8;
+# `eval --invariant B_d`, which builds all 2^(k-1) B covariants, took 0.41 s
+# at k=7, and its form took 1.4 s (342 MB) at k=8;
 # `covariant --name B_2...2 --print` took 1.7 s at k=8 and 12 s (2.8 GB) at
 # k=9; `verify --suite invariance --trials 3` took 3.9 s (102 MB) at k=6 and
 # 134 s (1.0 GB) at k=7.
@@ -274,24 +286,34 @@ def cmd_covariant(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    if args.k < 1:
-        raise CliError(f"--k must be at least 1, got {args.k}")
-    if args.suite == "invariance":
-        # The SLOCC half of the suite needs the degree-4 family, k >= 2.
-        if args.k < 2:
+    opts = dict(SUITE_FLAGS[args.suite])
+    for flag in ("k", "trials", "seed"):
+        value = getattr(args, flag)
+        if value is not None:
+            if flag not in opts:
+                raise CliError(
+                    f"verify --suite {args.suite} does not read --{flag}")
+            opts[flag] = value
+    k, trials, seed = (opts.get(flag) for flag in ("k", "trials", "seed"))
+    if k is not None:
+        if k < 1:
+            raise CliError(f"--k must be at least 1, got {k}")
+        # The SLOCC half of the invariance suite needs the degree-4 family,
+        # k >= 2.
+        if k < 2:
             raise CliError(
-                f"verify --suite invariance needs k >= 2, got k={args.k}")
-        _check_k("verify --suite invariance", args.k)
-    if args.trials < 1:
-        raise CliError(f"--trials must be at least 1, got {args.trials}")
-    if args.trials > MAX_TRIALS:
+                f"verify --suite invariance needs k >= 2, got k={k}")
+        _check_k("verify --suite invariance", k)
+    if trials is not None and trials < 1:
+        raise CliError(f"--trials must be at least 1, got {trials}")
+    if trials is not None and trials > MAX_TRIALS:
         raise CliError(
-            f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
-    if args.seed < 0:
-        raise CliError(f"--seed must be non-negative, got {args.seed}")
+            f"--trials must be at most {MAX_TRIALS}, got {trials}")
+    if seed is not None and seed < 0:
+        raise CliError(f"--seed must be non-negative, got {seed}")
     from .verify import SUITES
 
-    return SUITES[args.suite](k=args.k, trials=args.trials, seed=args.seed)
+    return SUITES[args.suite](**opts)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,9 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pf = sub.add_parser("verify", help="run a verification suite")
     pf.add_argument("--suite", choices=SUITE_NAMES, required=True)
-    pf.add_argument("--k", type=int, default=3)
-    pf.add_argument("--trials", type=int, default=100)
-    pf.add_argument("--seed", type=int, default=0)
+    pf.add_argument("--k", type=int)
+    pf.add_argument("--trials", type=int)
+    pf.add_argument("--seed", type=int)
     pf.set_defaults(fn=cmd_verify)
     return p
 
@@ -362,4 +384,12 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`qinv ... | head`).  What is still
+        # buffered goes to devnull, so the flush at exit raises nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)

@@ -35,35 +35,11 @@ from itertools import product
 from math import prod
 from operator import add, sub
 
-from .characters import partitions, two_row_characters, z_lambda
+from .characters import (_integer, dim_cov, partitions, two_row_characters,
+                         z_lambda)
 
 
 # -- character-route dimensions -------------------------------------------
-
-
-def _integer(q) -> int:
-    """An exact count as an int; a fraction here means a wrong formula."""
-    if q.denominator != 1:
-        raise ArithmeticError(f"dimension {q} is not an integer")
-    return int(q)
-
-
-@lru_cache(maxsize=None)
-def dim_cov(n: int, k: int, d: tuple) -> int:
-    """Dimension of the space of covariants of amplitude degree n and
-    auxiliary multidegree d: the product over the slots of the two-row
-    characters chi^((n + d_j)/2, (n - d_j)/2), paired with the trivial
-    character."""
-    if len(d) != k:
-        raise ValueError("multidegree length must equal k")
-    if any(x < 0 or x > n or (n - x) % 2 for x in d):
-        return 0
-    rows = [(n + x) // 2 for x in d]
-    total = Fraction(0)
-    for mu in partitions(n):
-        chi = two_row_characters(mu)
-        total += Fraction(prod(chi[a] for a in rows), z_lambda(mu))
-    return _integer(total)
 
 
 def dim_inv_slocc(degree: int, k: int) -> int:

@@ -15,7 +15,7 @@ coefficients on products of leaves, where a leaf is a pairing <Phi|Psi> or a
 plain polynomial.  Its exact polynomial is formed from the leaf expansions
 on first access, grouped by last leaf (Horner's rule on one level).  A
 numeric value needs only the values of the aux-coefficients c_m(a), so
-`numeric_form` hands the stored forms to `poly.NumericForm`, which stacks
+`numeric_form` hands the stored forms to `numeric.NumericForm`, which stacks
 the distinct covariants of the leaves into one kernel call and evaluates
 the stored polynomials in the pairings: the 47 named invariants of the CLI
 at k = 3 and 4 rest on about 3,100 covariant terms, against 66,764
@@ -39,8 +39,8 @@ from .catalog import (
 )
 from .gaussian import GaussianRational, _coerce
 from .linalg import det, rank
-from .poly import (DimensionError, EvaluationError, NumericForm, Polynomial,
-                   _weight, amp, amp_conj)
+from .poly import (DimensionError, EvaluationError, Polynomial, _weight, amp,
+                   amp_conj)
 from .transvection import Covariant
 
 _CREATED = count()
@@ -55,7 +55,7 @@ class _Leaf:
     does not depend on memory addresses.  The conjugate is the swapped
     leaf, made once; it expands as the conjugate of this leaf's expansion.
     A leaf expands on first access and keeps the result.  It unpacks as
-    (a, b), the leaf that `poly.NumericForm` reads.
+    (a, b), the leaf that `numeric.NumericForm` reads.
     """
 
     __slots__ = ("a", "b", "order", "_poly", "_conj")
@@ -123,7 +123,7 @@ class InvariantExpr:
     inner sum one `Polynomial.sum_of_products`, and one outer call adds the
     summands.  A single leaf with coefficient 1 is its expansion.  Numeric
     evaluation expands no leaf: `numeric()` evaluates the stored form
-    through its covariants (`poly.NumericForm`).  Equality and hashing
+    through its covariants (`numeric.NumericForm`).  Equality and hashing
     compare (poly, bidegree, name), so they expand.
     """
 
@@ -249,7 +249,7 @@ class InvariantExpr:
 
     # -- numeric evaluation -----------------------------------------------
 
-    def numeric(self) -> NumericForm:
+    def numeric(self) -> "NumericForm":
         """The one-output numeric form, built once."""
         if self._numeric is None:
             self._numeric = numeric_form((self,))
@@ -273,9 +273,11 @@ def _same_k(k: int, operands):
             raise DimensionError(f"ambient k mismatch: {k} vs {x.k}")
 
 
-def numeric_form(exprs) -> NumericForm:
-    """One `poly.NumericForm` whose outputs are the stored forms of the
+def numeric_form(exprs) -> "NumericForm":
+    """One `numeric.NumericForm` whose outputs are the stored forms of the
     given invariants (a leaf unpacks as its two sides)."""
+    from .numeric import NumericForm
+
     return NumericForm(exprs[0].k, [x.top for x in exprs])
 
 
@@ -316,9 +318,11 @@ def norm_invariant(k: int) -> InvariantExpr:
 
 @lru_cache(maxsize=None)
 def b_pairing(k: int, d: tuple) -> InvariantExpr:
-    """The LUT invariant <B_d|B_d>."""
-    b = b_family(k, d)
-    return pairing(b, b, "B_" + "".join(map(str, d)))
+    """The LUT invariant <B_d|B_d>, the named view of its element of
+    `lsut_basis(k, 2, 2)`: the two share one leaf, expanded once."""
+    b_family(k, d)  # a multidegree outside b_multidegrees(k) raises here
+    view = lsut_basis(k, 2, 2)[b_multidegrees(k).index(d)]
+    return view.named("B_" + "".join(map(str, d)))
 
 
 @lru_cache(maxsize=None)
@@ -776,8 +780,8 @@ def jacobian_determinant(literal: bool = False) -> GaussianRational:
 # -- 4-qubit degree-6 LUT invariants --------------------------------------
 
 
-# The twenty degree-6 generators by name: A^3, A*B with B = |B_0000|^2, A
-# times each mixed <B_d|B_d>, every pairing among C1, C2 and fB = f*B_0000
+# The twenty degree-6 generators by name: A^3, A*B with B = <B_0000|B_0000>,
+# A times each mixed <B_d|B_d>, every pairing among C1, C2 and fB = f*B_0000
 # except <fB|fB>, and the four <C|C> of the cubic covariants.
 _DEGREE6_FACTORS = ("C1", "C2", "fB")
 DEGREE6_NAMES_4 = (
@@ -807,12 +811,9 @@ def degree6_invariant_4(name: str) -> InvariantExpr:
     a = norm_invariant(4)
     if name == "A^3":
         return (a ** 3).named(name)
-    if name == "A*B":
-        # |B_0000|^2 as the pairing of the aux-free covariant with itself.
-        b = catalog_4("B_0000")
-        return (a * pairing(b, b, "B")).named(name)
     if name.startswith("A*"):
-        return (a * b_pairing(4, tuple(map(int, name[4:])))).named(name)
+        d = tuple(map(int, name[4:])) or (0,) * 4
+        return (a * b_pairing(4, d)).named(name)
     left, right = name[1:-1].split("|")
     return pairing(_degree6_factor(left), _degree6_factor(right), name)
 

@@ -246,6 +246,32 @@ def test_b_pairing_and_catalog_3_do_not_import_hilbert():
     assert out.stdout.strip() == "False"
 
 
+_DEGREE3_BASIS = """
+import sys
+from qinv.catalog import degree3_multilinear_basis
+assert len(degree3_multilinear_basis(4)) == 3
+print("qinv.hilbert" in sys.modules)
+"""
+
+
+def test_degree3_basis_checks_dim_cov_without_the_hilbert_layer():
+    # covariant_basis checks each basis against `characters.dim_cov`.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", _DEGREE3_BASIS],
+                         capture_output=True, text=True, env=env, check=False)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_dim_cov_is_one_function_under_both_names():
+    import qinv
+    from qinv import characters, hilbert
+
+    assert qinv.dim_cov is characters.dim_cov is hilbert.dim_cov
+
+
 @pytest.mark.parametrize("k,d", [(2, d) for d in range(1, 7)]
                          + [(3, d) for d in range(1, 6)]
                          + [(4, d) for d in range(1, 4)])

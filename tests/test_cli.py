@@ -484,6 +484,62 @@ def test_verify_rejects_sizes_below_one(capsys, argv):
     assert list(doc) == ["error"]
 
 
+@pytest.mark.parametrize("suite, flag", [
+    ("hilbert", "--k"), ("hilbert", "--trials"), ("hilbert", "--seed"),
+    ("identities", "--k"), ("identities", "--trials"),
+    ("identities", "--seed"), ("classification", "--k"),
+])
+def test_verify_rejects_a_flag_its_suite_does_not_read(capsys, suite, flag):
+    # Even the value the suite would be given by default is rejected.
+    value = {"--k": "3", "--trials": "100", "--seed": "0"}[flag]
+    code, doc = _run_json(capsys, ["verify", "--suite", suite, flag, value])
+    assert code == 1
+    assert doc == {"error": f"verify --suite {suite} does not read {flag}"}
+
+
+def test_verify_defaults_are_the_flags_left_out(monkeypatch, capsys):
+    from qinv import verify
+
+    seen = []
+    for name in verify.SUITES:
+        monkeypatch.setitem(
+            verify.SUITES, name,
+            lambda name=name, **opts: seen.append((name, opts))
+            or {"passed": True})
+    for suite in ("classification", "hilbert", "identities", "invariance"):
+        assert run(["verify", "--suite", suite]) == 0
+    assert run(["verify", "--suite", "invariance", "--k", "4", "--trials",
+                "5", "--seed", "9"]) == 0
+    assert run(["verify", "--suite", "classification", "--seed", "2"]) == 0
+    capsys.readouterr()
+    assert seen == [
+        ("classification", {"trials": 100, "seed": 0}),
+        ("hilbert", {}),
+        ("identities", {}),
+        ("invariance", {"k": 3, "trials": 100, "seed": 0}),
+        ("invariance", {"k": 4, "trials": 5, "seed": 9}),
+        ("classification", {"trials": 100, "seed": 2}),
+    ]
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    # The printed E_3111 is about 150 kB, more than a pipe holds, so the
+    # write meets the closed pipe.
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qinv", "covariant", "--k", "4", "--name",
+         "E_3111", "--print"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(10) == b'{\n  "name"'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 141
+    assert err == b""
+
+
 def test_non_finite_state_is_rejected(capsys, tmp_path):
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(

@@ -205,6 +205,16 @@ def test_lsut_basis_edge_cases():
     assert lsut_basis(3, 2, 1) == () and lsut_basis(3, 0, 3) == ()
 
 
+def test_b_pairing_is_the_named_view_of_its_lsut_basis_element():
+    for k in (2, 3, 4):
+        for d, x in zip(b_multidegrees(k), lsut_basis(k, 2, 2), strict=True):
+            assert b_pairing(k, d).top is x.top
+            assert b_pairing(k, d).name == "B_" + "".join(map(str, d))
+    for bad in ((2, 2, 0), (2, 0), (1, 1, 0)):
+        with pytest.raises(ValueError):
+            b_pairing(3, bad)
+
+
 def test_lsut_degree4_basis_of_one_qubit_is_f_squared_paired():
     f2 = ground_form(1) * ground_form(1)
     basis = lsut_degree4_basis(1)
@@ -631,7 +641,8 @@ import numpy as np
 from qinv.cli import invariant_registry
 from qinv.invariants import InvariantExpr
 from qinv.measures import classify3, meyer_wallach
-from qinv.poly import NumericForm, random_state
+from qinv.numeric import NumericForm
+from qinv.poly import random_state
 from qinv.verify import lut_invariant_registry, suite_invariance
 
 rng = np.random.default_rng(0)
@@ -672,6 +683,64 @@ def test_numeric_paths_expand_no_pairing():
     assert doc["expanded"] == []
     assert doc["forms"] >= 30
     assert doc["conjugate_forms"] == 0
+
+
+_EXACT_ONLY = """
+import contextlib, io, json, os, sys, tempfile
+from qinv import invariants
+from qinv.cli import run
+from qinv.state import ghz
+
+invariants.f7_check()
+invariants.syzygy_checks()
+invariants.lut3_generator(7).poly.pretty()
+with contextlib.redirect_stdout(io.StringIO()):
+    run(["covariant", "--k", "4", "--name", "E_3111", "--print"])
+before = "qinv.numeric" in sys.modules
+with tempfile.TemporaryDirectory() as tmp, \\
+        contextlib.redirect_stdout(io.StringIO()):
+    path = os.path.join(tmp, "ghz3.json")
+    ghz(3).save(path)
+    run(["eval", "--state", path, "--invariant", "f7"])
+print(json.dumps([before, "qinv.numeric" in sys.modules]))
+"""
+
+
+def test_exact_work_never_loads_the_evaluator():
+    # The exact identities and the printed covariants never build a numeric
+    # form; the first evaluation imports the evaluator.
+    assert json.loads(_run_fresh(_EXACT_ONLY)) == [False, True]
+
+
+_EXPANSIONS = """
+import json
+from qinv import invariants
+
+expanded = []
+expand = invariants._pairing_poly
+
+
+def counted(a, b):
+    expanded.append((a, b))
+    return expand(a, b)
+
+
+invariants._pairing_poly = counted
+repeats = {}
+for k in (2, 3, 4):
+    del expanded[:]
+    [x.poly for x in invariants.lsut_degree4_basis(k)]
+    assert invariants.f_squared_relation_check(k)[0]
+    pairs = [(id(a), id(b)) for a, b in expanded]
+    repeats[k] = len(pairs) - len(set(pairs))
+print(json.dumps(repeats))
+"""
+
+
+def test_f_squared_relation_reuses_the_basis_expansions():
+    # b_pairing is the named view of its lsut_basis(k, 2, 2) element, so
+    # the relation expands no B pairing that the degree-4 basis expanded.
+    assert json.loads(_run_fresh(_EXPANSIONS)) == {"2": 0, "3": 0, "4": 0}
 
 
 # sha256 of pretty() of f7, the k=4 covariant E_3111, Delta, and the

@@ -703,7 +703,7 @@ def test_registry_evaluation_takes_one_kernel_call(k, monkeypatch):
     # the kernel once.
     from qinv.cli import invariant_registry
     from qinv.measures import classify3_batch, hyperdet3, meyer_wallach
-    from qinv.poly import NumericForm
+    from qinv.numeric import NumericForm
     from qinv.verify import lut_invariant_registry, slocc_invariant_registry
 
     gen = np.random.default_rng(k)
