@@ -49,8 +49,8 @@ SUITE_NAMES = tuple(SUITE_FLAGS)
 # command runs for minutes or exhausts memory.  Cold CPU time of the costliest
 # case on a 2-vCPU host, with pairings evaluated through their covariants:
 # `measure --route covariant` took 0.37 s at k=6 and 0.75 s (72 MB) at k=7;
-# `eval --invariant B_d`, which builds all 2^(k-1) B covariants, took 0.41 s
-# at k=7, and its form took 1.4 s (342 MB) at k=8;
+# `eval --invariant B_2...2` took 0.28 s (41 MB) at k=7, and its form took
+# 0.55 s (96 MB) at k=8;
 # `covariant --name B_2...2 --print` took 1.7 s at k=8 and 12 s (2.8 GB) at
 # k=9; `verify --suite invariance --trials 3` took 3.9 s (102 MB) at k=6 and
 # 134 s (1.0 GB) at k=7.

@@ -11,8 +11,7 @@ Two independent routes are provided for the unitary and SLOCC Hilbert series:
 Each route solves one problem, the LSUT bidegree table t[n1][n2]: an LUT
 invariant of degree 2n is an LSUT invariant of bidegree (n, n), and a
 SLOCC invariant of degree n one of bidegree (n, 0).  So the LUT series is
-the table's diagonal and, on the constant-term route, the SLOCC series is
-its column 0 (the character route reads that column from `dim_inv_slocc`).
+the table's diagonal and the SLOCC series its column 0.
 
 Closed forms quoted from the literature (3-qubit LUT/LSUT, 4-qubit tables)
 are expanded for cross-validation; the 4-qubit numerator tables ship as
@@ -43,10 +42,9 @@ from .characters import (_integer, dim_cov, partitions, two_row_characters,
 
 
 def dim_inv_slocc(degree: int, k: int) -> int:
-    """Dimension of the degree-d SLOCC invariants (0 in odd degree)."""
-    if degree % 2:
-        return 0
-    return dim_cov(degree, k, (0,) * k)
+    """Dimension of the degree-d SLOCC invariants, the LSUT table's column
+    0 (0 in odd degree)."""
+    return _lsut_dim(k, degree, 0)
 
 
 @lru_cache(maxsize=None)

@@ -12,18 +12,19 @@ conjugated, so the result has bidegree (deg phi, deg psi).
 
 An `InvariantExpr` stores the polynomial in pairings it is built as: exact
 coefficients on products of leaves, where a leaf is a pairing <Phi|Psi> or a
-plain polynomial.  Its exact polynomial is formed from the leaf expansions
-on first access, grouped by last leaf (Horner's rule on one level).  A
-numeric value needs only the values of the aux-coefficients c_m(a), so
-`numeric_form` hands the stored forms to `numeric.NumericForm`, which stacks
-the distinct covariants of the leaves into one kernel call and evaluates
-the stored polynomials in the pairings: the 47 named invariants of the CLI
-at k = 3 and 4 rest on about 3,100 covariant terms, against 66,764
-expanded.
+plain polynomial, one leaf per (Phi, Psi) pair.  Its exact polynomial is
+formed from the leaf expansions on first access, grouped by last leaf
+(Horner's rule on one level).  A numeric value needs only the values of
+the aux-coefficients c_m(a), so `numeric_form` hands the stored forms to
+`numeric.NumericForm`, which stacks the distinct covariants of the leaves
+into one kernel call and evaluates the stored polynomials in the pairings:
+the 47 named invariants of the CLI at k = 3 and 4 rest on about 3,100
+covariant terms, against 66,764 expanded.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
@@ -44,26 +45,39 @@ from .poly import (DimensionError, EvaluationError, Polynomial, _weight, amp,
 from .transvection import Covariant
 
 _CREATED = count()
+_LEAVES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _leaf(a, b, poly=None) -> "_Leaf":
+    """The one live leaf <a|b> of the polynomial objects a and b, made on
+    first request with the expansion `poly`, if known.  A leaf holds both
+    of its sides, so no id in a live key can be reused; it dies with the
+    last invariant that stores it or its conjugate."""
+    leaf = _LEAVES.get(key := (id(a), id(b)))
+    if leaf is None:
+        leaf = _LEAVES[key] = _Leaf(a, b, poly)
+    return leaf
 
 
 class _Leaf:
     """The pairing <a|b> of two polynomials, one factor of a stored
     invariant; None stands for the constant 1, so a plain polynomial P is
-    the leaf <P|1> = P and its conjugate the leaf <1|P>.
+    the leaf <P|1> = P and its conjugate the leaf <1|P>.  `_leaf` makes
+    each, one per pair of polynomial objects.
 
     Leaves sort by creation, so a product of leaves is a tuple whose order
     does not depend on memory addresses.  The conjugate is the swapped
-    leaf, made once; it expands as the conjugate of this leaf's expansion.
+    leaf, linked both ways on first use; a later-made leaf expands as the
+    conjugate of its twin's expansion, and <C|C> is its own conjugate.
     A leaf expands on first access and keeps the result.  It unpacks as
     (a, b), the leaf that `numeric.NumericForm` reads.
     """
 
-    __slots__ = ("a", "b", "order", "_poly", "_conj")
+    __slots__ = ("a", "b", "order", "_poly", "_conj", "__weakref__")
 
-    def __init__(self, a, b, poly=None):
-        self.a, self.b, self._poly = a, b, poly
+    def __init__(self, a, b, poly):
+        self.a, self.b, self._poly, self._conj = a, b, poly, None
         self.order = next(_CREATED)
-        self._conj = None
 
     def __lt__(self, other):
         return self.order < other.order
@@ -73,7 +87,7 @@ class _Leaf:
 
     def conjugate(self) -> "_Leaf":
         if self._conj is None:
-            self._conj = _Leaf(self.b, self.a)
+            self._conj = _leaf(self.b, self.a)
             self._conj._conj = self
         return self._conj
 
@@ -131,7 +145,7 @@ class InvariantExpr:
 
     def __init__(self, poly: Polynomial, bidegree: tuple, name: str = ""):
         self.k, self.bidegree, self.name = poly.k, tuple(bidegree), name
-        self.top = {(_Leaf(poly, None, poly),): 1} if poly else {}
+        self.top = {(_leaf(poly, None, poly),): 1} if poly else {}
         self._poly, self._numeric = poly, None
         self.__post_init__()
 
@@ -283,7 +297,8 @@ def numeric_form(exprs) -> "NumericForm":
 
 def pairing(phi: Covariant, psi: Covariant, name: str = "") -> InvariantExpr:
     """Hermitian scalar product over the auxiliary variables, kept
-    unexpanded: the invariant of one leaf.
+    unexpanded: the invariant of one leaf, shared by every pairing of the
+    same two polynomials.
 
     Mismatched multidegrees are legal and give the zero invariant;
     mismatched k raise DimensionError.
@@ -291,7 +306,7 @@ def pairing(phi: Covariant, psi: Covariant, name: str = "") -> InvariantExpr:
     _same_k(phi.k, (psi,))
     top = {}
     if phi.multidegree == psi.multidegree:
-        top = {(_Leaf(phi.poly, psi.poly),): 1}
+        top = {(_leaf(phi.poly, psi.poly),): 1}
     return InvariantExpr._stored(phi.k, (phi.amp_degree, psi.amp_degree),
                                  top, name)
 
@@ -318,11 +333,10 @@ def norm_invariant(k: int) -> InvariantExpr:
 
 @lru_cache(maxsize=None)
 def b_pairing(k: int, d: tuple) -> InvariantExpr:
-    """The LUT invariant <B_d|B_d>, the named view of its element of
-    `lsut_basis(k, 2, 2)`: the two share one leaf, expanded once."""
-    b_family(k, d)  # a multidegree outside b_multidegrees(k) raises here
-    view = lsut_basis(k, 2, 2)[b_multidegrees(k).index(d)]
-    return view.named("B_" + "".join(map(str, d)))
+    """The LUT invariant <B_d|B_d>.  It shares its leaf with its element of
+    `lsut_basis(k, 2, 2)`, which pairs the same cached B_d."""
+    b = b_family(k, d)
+    return pairing(b, b, "B_" + "".join(map(str, d)))
 
 
 @lru_cache(maxsize=None)

@@ -153,7 +153,14 @@ def suite_hilbert(k: int = 3, trials: int = 0, seed: int = 0) -> dict:
     return _report("hilbert", items)
 
 
-def suite_classification(k: int = 3, trials: int = 50, seed: int = 0) -> dict:
+def suite_classification(k: int = 3, trials: int = 100, seed: int = 0) -> dict:
+    """The 3-qubit orbit classifier on moved representatives, and the two
+    Meyer-Wallach routes; `k` is accepted for interface uniformity and must
+    be 3."""
+    from .state import DimensionError
+
+    if k != 3:
+        raise DimensionError(f"classification needs k=3, got k={k}")
     import numpy as np
 
     from .measures import classify3_batch, meyer_wallach

@@ -633,10 +633,19 @@ def test_eval_at_k4_builds_only_the_named_invariant(capsys, tmp_path):
 
 
 def test_suite_names_are_the_verify_suites():
-    from qinv.cli import SUITE_NAMES
-    from qinv.verify import SUITES
+    import inspect
+
+    from qinv.cli import SUITE_FLAGS, SUITE_NAMES
+    from qinv.state import DimensionError
+    from qinv.verify import SUITES, suite_classification
 
     assert SUITE_NAMES == tuple(sorted(SUITES))
+    # Called with no arguments, each suite runs what the CLI runs.
+    for name, flags in SUITE_FLAGS.items():
+        params = inspect.signature(SUITES[name]).parameters
+        assert {f: params[f].default for f in flags} == flags, name
+    with pytest.raises(DimensionError, match="needs k=3, got k=4"):
+        suite_classification(k=4)
 
 
 # Runs in a fresh interpreter: every listed command must finish without

@@ -11,7 +11,7 @@ import math
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qinv.cli import run
@@ -82,16 +82,22 @@ other_commands = st.one_of(
              max_size=3),
 )
 
-# Accepted draws stay cheap: the hilbert suite, or invariance at k <= 2
-# with at most 2 trials; larger k and trials are past the bounds.
+
+def _optional_flag(flag, values):
+    """The flag with one of its values, or nothing."""
+    return st.just([]) | st.sampled_from(values).map(lambda v: [flag, v])
+
+
+# Accepted draws stay cheap: the hilbert suite with none of the three
+# flags, or invariance at k = 2 or the default 3, with at most the default
+# 100 trials; larger k and trials are past the bounds.
 verify_commands = st.tuples(
-    st.just("verify"), st.just("--suite"),
-    st.sampled_from(["hilbert", "invariance", "nope"]),
-    st.just("--k"), st.sampled_from(["-1", "0", "1", "2", "7", "x", "2.5"]),
-    st.just("--trials"),
-    st.sampled_from(["-1", "0", "1", "2", "10001", "x", "1.5"]),
-    st.just("--seed"), st.sampled_from(["-5", "-1", "0", "7", "x", "0.5"]),
-).map(list)
+    st.just(["verify", "--suite"]),
+    st.sampled_from(["hilbert", "invariance", "nope"]).map(lambda s: [s]),
+    _optional_flag("--k", ["-1", "0", "1", "2", "7", "x", "2.5"]),
+    _optional_flag("--trials", ["-1", "0", "1", "2", "10001", "x", "1.5"]),
+    _optional_flag("--seed", ["-5", "-1", "0", "7", "x", "0.5"]),
+).map(lambda parts: sum(parts, []))
 
 
 def _reject_constant(name):
@@ -116,6 +122,7 @@ def test_other_commands_end_in_one_json_document(argv):
 
 
 @given(argv=verify_commands)
+@example(["verify", "--suite", "hilbert"])
 @settings(max_examples=60, deadline=None)
 def test_verify_commands_end_in_one_json_document(argv):
     _check(argv)

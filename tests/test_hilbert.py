@@ -36,6 +36,14 @@ def test_quadratic_slocc_invariants_exist_iff_even(k):
     assert dim_inv_slocc(2, k) == (1 if k % 2 == 0 else 0)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_slocc_dimensions_count_the_multidegree_zero_covariants(k):
+    # The SLOCC series is read as the LSUT table's column 0; in even degree
+    # it counts the covariants of multidegree zero.
+    assert [dim_inv_slocc(d, k) for d in range(13)] == [
+        0 if d % 2 else dim_cov(d, k, (0,) * k) for d in range(13)]
+
+
 def test_odd_degrees_vanish():
     assert dim_inv_slocc(3, 4) == 0
     assert dim_cov(2, 3, (1, 0, 0)) == 0  # parity-inadmissible multidegree

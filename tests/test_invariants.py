@@ -120,8 +120,9 @@ def test_sum_of_products_checks_every_bidegree():
     a = norm_invariant(3)
     with pytest.raises(ValueError, match="different bidegrees"):
         InvariantExpr.sum_of_products([(1, (a,)), (1, (a, a))])
-    # Built twice, A - A stores two leaves that expand to zero.
-    zero = pairing(ground_form(3), ground_form(3)) - a
+    # A plain leaf minus the pairing that expands to it stores two leaves
+    # whose difference expands to zero.
+    zero = InvariantExpr(a.poly, (1, 1)) - a
     assert zero.top and not zero.poly
     for summands in ([(1, (a,)), (0, (a, a))], [(1, (a,)), (1, (zero, a))],
                      [(1, (zero, a)), (1, (a,))]):
@@ -205,14 +206,47 @@ def test_lsut_basis_edge_cases():
     assert lsut_basis(3, 2, 1) == () and lsut_basis(3, 0, 3) == ()
 
 
-def test_b_pairing_is_the_named_view_of_its_lsut_basis_element():
+def test_b_pairing_shares_the_leaf_of_its_lsut_basis_element():
     for k in (2, 3, 4):
         for d, x in zip(b_multidegrees(k), lsut_basis(k, 2, 2), strict=True):
-            assert b_pairing(k, d).top is x.top
+            assert list(b_pairing(k, d).top) == list(x.top)
             assert b_pairing(k, d).name == "B_" + "".join(map(str, d))
     for bad in ((2, 2, 0), (2, 0), (1, 1, 0)):
         with pytest.raises(ValueError):
             b_pairing(3, bad)
+
+
+def test_pairings_of_one_pair_of_polynomials_store_one_leaf():
+    f = ground_form(3) * 1
+    (first,), = pairing(f, f).top
+    (second,), = pairing(f, f).top
+    assert first is second
+
+
+def test_the_conjugate_of_a_pairing_is_the_swapped_pairings_leaf():
+    f, t = ground_form(3), catalog_3("T") * 1
+    (swapped,), = pairing(f, t).top
+    (conjugate,), = pairing(t, f).conjugate().top
+    assert conjugate is swapped
+
+
+def test_a_self_pairing_is_its_own_conjugate_leaf():
+    (leaf,), = norm_invariant(3).top
+    assert list(norm_invariant(3).conjugate().top) == [(leaf,)]
+
+
+_ONE_B_COVARIANT = """
+import json
+from qinv import catalog
+from qinv.invariants import b_pairing
+
+b_pairing(7, (2,) * 7)
+print(catalog.b_family.cache_info().currsize)
+"""
+
+
+def test_b_pairing_builds_only_its_own_b_covariant():
+    assert _run_fresh(_ONE_B_COVARIANT).split() == ["1"]
 
 
 def test_lsut_degree4_basis_of_one_qubit_is_f_squared_paired():
@@ -283,7 +317,9 @@ def test_f7_printed_gap_and_decomposition_store_one_form():
 
 
 def test_adding_a_zero_pairing_expands_neither_operand():
-    t = catalog_3("T")
+    # A fresh T: pairing the cached one would return C_111's leaf, which
+    # other tests expand.
+    t = catalog_3("T") * 1
     c111 = pairing(t, t, "C_111")
     zero = pairing(catalog_3("Hx"), catalog_3("Hy"))
     assert zero.top == {} and zero.bidegree == (2, 2)
@@ -415,10 +451,12 @@ def test_grouped_expansion_matches_the_flat_one_on_every_node_kind():
 def test_grouped_expansion_factors_a_shared_last_leaf():
     # Fresh leaves made in the order A, B, C, s2, so C closes (A, A, A, C),
     # (A, B, C) and (C, C), and the conjugate leaf of s2, made last, closes
-    # the two products with complex coefficients.
-    f, t = ground_form(3), catalog_3("T")
+    # the two products with complex coefficients.  The covariants are fresh
+    # copies: the cached ones would return leaves that earlier tests may
+    # have made in another order.
+    f, t, hx = ground_form(3) * 1, catalog_3("T") * 1, catalog_3("Hx") * 1
     a = pairing(f, f)
-    b = pairing(catalog_3("Hx"), catalog_3("Hx"))
+    b = pairing(hx, hx)
     c = pairing(t, t)
     s2 = pairing(t, f)
     s2bar = s2.conjugate()
@@ -685,6 +723,24 @@ def test_numeric_paths_expand_no_pairing():
     assert doc["conjugate_forms"] == 0
 
 
+_LIVE_LEAVES = _NUMERIC_PATHS + """
+from qinv.invariants import _LEAVES, _Leaf
+
+gc.collect()
+live = [x for x in gc.get_objects() if isinstance(x, _Leaf)]
+print(json.dumps([len(live), len({(id(x.a), id(x.b)) for x in live}),
+                  all(_LEAVES[id(x.a), id(x.b)] is x for x in live)]))
+"""
+
+
+def test_live_leaves_of_the_numeric_paths_have_distinct_pairs():
+    # Each pair of polynomial objects has one live leaf, the one `_leaf`
+    # hands out.
+    last = _run_fresh(_LIVE_LEAVES).splitlines()[-1]
+    live, distinct, tabled = json.loads(last)
+    assert live >= 30 and distinct == live and tabled
+
+
 _EXACT_ONLY = """
 import contextlib, io, json, os, sys, tempfile
 from qinv import invariants
@@ -738,8 +794,8 @@ print(json.dumps(repeats))
 
 
 def test_f_squared_relation_reuses_the_basis_expansions():
-    # b_pairing is the named view of its lsut_basis(k, 2, 2) element, so
-    # the relation expands no B pairing that the degree-4 basis expanded.
+    # b_pairing shares the leaf of its lsut_basis(k, 2, 2) element, so the
+    # relation expands no B pairing that the degree-4 basis expanded.
     assert json.loads(_run_fresh(_EXPANSIONS)) == {"2": 0, "3": 0, "4": 0}
 
 
